@@ -47,12 +47,13 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 if [[ "$SKIP_SANITIZE" == 1 ]]; then
   echo "== sanitizer pass skipped =="
 else
-  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_workload / test_udp_e2e / test_defense / test_fleet / ext_perf / ext_workloads / ext_defense / ext_fleet =="
+  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_workload / test_udp_e2e / test_defense / test_fleet / test_flat_map / test_tcp / test_nic / test_socklib / ext_perf / ext_workloads / ext_defense / ext_fleet =="
   cmake -B build-asan -S . -DNEAT_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target test_ipc test_obs test_chaos test_fastpath test_workload \
-             test_udp_e2e test_defense test_fleet ext_perf ext_workloads \
-             ext_defense ext_fleet
+             test_udp_e2e test_defense test_fleet test_flat_map test_tcp \
+             test_nic test_socklib ext_perf ext_workloads ext_defense \
+             ext_fleet
   ./build-asan/tests/test_ipc
   ./build-asan/tests/test_obs
   ./build-asan/tests/test_chaos
@@ -68,6 +69,13 @@ else
   # Cross-host extract/adopt moves sockets between whole hosts; ASan must
   # see every checkpoint buffer and husk fd die exactly once.
   ./build-asan/tests/test_fleet
+  # The flat per-flow tables move entries on every insert and erase: the
+  # table's own property suite plus the suites that drive each converted
+  # table (TCP demux, NIC filters, socket fds) must be clean under ASan.
+  ./build-asan/tests/test_flat_map
+  ./build-asan/tests/test_tcp
+  ./build-asan/tests/test_nic
+  ./build-asan/tests/test_socklib
   # One short end-to-end pass over the pooled data path under ASan: buffer
   # recycling must be invisible to the sanitizer.
   (cd build-asan/bench && ./ext_perf --quick)

@@ -108,15 +108,8 @@ void SteeringTier::remove_backend(int id) {
   probes_.erase(id);
   // Purge the dead backend's tracked flows: later client frames re-hash to
   // a survivor, whose TCP stack answers the unknown segments with RSTs.
-  std::size_t purged = 0;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->second == id) {
-      it = flows_.erase(it);
-      ++purged;
-    } else {
-      ++it;
-    }
-  }
+  const std::size_t purged =
+      flows_.erase_if([id](const auto& kv) { return kv.second == id; });
   stats_.flows_removed += purged;
   sim_.tracer().emit({sim_.now(), 0, "fleet", "backend_remove", 0, id,
                       "\"flows_purged\":" + std::to_string(purged)});
@@ -130,9 +123,11 @@ std::optional<int> SteeringTier::tracked_backend(
 }
 
 std::vector<net::FlowKey> SteeringTier::tracked_flows_for(int id) const {
+  // Key order: callers replay the list into capture windows and repoints.
   std::vector<net::FlowKey> out;
-  for (const auto& [k, b] : flows_) {
-    if (b == id) out.push_back(k);
+  for (const auto* e :
+       flows_.sorted_if([id](const auto& kv) { return kv.second == id; })) {
+    out.push_back(e->first);
   }
   return out;
 }
@@ -251,7 +246,7 @@ void SteeringTier::handle_client_frame(net::PacketPtr frame) {
       // Pin on SYN only: mid-flow frames with no entry belong to purged
       // (dead-host) flows — steer them to a survivor for the RST, but do
       // not resurrect the pin.
-      flows_.emplace(key, backend);
+      flows_.try_emplace(key, backend);
       ++stats_.flows_installed;
     }
   }

@@ -43,6 +43,7 @@
 #include "net/packet.hpp"
 #include "nic/nic.hpp"
 #include "obs/obs.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/simulator.hpp"
 
 namespace neat::fleet {
@@ -175,7 +176,8 @@ class SteeringTier {
   std::vector<std::unique_ptr<Port>> ports_;
   std::unordered_map<int, std::size_t> backend_ports_;  // id -> port idx
   std::unordered_map<std::uint32_t, std::size_t> client_ports_;  // ip -> idx
-  std::unordered_map<net::FlowKey, int, net::FlowKeyHash> flows_;
+  /// Conntrack: canonical flow -> backend id. Flat (sim/flat_map.hpp).
+  sim::FlatMap<net::FlowKey, int, net::FlowKeyHash> flows_;
   std::unordered_map<int, ProbeState> probes_;
   std::function<void(int)> on_down_;
   sim::EventHandle probe_timer_;

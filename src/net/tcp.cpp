@@ -1174,18 +1174,21 @@ std::size_t TcpStack::active_connection_count() const {
 
 void TcpStack::for_each_connection(
     const std::function<void(TcpSocket&)>& fn) {
-  // Copy handles first: fn may close sockets and mutate the table.
+  // Copy handles first, in key order: fn may close sockets and mutate the
+  // table, and callers turn the visit order into simulated work.
   std::vector<TcpSocketPtr> snapshot;
   snapshot.reserve(conns_.size());
-  for (auto& [key, sock] : conns_) snapshot.push_back(sock);
+  for (const auto* e : conns_.sorted()) snapshot.push_back(e->second);
   for (auto& s : snapshot) fn(*s);
 }
 
 TcpCheckpoint TcpStack::snapshot() const {
   TcpCheckpoint cp;
   cp.taken_at = env_.now();
-  for (const auto& [key, sock] : conns_) {
-    if (sock->state_ != TcpState::kEstablished) continue;
+  for (const auto* e : conns_.sorted_if([](const auto& kv) {
+         return kv.second->state_ == TcpState::kEstablished;
+       })) {
+    const auto& [key, sock] = *e;
     TcpConnSnapshot s;
     s.flow = key;
     s.iss = sock->iss_;
@@ -1207,9 +1210,13 @@ TcpCheckpoint TcpStack::snapshot() const {
 TcpCheckpoint TcpStack::extract_for_migration() {
   TcpCheckpoint cp;
   cp.taken_at = env_.now();
+  // Copy the handles out (in key order) before erase_conn() shifts the
+  // table under the loop.
   std::vector<TcpSocketPtr> moving;
-  for (const auto& [key, sock] : conns_) {
-    if (sock->state_ == TcpState::kEstablished) moving.push_back(sock);
+  for (const auto* e : conns_.sorted_if([](const auto& kv) {
+         return kv.second->state_ == TcpState::kEstablished;
+       })) {
+    moving.push_back(e->second);
   }
   for (const auto& sock : moving) {
     TcpConnSnapshot s;
@@ -1239,7 +1246,7 @@ TcpCheckpoint TcpStack::extract_for_migration() {
       }
     }
     cp.conns.push_back(std::move(s));
-    migrated_out_.insert(sock->flow_);
+    migrated_out_.try_emplace(sock->flow_, true);
     // Remove silently, like destroy_all_state(): no FIN, no RST. The peer
     // must observe nothing but a short pause — the connection continues
     // from the checkpoint at the target. Drop the receive side so an app

@@ -29,7 +29,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ipc/byte_ring.hpp"
@@ -37,6 +36,7 @@
 #include "net/addr.hpp"
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/time.hpp"
 
 namespace neat::net {
@@ -604,14 +604,17 @@ class TcpStack {
   Ipv4Addr local_ip_;
   TcpConfig cfg_;
   TcpStats stats_;
-  std::unordered_map<FlowKey, TcpSocketPtr, FlowKeyHash> conns_;
+  /// Demux table. Flat (see sim/flat_map.hpp): no reference stability, and
+  /// any iteration whose order reaches the simulation goes through
+  /// sorted_if()/sorted(), i.e. ascending FlowKey order.
+  sim::FlatMap<FlowKey, TcpSocketPtr, FlowKeyHash> conns_;
   /// Connections per local port. Makes ephemeral allocation O(1) — the
   /// old scan over conns_ was O(n) per connect, quadratic over a ramp,
   /// which melts at fleet scale (hundreds of thousands of client flows).
   std::vector<std::uint32_t> port_use_ = std::vector<std::uint32_t>(65536, 0);
   /// Flows extracted for migration: stale frames still in this replica's
   /// RX channel must be dropped, not RST'd (erased if the flow returns).
-  std::unordered_set<FlowKey, FlowKeyHash> migrated_out_;
+  sim::FlatMap<FlowKey, bool, FlowKeyHash> migrated_out_;
   std::unordered_map<std::uint16_t, std::unique_ptr<TcpListener>> listeners_;
   std::uint16_t next_ephemeral_{0};
   std::size_t pending_handshakes_{0};

@@ -51,15 +51,17 @@ void Nic::add_flow_filter(const net::FlowKey& key, int queue) {
     // flow's filter out from under it.
     it->second.gen = ++filter_gen_;
     it->second.fin_seen = false;
-    touch_lru(key);
+    touch_lru(it->second);
     return;
   }
   if (flows_.size() >= params_.flow_table_capacity) evict_one_filter();
   lru_.push_front(key);
-  FlowEntry e{queue, lru_.begin(), ++filter_gen_, false};
-  e.installed_at = sim_.now();
+  FlowEntry e;
+  e.queue = queue;
+  e.lru_it = lru_.begin();
+  e.gen = ++filter_gen_;
   e.last_hit = sim_.now();
-  flows_.emplace(key, std::move(e));
+  flows_.try_emplace(key, e);
   ++stats_.filters_installed;
 }
 
@@ -132,30 +134,16 @@ void Nic::remove_flow_filter(const net::FlowKey& key) {
 }
 
 std::size_t Nic::remove_filters_for_queue(int queue) {
-  std::size_t removed = 0;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->second.queue == queue) {
-      lru_.erase(it->second.lru_it);
-      it = flows_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return flows_.erase_if([&](const auto& kv) {
+    if (kv.second.queue != queue) return false;
+    lru_.erase(kv.second.lru_it);
+    return true;
+  });
 }
 
 std::optional<int> Nic::flow_filter(const net::FlowKey& key) const {
   if (auto it = flows_.find(key); it != flows_.end()) return it->second.queue;
   return std::nullopt;
-}
-
-void Nic::touch_lru(const net::FlowKey& key) {
-  auto it = flows_.find(key);
-  assert(it != flows_.end());
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(key);
-  it->second.lru_it = lru_.begin();
 }
 
 std::optional<ParsedFlow> Nic::peek_flow(const net::Packet& frame,
@@ -252,7 +240,7 @@ void Nic::receive(net::PacketPtr frame) {
       ++stats_.rx_steered_filter;
       ++it->second.hits;
       it->second.last_hit = sim_.now();
-      touch_lru(flow->key);
+      touch_lru(it->second);
       if (params_.tracking_filters && flow->rst) {
         remove_flow_filter(flow->key);  // flow is gone; free the entry
         ++stats_.filters_retired;
@@ -352,7 +340,7 @@ void Nic::note_steering(bool filter_hit, const ParsedFlow& flow, int queue) {
 }
 
 void Nic::begin_flow_capture(const std::vector<net::FlowKey>& keys) {
-  for (const auto& k : keys) capture_set_.emplace(k, true);
+  for (const auto& k : keys) capture_set_.try_emplace(k, true);
   capturing_ = true;
 }
 

@@ -13,12 +13,12 @@
 #include <functional>
 #include <list>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/addr.hpp"
 #include "net/packet.hpp"
 #include "nic/toeplitz.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/simulator.hpp"
 
 namespace neat::nic {
@@ -211,7 +211,22 @@ class Nic {
   [[nodiscard]] Link* link() const { return link_; }
 
  private:
-  void touch_lru(const net::FlowKey& key);
+  struct FlowEntry {
+    int queue{0};
+    bool fin_seen{false};
+    std::list<net::FlowKey>::iterator lru_it;
+    /// Generation stamp: a linger-delayed FIN retirement only fires if the
+    /// entry it targeted is still the same installation (a reused 4-tuple
+    /// re-installs with a fresh generation and must keep its filter).
+    std::uint64_t gen{0};
+    sim::SimTime last_hit{0};
+    std::uint64_t hits{0};  ///< post-install packets steered by this entry
+  };
+
+  /// Move `e` to the LRU front: a splice, no list-node allocation.
+  void touch_lru(const FlowEntry& e) {
+    lru_.splice(lru_.begin(), lru_, e.lru_it);
+  }
   /// Scored eviction under table pressure: sample the LRU tail, preferring
   /// "embryonic" entries (never steered a post-install packet — what a
   /// spoofed SYN leaves behind) and breaking ties by stalest activity.
@@ -244,28 +259,17 @@ class Nic {
   Link* link_{nullptr};
   obs::Hub* hub_{nullptr};  ///< per-host metric hub override (fleet)
 
-  struct FlowEntry {
-    int queue;
-    std::list<net::FlowKey>::iterator lru_it;
-    /// Generation stamp: a linger-delayed FIN retirement only fires if the
-    /// entry it targeted is still the same installation (a reused 4-tuple
-    /// re-installs with a fresh generation and must keep its filter).
-    std::uint64_t gen{0};
-    bool fin_seen{false};
-    sim::SimTime installed_at{0};
-    sim::SimTime last_hit{0};
-    std::uint64_t hits{0};  ///< post-install packets steered by this entry
-  };
-  std::unordered_map<net::FlowKey, FlowEntry, net::FlowKeyHash> flows_;
+  /// Exact-match filter table, flat (see sim/flat_map.hpp): entries move
+  /// on insert/erase, so never hold a FlowEntry& across either.
+  sim::FlatMap<net::FlowKey, FlowEntry, net::FlowKeyHash> flows_;
   /// Flows whose filter was FIN-retired, remembered until the stored
   /// expiry time so straggler refault is suppressed (see NicParams::
   /// dead_flow_memory). Entries are erased by a scheduled sweep event; a
   /// fresh install for the key (4-tuple reuse) erases eagerly.
-  std::unordered_map<net::FlowKey, sim::SimTime, net::FlowKeyHash>
-      fin_retired_;
+  sim::FlatMap<net::FlowKey, sim::SimTime, net::FlowKeyHash> fin_retired_;
   std::list<net::FlowKey> lru_;  // front = most recent
   std::uint64_t filter_gen_{0};
-  std::unordered_map<net::FlowKey, bool, net::FlowKeyHash> capture_set_;
+  sim::FlatMap<net::FlowKey, bool, net::FlowKeyHash> capture_set_;
   std::vector<net::PacketPtr> capture_buf_;
   bool capturing_{false};
   obs::Counter* steer_filter_counter_{nullptr};

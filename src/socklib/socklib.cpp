@@ -19,7 +19,7 @@ Fd SockLib::listen(std::uint16_t port, std::size_t backlog,
   entry.accept_bell = std::make_shared<ipc::Doorbell>(
       app_, host_.costs().app_notify, std::move(on_acceptable));
   auto bell = entry.accept_bell;
-  listeners_.emplace(fd, std::move(entry));
+  listeners_.try_emplace(fd, std::move(entry));
 
   // listen() is a (rare) control-plane call: route via the SYSCALL server,
   // which records it durably and replicates the listening socket onto
@@ -165,7 +165,7 @@ void SockLib::wire_connection(Fd fd, StackReplica& replica,
       f(fd, r);
     };
   }
-  conns_.emplace(fd, sock);
+  conns_.try_emplace(fd, sock);
   sock->set_events(std::move(ev));
 }
 
@@ -190,26 +190,31 @@ bool SockLib::eof(Fd fd) const {
 }
 
 void SockLib::close(Fd fd) {
+  // Copy each entry out and erase it before acting on it: nothing may hold
+  // a slot reference across a call that could re-enter the library.
   if (auto it = conns_.find(fd); it != conns_.end()) {
-    it->second->set_events({});  // no callbacks after close()
-    it->second->close();
+    const NeatSocketPtr sock = it->second;
     conns_.erase(it);
+    sock->set_events({});  // no callbacks after close()
+    sock->close();
     return;
   }
   if (auto it = udp_socks_.find(fd); it != udp_socks_.end()) {
-    host_.remove_udp_bind(it->second.port);
+    const std::uint16_t port = it->second.port;
     udp_socks_.erase(it);
+    host_.remove_udp_bind(port);
     return;
   }
   if (auto it = listeners_.find(fd); it != listeners_.end()) {
-    host_.remove_listen(it->second.port);
+    const std::uint16_t port = it->second.port;
     listeners_.erase(it);
+    host_.remove_listen(port);
   }
 }
 
 Fd SockLib::udp_open(std::uint16_t port, DatagramRx rx) {
   const Fd fd = next_fd_++;
-  udp_socks_.emplace(fd, UdpEntry{port});
+  udp_socks_.try_emplace(fd, UdpEntry{port});
 
   // Like listen(), a bind is a rare control-plane call: route it through
   // the SYSCALL server, which records it durably and installs the binding
@@ -253,8 +258,7 @@ void SockLib::on_replica_tcp_recovery(
   // Connections the checkpoint brought back are transparently re-attached
   // to their fds; the rest of this replica's sockets are gone. Every other
   // replica is untouched (the whole point of state partitioning).
-  for (auto& [fd, sock] : conns_) {
-    if (&sock->replica() != &replica) continue;
+  for (const auto& sock : sockets_on(replica)) {
     const net::FlowKey flow = sock->tcp().flow();
     net::TcpSocketPtr replacement;
     for (const auto& r : restored) {
@@ -278,8 +282,7 @@ void SockLib::on_connections_migrated(
   // match by flow and re-home. A socket of `from`'s that is NOT in the
   // adopted set was already closing (extract only moves ESTABLISHED) — it
   // keeps its old attachment and finishes dying where it is.
-  for (auto& [fd, sock] : conns_) {
-    if (&sock->replica() != &from) continue;
+  for (const auto& sock : sockets_on(from)) {
     const net::FlowKey flow = sock->tcp().flow();
     for (const auto& a : adopted) {
       if (a->flow() == flow) {
@@ -295,8 +298,7 @@ void SockLib::on_connections_departed(
   // Cross-host drain: the listed flows now live on another machine. The
   // local sockets are husks — deliver kMigratedAway so the app closes the
   // fds; no FIN/RST goes out (the connection is alive, elsewhere).
-  for (auto& [fd, sock] : conns_) {
-    if (&sock->replica() != &from) continue;
+  for (const auto& sock : sockets_on(from)) {
     const net::FlowKey flow = sock->tcp().flow();
     for (const auto& f : flows) {
       if (f == flow) {
@@ -305,6 +307,17 @@ void SockLib::on_connections_departed(
       }
     }
   }
+}
+
+std::vector<NeatSocketPtr> SockLib::sockets_on(
+    const StackReplica& replica) const {
+  std::vector<NeatSocketPtr> out;
+  for (const auto* e : conns_.sorted_if([&](const auto& kv) {
+         return &kv.second->replica() == &replica;
+       })) {
+    out.push_back(e->second);
+  }
+  return out;
 }
 
 Fd SockLib::adopt_socket(StackReplica& replica, net::TcpSocketPtr tcp,

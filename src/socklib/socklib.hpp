@@ -9,11 +9,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ipc/doorbell.hpp"
 #include "neat/host.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/random.hpp"
 #include "socklib/neat_socket.hpp"
 #include "socklib/socket_api.hpp"
@@ -83,9 +83,17 @@ class SockLib final : public SocketApi, public ReplicaFailureListener {
   NeatHost& host_;
   sim::Rng rng_;
   Fd next_fd_{3};
-  std::unordered_map<Fd, ListenEntry> listeners_;
-  std::unordered_map<Fd, NeatSocketPtr> conns_;
-  std::unordered_map<Fd, UdpEntry> udp_socks_;
+  // Per-fd tables, flat (sim/flat_map.hpp): no reference stability across
+  // inserts/erases. Fds are handed out in increasing order, so the sorted
+  // (key-order) iteration the recovery hooks use is creation order.
+  sim::FlatMap<Fd, ListenEntry, sim::IntHash> listeners_;
+  sim::FlatMap<Fd, NeatSocketPtr, sim::IntHash> conns_;
+  sim::FlatMap<Fd, UdpEntry, sim::IntHash> udp_socks_;
+
+  /// Sockets attached to `replica`, in fd order, copied out of conns_ so
+  /// the caller may let them call back into the library.
+  [[nodiscard]] std::vector<NeatSocketPtr> sockets_on(
+      const StackReplica& replica) const;
 };
 
 }  // namespace neat::socklib
