@@ -48,7 +48,8 @@ inline bool write_trace(sim::Simulator& sim, const std::string& path) {
   return true;
 }
 
-/// One full NEaT experiment: server machine + configuration -> RunResult.
+/// One full NEaT experiment: server machine + configuration -> the client
+/// rig's aggregate over the measurement window.
 struct NeatRun {
   sim::MachineParams machine = sim::amd_opteron_6168();
   bool multi{false};
@@ -68,7 +69,7 @@ struct NeatRun {
   std::string trace_out;
 };
 
-inline RunResult run_neat(const NeatRun& r) {
+inline ClientRig::Aggregate run_neat(const NeatRun& r) {
   Testbed::Config cfg;
   cfg.seed = r.seed;
   cfg.server_machine = r.machine;
@@ -89,7 +90,7 @@ inline RunResult run_neat(const NeatRun& r) {
   co.path = r.path;
   ClientRig client = build_client(tb, co, r.webs);
   prepopulate_arp(server, client);
-  RunResult res = run_window(tb, client, r.warmup, r.measure);
+  ClientRig::Aggregate res = run_window(tb, client, r.warmup, r.measure);
   write_trace(tb.sim, r.trace_out);
   return res;
 }
@@ -109,7 +110,7 @@ struct LinuxRun {
   std::string trace_out;
 };
 
-inline RunResult run_linux(const LinuxRun& r) {
+inline ClientRig::Aggregate run_linux(const LinuxRun& r) {
   Testbed::Config cfg;
   cfg.seed = r.seed;
   cfg.server_machine = r.machine;
@@ -126,7 +127,7 @@ inline RunResult run_linux(const LinuxRun& r) {
   co.path = r.path;
   ClientRig client = build_client(tb, co, r.webs);
   prepopulate_arp(server, client);
-  RunResult res = run_window(tb, client, r.warmup, r.measure);
+  ClientRig::Aggregate res = run_window(tb, client, r.warmup, r.measure);
   write_trace(tb.sim, r.trace_out);
   return res;
 }
@@ -183,7 +184,7 @@ class JsonWriter {
 /// `prefix` (e.g. "neat3x_"). Every bench JSON carries these for its key
 /// runs so latency regressions are machine-visible, not just rate ones.
 inline void add_latency(JsonWriter& j, const std::string& prefix,
-                        const RunResult& r) {
+                        const ClientRig::Aggregate& r) {
   j.add(prefix + "krps", r.krps);
   j.add(prefix + "requests", r.requests);
   j.add(prefix + "error_conns", r.error_conns);

@@ -18,7 +18,7 @@ constexpr sim::SimTime kMeasure = 300 * sim::kMillisecond;
 /// Consumed by the first run when --trace-out is given.
 std::string g_trace;
 
-RunResult neat_amd(bool multi, int replicas, int webs) {
+ClientRig::Aggregate neat_amd(bool multi, int replicas, int webs) {
   Testbed::Config cfg;
   cfg.seed = 12345;
   Testbed tb(cfg);
@@ -32,13 +32,14 @@ RunResult neat_amd(bool multi, int replicas, int webs) {
   co.concurrency_per_gen = 24;
   ClientRig client = build_client(tb, co, webs);
   prepopulate_arp(server, client);
-  RunResult res = run_window(tb, client, kWarmup, kMeasure);
+  ClientRig::Aggregate res = run_window(tb, client, kWarmup, kMeasure);
   bench::write_trace(tb.sim, g_trace);
   g_trace.clear();
   return res;
 }
 
-RunResult neat_xeon(bool multi, int replicas, int webs, bool ht) {
+ClientRig::Aggregate neat_xeon(bool multi, int replicas, int webs,
+                               bool ht) {
   Testbed::Config cfg;
   cfg.seed = 12345;
   cfg.server_machine = sim::intel_xeon_e5520();
@@ -54,13 +55,13 @@ RunResult neat_xeon(bool multi, int replicas, int webs, bool ht) {
   co.concurrency_per_gen = 24;
   ClientRig client = build_client(tb, co, webs);
   prepopulate_arp(server, client);
-  RunResult res = run_window(tb, client, kWarmup, kMeasure);
+  ClientRig::Aggregate res = run_window(tb, client, kWarmup, kMeasure);
   bench::write_trace(tb.sim, g_trace);
   g_trace.clear();
   return res;
 }
 
-RunResult linux_run(const sim::MachineParams& machine, int webs) {
+ClientRig::Aggregate linux_run(const sim::MachineParams& machine, int webs) {
   Testbed::Config cfg;
   cfg.seed = 12345;
   cfg.server_machine = machine;
@@ -73,7 +74,7 @@ RunResult linux_run(const sim::MachineParams& machine, int webs) {
   co.concurrency_per_gen = 24;
   ClientRig client = build_client(tb, co, webs);
   prepopulate_arp(server, client);
-  RunResult res = run_window(tb, client, kWarmup, kMeasure);
+  ClientRig::Aggregate res = run_window(tb, client, kWarmup, kMeasure);
   bench::write_trace(tb.sim, g_trace);
   g_trace.clear();
   return res;
@@ -82,7 +83,7 @@ RunResult linux_run(const sim::MachineParams& machine, int webs) {
 bench::JsonWriter g_json;
 
 void row(const char* name, const char* slug, double paper,
-         const RunResult& r) {
+         const ClientRig::Aggregate& r) {
   std::printf("%-28s paper=%6.1f krps   measured=%6.1f krps   errs=%llu\n",
               name, paper, r.krps, (unsigned long long)r.error_conns);
   std::fflush(stdout);

@@ -139,7 +139,7 @@ void micro_events(JsonWriter& json, std::size_t iters) {
 /// batch statistics) are seed-deterministic and identical across reps;
 /// host-time quantities vary with machine load.
 struct Fig9Run {
-  RunResult res;
+  ClientRig::Aggregate res;
   double wall{0.0};
   double pkts{0.0};
   double pkts_per_host_sec{0.0};

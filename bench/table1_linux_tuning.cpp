@@ -15,7 +15,8 @@ using namespace neat::bench;
 
 namespace {
 
-RunResult with(baseline::LinuxTuning t, const std::string& trace = {}) {
+ClientRig::Aggregate with(baseline::LinuxTuning t,
+                          const std::string& trace = {}) {
   LinuxRun r;
   r.tuning = t;
   r.webs = 12;

@@ -148,11 +148,11 @@ struct FleetCluster::DrainState {
   std::size_t moved_count{0};
   /// Per source replica: the flows that left it (departure notifications).
   std::vector<std::pair<StackReplica*, std::vector<net::FlowKey>>> departed;
-  std::function<void(std::size_t)> on_done;
+  sim::SmallFnOf<void(std::size_t)> on_done;
 };
 
 void FleetCluster::drain_host(std::size_t from, std::size_t to,
-                              std::function<void(std::size_t)> on_done) {
+                              sim::SmallFnOf<void(std::size_t)> on_done) {
   assert(from != to);
   assert(!draining_ && "one cross-host drain at a time");
   draining_ = true;

@@ -159,7 +159,7 @@ class FleetCluster {
   ///      `to`, close the capture window (replays buffered frames).
   /// `on_done` fires with the number of connections moved.
   void drain_host(std::size_t from, std::size_t to,
-                  std::function<void(std::size_t)> on_done = {});
+                  sim::SmallFnOf<void(std::size_t)> on_done = {});
 
   /// Total established connections currently on backend `i`.
   [[nodiscard]] std::size_t backend_connections(std::size_t i);

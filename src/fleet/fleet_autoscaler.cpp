@@ -1,120 +1,68 @@
 #include "fleet/fleet_autoscaler.hpp"
 
-#include <limits>
 #include <string>
 
 namespace neat::fleet {
 
-FleetAutoScaler::FleetAutoScaler(FleetCluster& fleet, FleetScalePolicy policy)
-    : fleet_(fleet), policy_(policy) {
-  AutoScaler::Policy per_host = policy_.per_host;
-  if (!policy_.per_host_scaling) {
-    // Pure samplers: thresholds no utilization can cross.
-    per_host.scale_up_threshold = 2.0;
-    per_host.scale_down_threshold = -1.0;
-  }
+std::vector<ScaleTarget::Procs> FleetAutoScaler::units(Procs& all) {
+  // A unit is a powered backend in the table, measured over its active
+  // replicas.
+  active_.clear();
+  std::vector<Procs> units;
   for (std::size_t i = 0; i < fleet_.backend_count(); ++i) {
-    per_host_.push_back(std::make_unique<AutoScaler>(
-        *fleet_.backend(i).host, fleet_.spare_pins(i), per_host));
+    FleetHost& b = fleet_.backend(i);
+    for (std::size_t r = 0; r < b.host->replica_count(); ++r) {
+      all.push_back(&b.host->replica(r).tcp_process());
+    }
+    if (!fleet_.steering().has_backend(b.id) || b.host->powered_off()) {
+      continue;
+    }
+    active_.push_back(i);
+    Procs& procs = units.emplace_back();
+    for (auto* r : b.host->active_replicas()) {
+      procs.push_back(&r->tcp_process());
+    }
   }
+  return units;
 }
 
-FleetAutoScaler::~FleetAutoScaler() { stop(); }
-
-void FleetAutoScaler::start() {
-  if (running_) return;
-  running_ = true;
-  last_action_ = fleet_.simulator().now();
-  for (auto& s : per_host_) s->start();
-  timer_ = fleet_.simulator().schedule(policy_.period, [this] { tick(); });
+void FleetAutoScaler::publish(std::size_t /*active*/,
+                              double mean_utilization) {
+  fleet_.simulator().metrics().gauge("fleet.mean_utilization")
+      .set(mean_utilization);
 }
 
-void FleetAutoScaler::stop() {
-  running_ = false;
-  timer_.cancel();
-  for (auto& s : per_host_) s->stop();
+bool FleetAutoScaler::grow() {
+  // The first standby (never a powered-off husk).
+  for (std::size_t i = 0; i < fleet_.backend_count(); ++i) {
+    FleetHost& b = fleet_.backend(i);
+    if (fleet_.steering().has_backend(b.id) || b.host->powered_off()) {
+      continue;
+    }
+    fleet_.activate_backend(i);
+    sim::Simulator& sim = fleet_.simulator();
+    sim.tracer().emit({sim.now(), 0, "fleet", "host_scale_up", 0, b.id, ""});
+    return true;
+  }
+  return false;
 }
 
-void FleetAutoScaler::tick() {
-  if (!running_) return;
-  timer_ = fleet_.simulator().schedule(policy_.period, [this] { tick(); });
-
+bool FleetAutoScaler::shrink(std::size_t coldest,
+                             const std::vector<double>& util,
+                             sim::SmallFn done) {
+  if (util.size() < 2) return false;  // no survivor to drain into
+  std::size_t into = coldest == 0 ? 1 : 0;
+  for (std::size_t i = 0; i < util.size(); ++i) {
+    if (i != coldest && util[i] < util[into]) into = i;
+  }
   sim::Simulator& sim = fleet_.simulator();
-  SteeringTier& tier = fleet_.steering();
-
-  // Fleet-mean utilization over the in-table backends (each per-host
-  // scaler already samples its own machine every per-host period).
-  double sum = 0.0;
-  std::size_t active = 0;
-  for (std::size_t i = 0; i < fleet_.backend_count(); ++i) {
-    if (!tier.has_backend(fleet_.backend(i).id)) continue;
-    sum += per_host_[i]->last_mean_utilization();
-    ++active;
-  }
-  if (active == 0) return;
-  last_util_ = sum / static_cast<double>(active);
-  sim.obs().metrics.gauge("fleet.mean_utilization").set(last_util_);
-
-  if (drain_in_flight_ ||
-      sim.now() - last_action_ < policy_.cooldown) {
-    return;
-  }
-
-  if (last_util_ > policy_.host_up_threshold) {
-    // Hot: bring a standby into the table (never a powered-off husk).
-    for (std::size_t i = 0; i < fleet_.backend_count(); ++i) {
-      FleetHost& b = fleet_.backend(i);
-      if (tier.has_backend(b.id) || b.host->powered_off()) continue;
-      fleet_.activate_backend(i);
-      ++host_activations_;
-      last_action_ = sim.now();
-      sim.tracer().emit({sim.now(), 0, "fleet", "host_scale_up", 0, b.id,
-                         "\"util\":" + std::to_string(last_util_)});
-      return;
-    }
-    return;
-  }
-
-  if (last_util_ < policy_.host_down_threshold &&
-      active > policy_.min_hosts) {
-    // Cold: drain the coldest backend into the coldest survivor. The
-    // drained host leaves the table inside drain_host and becomes the
-    // next standby.
-    std::size_t coldest = fleet_.backend_count();
-    std::size_t target = fleet_.backend_count();
-    double cold_util = std::numeric_limits<double>::max();
-    double target_util = std::numeric_limits<double>::max();
-    for (std::size_t i = 0; i < fleet_.backend_count(); ++i) {
-      FleetHost& b = fleet_.backend(i);
-      if (!tier.has_backend(b.id) || b.host->powered_off()) continue;
-      const double u = per_host_[i]->last_mean_utilization();
-      if (u < cold_util) {
-        // Previous coldest becomes the target candidate.
-        if (coldest < fleet_.backend_count() && cold_util < target_util) {
-          target = coldest;
-          target_util = cold_util;
-        }
-        coldest = i;
-        cold_util = u;
-      } else if (u < target_util) {
-        target = i;
-        target_util = u;
-      }
-    }
-    if (coldest >= fleet_.backend_count() || target >= fleet_.backend_count()) {
-      return;
-    }
-    drain_in_flight_ = true;
-    ++host_drains_;
-    last_action_ = sim.now();
-    sim.tracer().emit(
-        {sim.now(), 0, "fleet", "host_scale_down", 0,
-         fleet_.backend(coldest).id,
-         "\"into\":" + std::to_string(fleet_.backend(target).id) +
-             ",\"util\":" + std::to_string(last_util_)});
-    fleet_.drain_host(coldest, target,
-                      [this](std::size_t) { drain_in_flight_ = false; });
-  }
+  sim.tracer().emit({sim.now(), 0, "fleet", "host_scale_down", 0,
+                     fleet_.backend(active_[coldest]).id,
+                     "\"into\":" + std::to_string(
+                                      fleet_.backend(active_[into]).id)});
+  fleet_.drain_host(active_[coldest], active_[into],
+                    [done = std::move(done)](std::size_t) mutable { done(); });
+  return true;
 }
 
 }  // namespace neat::fleet

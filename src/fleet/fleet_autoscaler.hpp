@@ -1,17 +1,16 @@
-// Fleet-level automatic scaling: the cluster analogue of the per-host
-// AutoScaler (§3.4 applied recursively).
+// Fleet-level automatic scaling: the §3.4 control loop (neat::AutoScaler)
+// with hosts as its units.
 //
-// Each backend host keeps its own AutoScaler driving replica counts
-// against that machine's spare cores; the FleetAutoScaler sits above them,
-// watches the fleet-mean utilization, and scales the HOST set — activating
-// a warm standby into the maglev table when the fleet runs hot, draining
-// the coldest backend into the coldest survivor (cross-host live
-// migration) when it runs cold. A drained host leaves the table but stays
-// built: it is the next standby.
+// Hot fleet: a warm standby enters the maglev table. Cold fleet: the
+// coldest backend drains into the coldest survivor (cross-host live
+// migration) and leaves the table; it stays built as the next standby.
+// The loop holds while a drain is in flight; the drain's completion calls
+// back into it, so keep the scaler alive while the simulation runs. Replica
+// scaling inside a backend is a separate per-host AutoScaler the caller
+// starts on it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "fleet/cluster.hpp"
@@ -19,62 +18,36 @@
 
 namespace neat::fleet {
 
-struct FleetScalePolicy {
-  /// Activate a standby when fleet-mean utilization exceeds this.
-  double host_up_threshold{0.80};
-  /// Drain the coldest backend when fleet-mean drops below this (and more
-  /// than min_hosts are in the table).
-  double host_down_threshold{0.25};
-  std::size_t min_hosts{1};
-  sim::SimTime period{100 * sim::kMillisecond};
-  /// Settle time after a host-level action before acting again (longer
-  /// than the per-host cooldown: host moves are coarser).
-  sim::SimTime cooldown{500 * sim::kMillisecond};
-  /// Per-host replica scaling, run by this object on every backend. With
-  /// per_host_scaling false the per-host scalers still run as utilization
-  /// samplers but never act.
-  AutoScaler::Policy per_host{};
-  bool per_host_scaling{true};
-};
-
-class FleetAutoScaler {
+class FleetAutoScaler final : private ScaleTarget {
  public:
-  FleetAutoScaler(FleetCluster& fleet, FleetScalePolicy policy);
-  FleetAutoScaler(FleetCluster& fleet)
-      : FleetAutoScaler(fleet, FleetScalePolicy{}) {}
-  ~FleetAutoScaler();
+  /// Host moves are coarser than replica moves: callers usually give the
+  /// fleet loop a longer period and cooldown than a per-host one.
+  FleetAutoScaler(FleetCluster& fleet, AutoScaler::Policy policy)
+      : fleet_(fleet), loop_(fleet.simulator(), *this, policy) {}
 
-  FleetAutoScaler(const FleetAutoScaler&) = delete;
-  FleetAutoScaler& operator=(const FleetAutoScaler&) = delete;
-
-  void start();
-  void stop();
+  void start() { loop_.start(); }
+  void stop() { loop_.stop(); }
 
   [[nodiscard]] std::uint64_t host_activations() const {
-    return host_activations_;
+    return loop_.scale_ups();
   }
-  [[nodiscard]] std::uint64_t host_drains() const { return host_drains_; }
-  [[nodiscard]] double last_fleet_utilization() const { return last_util_; }
-
-  /// The per-host replica scaler of backend `i` (samples even when
-  /// per_host_scaling is off).
-  [[nodiscard]] AutoScaler& host_scaler(std::size_t i) {
-    return *per_host_[i];
+  [[nodiscard]] std::uint64_t host_drains() const {
+    return loop_.scale_downs();
+  }
+  [[nodiscard]] double last_fleet_utilization() const {
+    return loop_.last_mean_utilization();
   }
 
  private:
-  void tick();
+  std::vector<Procs> units(Procs& all) override;
+  void publish(std::size_t active, double mean_utilization) override;
+  bool grow() override;
+  bool shrink(std::size_t coldest, const std::vector<double>& util,
+              sim::SmallFn done) override;
 
   FleetCluster& fleet_;
-  FleetScalePolicy policy_;
-  std::vector<std::unique_ptr<AutoScaler>> per_host_;  // index == backend idx
-  sim::EventHandle timer_;
-  bool running_{false};
-  bool drain_in_flight_{false};
-  sim::SimTime last_action_{0};
-  double last_util_{0.0};
-  std::uint64_t host_activations_{0};
-  std::uint64_t host_drains_{0};
+  std::vector<std::size_t> active_;  // backend indices, as of units()
+  AutoScaler loop_;
 };
 
 }  // namespace neat::fleet

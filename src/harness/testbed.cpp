@@ -329,24 +329,12 @@ ClientRig::Aggregate ClientRig::aggregate(sim::SimTime window) const {
 // Runner
 // ---------------------------------------------------------------------------
 
-RunResult run_window(Testbed& tb, ClientRig& client, sim::SimTime warmup,
-                     sim::SimTime measure) {
+ClientRig::Aggregate run_window(Testbed& tb, ClientRig& client,
+                                sim::SimTime warmup, sim::SimTime measure) {
   tb.sim.run_for(warmup);
   client.mark();
   tb.sim.run_for(measure);
-  const auto agg = client.aggregate(measure);
-  RunResult r;
-  r.krps = agg.krps;
-  r.mbps = agg.mbps;
-  r.mean_latency_ms = agg.mean_latency_ms;
-  r.p50_latency_ms = agg.p50_latency_ms;
-  r.p95_latency_ms = agg.p95_latency_ms;
-  r.p99_latency_ms = agg.p99_latency_ms;
-  r.p999_latency_ms = agg.p999_latency_ms;
-  r.requests = agg.requests;
-  r.error_conns = agg.error_conns;
-  r.clean_conns = agg.clean_conns;
-  return r;
+  return client.aggregate(measure);
 }
 
 void prepopulate_arp(ServerRig& server, ClientRig& client) {

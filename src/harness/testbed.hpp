@@ -256,22 +256,9 @@ struct ClientRig {
 // Experiment runner
 // ---------------------------------------------------------------------------
 
-struct RunResult {
-  double krps{0.0};
-  double mbps{0.0};
-  double mean_latency_ms{0.0};
-  double p50_latency_ms{0.0};
-  double p95_latency_ms{0.0};
-  double p99_latency_ms{0.0};
-  double p999_latency_ms{0.0};
-  std::uint64_t requests{0};
-  std::uint64_t error_conns{0};
-  std::uint64_t clean_conns{0};
-};
-
 /// Warm up, open a measurement window, report rates over it.
-RunResult run_window(Testbed& tb, ClientRig& client, sim::SimTime warmup,
-                     sim::SimTime measure);
+ClientRig::Aggregate run_window(Testbed& tb, ClientRig& client,
+                                sim::SimTime warmup, sim::SimTime measure);
 
 /// Pre-populate both ends' ARP caches (static neighbor entries, as one
 /// would configure on a two-machine point-to-point testbed).

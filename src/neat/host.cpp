@@ -108,12 +108,6 @@ void NeatHost::note_replica_census() {
   const std::string prefix = "neat.host" + std::to_string(config_.host_id);
   m.gauge(prefix + ".replicas_active").set(active);
   m.gauge(prefix + ".replicas_serving").set(serving);
-  // Host 0 (the system under test, by convention) also feeds the legacy
-  // unscoped names that dashboards and scenario samplers read.
-  if (config_.host_id == 0) {
-    m.gauge("neat.replicas_active").set(active);
-    m.gauge("neat.replicas_serving").set(serving);
-  }
 }
 
 std::vector<StackReplica*> NeatHost::active_replicas() {

@@ -9,7 +9,6 @@
 
 #include "fleet/app.hpp"
 #include "fleet/cluster.hpp"
-#include "fleet/fleet_autoscaler.hpp"
 #include "fleet/obs_merge.hpp"
 #include "harness/testbed.hpp"
 #include "socklib/socklib.hpp"
@@ -36,12 +35,11 @@ struct ClientSide {
 
 /// Multi-host branch of run_scenario(): a FleetCluster behind the steering
 /// tier, PingServers on every backend, FleetClients ramping the connection
-/// population, optional mid-run host crash and fleet autoscaling.
+/// population, optional mid-run host crash.
 ScenarioResult run_fleet_scenario(const Scenario& sc) {
   fleet::FleetConfig fc;
   fc.seed = sc.seed;
   fc.backends = sc.fleet_hosts;
-  fc.standbys = sc.fleet_standbys;
   fc.clients = sc.fleet_clients;
   fc.replicas_per_backend = sc.fleet_replicas_per_host;
   fc.replicas_per_client = sc.client_replicas;
@@ -52,9 +50,8 @@ ScenarioResult run_fleet_scenario(const Scenario& sc) {
     ports.push_back(static_cast<std::uint16_t>(harness::kBasePort + p));
   }
 
-  // One PingServer per backend (standbys included: a host entering the
-  // table later must already be listening), one FleetClient per client
-  // machine, everything destroyed before the cluster.
+  // One PingServer per backend, one FleetClient per client machine,
+  // everything destroyed before the cluster.
   std::vector<std::unique_ptr<fleet::PingServer>> servers;
   for (std::size_t i = 0; i < fleet.backend_count(); ++i) {
     fleet::FleetHost& b = fleet.backend(i);
@@ -84,11 +81,6 @@ ScenarioResult run_fleet_scenario(const Scenario& sc) {
     clients.push_back(std::move(cl));
   }
 
-  std::unique_ptr<fleet::FleetAutoScaler> scaler;
-  if (sc.fleet_autoscale) {
-    scaler = std::make_unique<fleet::FleetAutoScaler>(fleet);
-    scaler->start();
-  }
   fleet.start_health_probing();
 
   if (sc.fleet_crash_host >= 0) {
@@ -118,11 +110,6 @@ ScenarioResult run_fleet_scenario(const Scenario& sc) {
   }
   for (const auto& s : servers) {
     res.fleet_requests_served += s->app_stats().requests;
-  }
-  if (scaler) {
-    res.fleet_host_activations = scaler->host_activations();
-    res.fleet_host_drains = scaler->host_drains();
-    scaler->stop();
   }
   res.fleet_backends_declared_down =
       fleet.steering().stats().backends_declared_down;
@@ -265,8 +252,8 @@ ScenarioResult run_scenario(const Scenario& sc) {
         harness::kBasePort + std::clamp(a.target_tenant, 0, n_tenants - 1));
     const net::SockAddr target{harness::kServerIp, port};
     sim::Process* proc = nullptr;
-    std::function<void()> go;
-    std::function<void()> halt;
+    sim::SmallFn go;
+    sim::SmallFn halt;
     switch (a.kind) {
       case AdversarySpec::Kind::kSynFlood: {
         SynFlood::Config fc;
@@ -308,8 +295,10 @@ ScenarioResult run_scenario(const Scenario& sc) {
       }
     }
     proc->pin(cm.thread(client_core++));
-    tb.sim.queue().schedule(a.start_at, go);
-    if (a.stop_at > a.start_at) tb.sim.queue().schedule(a.stop_at, halt);
+    tb.sim.queue().schedule(a.start_at, std::move(go));
+    if (a.stop_at > a.start_at) {
+      tb.sim.queue().schedule(a.stop_at, std::move(halt));
+    }
   }
 
   // Static ARP, as on a real point-to-point testbed. Replicas the

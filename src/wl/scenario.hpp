@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -78,7 +77,6 @@ struct Scenario {
   // --- two-machine testbed to a multi-host cluster behind the maglev
   // --- steering tier; tenants/adversaries above are then unused) ----------
   int fleet_hosts{0};      ///< backend hosts in the steering table
-  int fleet_standbys{0};   ///< warm spares (fleet autoscaler material)
   int fleet_clients{2};    ///< client machines
   int fleet_replicas_per_host{2};
   std::uint64_t fleet_conns{20'000};  ///< total connections, fleet-wide
@@ -87,7 +85,6 @@ struct Scenario {
   /// prober detects and evicts it; only its connections are lost.
   int fleet_crash_host{-1};
   sim::SimTime fleet_crash_at{0};  ///< relative to scenario start
-  bool fleet_autoscale{false};     ///< run the FleetAutoScaler
 };
 
 struct TenantResult {
@@ -144,8 +141,6 @@ struct ScenarioResult {
   std::uint64_t fleet_responses{0};
   std::uint64_t fleet_lost_conns{0};  ///< client fds closed by reset/failure
   std::uint64_t fleet_requests_served{0};  ///< summed over backend hubs
-  std::uint64_t fleet_host_activations{0};
-  std::uint64_t fleet_host_drains{0};
   std::uint64_t fleet_backends_declared_down{0};
   double fleet_rtt_p50_ms{0.0};  ///< merged across client-host hubs
   double fleet_rtt_p99_ms{0.0};
@@ -157,7 +152,7 @@ ScenarioResult run_scenario(const Scenario& sc);
 struct NamedScenario {
   std::string name;
   std::string summary;
-  std::function<Scenario(bool quick)> make;
+  Scenario (*make)(bool quick);
 };
 [[nodiscard]] const std::vector<NamedScenario>& builtin_scenarios();
 

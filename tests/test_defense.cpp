@@ -281,10 +281,6 @@ TEST_F(DefenseFixture, CensusGaugesAreKeyedPerHost) {
             client->host->replica_count());
   EXPECT_NE(srv->value(), cli->value())
       << "distinct hosts must not share one census gauge";
-  // The unscoped legacy names mirror host 0 (the system under test).
-  const auto* legacy = tb->sim.metrics().find_gauge("neat.replicas_active");
-  ASSERT_NE(legacy, nullptr);
-  EXPECT_EQ(legacy->value(), srv->value());
 }
 
 TEST_F(DefenseFixture, ScaleDownWithoutTrackingFiltersDies) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "fleet/app.hpp"
@@ -400,11 +401,11 @@ TEST(FleetCluster, DrainMovesEveryConnectionAndServiceContinues) {
 TEST(FleetAutoScalerTest, HotFleetActivatesTheStandbyExactlyOnce) {
   FleetRig rig(small_cluster(2, 1, /*standbys=*/1));
   rig.add_client(pinger_heavy(32));
-  FleetScalePolicy pol;
-  pol.host_up_threshold = -1.0;   // any utilization counts as hot
-  pol.host_down_threshold = -2.0; // never cold
+  AutoScaler::Policy pol;
+  pol.scale_up_threshold = -1.0;   // any utilization counts as hot
+  pol.scale_down_threshold = -2.0; // never cold
+  pol.period = 100 * sim::kMillisecond;
   pol.cooldown = 100 * sim::kMillisecond;
-  pol.per_host_scaling = false;
   FleetAutoScaler scaler(rig.fleet, pol);
   scaler.start();
 
@@ -422,12 +423,12 @@ TEST(FleetAutoScalerTest, HotFleetActivatesTheStandbyExactlyOnce) {
 TEST(FleetAutoScalerTest, ColdFleetDrainsDownToMinHosts) {
   FleetRig rig(small_cluster(3, 1));
   rig.add_client(pinger_heavy(48));
-  FleetScalePolicy pol;
-  pol.host_up_threshold = 1.5;   // never hot
-  pol.host_down_threshold = 2.0; // any utilization counts as cold
-  pol.min_hosts = 2;
+  AutoScaler::Policy pol;
+  pol.scale_up_threshold = 1.5;   // never hot
+  pol.scale_down_threshold = 2.0; // any utilization counts as cold
+  pol.min_units = 2;
+  pol.period = 100 * sim::kMillisecond;
   pol.cooldown = 100 * sim::kMillisecond;
-  pol.per_host_scaling = false;
   FleetAutoScaler scaler(rig.fleet, pol);
   scaler.start();
 
@@ -451,6 +452,44 @@ TEST(FleetAutoScalerTest, ColdFleetDrainsDownToMinHosts) {
   const auto& st = rig.clients[0]->app_stats();
   EXPECT_EQ(st.closed_reset, 0u);
   EXPECT_EQ(rig.clients[0]->live_connections(), st.connected);
+}
+
+TEST(FleetAutoScalerTest, PerHostLoopsPublishToTheirOwnHub) {
+  // Regression: every host-level loop wrote its autoscaler.* gauges to the
+  // simulator-global hub, so backends sharing a fleet overwrote each other
+  // and the last one to tick won.
+  FleetConfig fc = small_cluster(2, 1);
+  fc.spare_replicas_per_backend = 1;
+  FleetRig rig(fc);
+  NeatHost& h0 = *rig.fleet.backend(0).host;
+  NeatHost& h1 = *rig.fleet.backend(1).host;
+  h1.add_replica(rig.fleet.spare_pins(1)[0]);
+  ASSERT_EQ(h0.active_replicas().size(), 2u);
+  ASSERT_EQ(h1.active_replicas().size(), 3u);
+
+  AutoScaler::Policy pol;
+  pol.min_units = 3;  // the fleet is idle: neither loop may act
+  AutoScaler s0(h0, rig.fleet.spare_pins(0), pol);
+  AutoScaler s1(h1, {}, pol);
+  s0.start();
+  s1.start();
+  rig.fleet.sim.run_for(120 * sim::kMillisecond);
+  ASSERT_EQ(s0.scale_ups() + s0.scale_downs() + s1.scale_ups() +
+                s1.scale_downs(),
+            0u);
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    FleetHost& b = rig.fleet.backend(i);
+    const auto* g = b.hub->metrics.find_gauge("autoscaler.replicas_active");
+    ASSERT_NE(g, nullptr) << "backend " << i;
+    EXPECT_EQ(static_cast<std::size_t>(g->value()),
+              b.host->active_replicas().size())
+        << "backend " << i;
+  }
+  for (const auto& [name, g] : rig.fleet.sim.metrics().gauges()) {
+    EXPECT_FALSE(std::string_view(name).starts_with("autoscaler."))
+        << name << " leaked onto the simulator-global hub";
+  }
 }
 
 // ---------------------------------------------------------------------------

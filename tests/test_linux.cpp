@@ -8,7 +8,8 @@
 namespace neat::harness {
 namespace {
 
-RunResult run_linux_webs(baseline::LinuxTuning tuning, std::uint64_t seed) {
+ClientRig::Aggregate run_linux_webs(baseline::LinuxTuning tuning,
+                                    std::uint64_t seed) {
   Testbed::Config cfg;
   cfg.seed = seed;
   Testbed tb(cfg);

@@ -25,8 +25,8 @@ TEST(Smoke, NeatSingleReplicaServesRequests) {
   ClientRig client = build_client(tb, co, 1);
   prepopulate_arp(server, client);
 
-  const RunResult r = run_window(tb, client, 100 * sim::kMillisecond,
-                                 500 * sim::kMillisecond);
+  const ClientRig::Aggregate r = run_window(
+      tb, client, 100 * sim::kMillisecond, 500 * sim::kMillisecond);
   EXPECT_GT(r.requests, 100u) << "server should sustain a request stream";
   EXPECT_EQ(r.error_conns, 0u);
   EXPECT_GT(server.total_requests(), 0u);
@@ -51,8 +51,8 @@ TEST(Smoke, NeatMultiComponentServesRequests) {
   ClientRig client = build_client(tb, co, 1);
   prepopulate_arp(server, client);
 
-  const RunResult r = run_window(tb, client, 100 * sim::kMillisecond,
-                                 500 * sim::kMillisecond);
+  const ClientRig::Aggregate r = run_window(
+      tb, client, 100 * sim::kMillisecond, 500 * sim::kMillisecond);
   EXPECT_GT(r.requests, 100u);
   EXPECT_EQ(r.error_conns, 0u);
 }
@@ -74,8 +74,8 @@ TEST(Smoke, LinuxBaselineServesRequests) {
   ClientRig client = build_client(tb, co, 2);
   prepopulate_arp(server, client);
 
-  const RunResult r = run_window(tb, client, 100 * sim::kMillisecond,
-                                 500 * sim::kMillisecond);
+  const ClientRig::Aggregate r = run_window(
+      tb, client, 100 * sim::kMillisecond, 500 * sim::kMillisecond);
   EXPECT_GT(r.requests, 100u);
   EXPECT_GT(server.total_requests(), 0u);
 }
