@@ -93,10 +93,6 @@ RunOut run_fleet(const Params& p, bool crash, const std::string& trace_out) {
   fc.clients = p.clients;
   fc.replicas_per_backend = p.replicas_per_backend;
   fc.replicas_per_client = p.replicas_per_client;
-  // Ping frames are 16 bytes; the default 96 KiB rings would cost real
-  // memory times a million connections for nothing.
-  fc.backend_tcp.send_buf = fc.backend_tcp.recv_buf = 4096;
-  fc.client_tcp.send_buf = fc.client_tcp.recv_buf = 4096;
   fleet::FleetCluster fleet(fc);
 
   std::vector<std::uint16_t> ports;

@@ -15,6 +15,8 @@
 // on a >10% regression of fig9_pkts_per_host_sec. The `baseline_*` keys
 // record the pre-fast-path measurement (same host class) so the speedup is
 // auditable from the JSON alone.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstring>
 
@@ -242,6 +244,12 @@ void macro_fig9(JsonWriter& json, sim::SimTime warmup, sim::SimTime measure,
     if (r.pkts_per_host_sec > best.pkts_per_host_sec) best = r;
   }
   const Fig9Run& r = best;
+  // Process-wide peak resident set (Linux reports KiB). The fig9 passes
+  // dominate it; scripts/check.sh --perf gates it so per-connection buffer
+  // memory cannot silently come back.
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const double peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;
 
   std::printf("\nfig9 Multi 2x HT, 8 webs (%.0f ms simulated, best of %d):\n",
               static_cast<double>(warmup + measure) / 1e6, reps);
@@ -251,6 +259,7 @@ void macro_fig9(JsonWriter& json, sim::SimTime warmup, sim::SimTime measure,
   std::printf("  sim packets          %12.0f\n", r.pkts);
   std::printf("  pkts / host-sec      %12.0f\n", r.pkts_per_host_sec);
   std::printf("  events / host-sec    %12.0f\n", r.events_per_host_sec);
+  std::printf("  peak RSS             %12.1f MB\n", peak_rss_mb);
   std::printf("  nic rx batches       %12llu jobs (mean %.2f frames/job)\n",
               (unsigned long long)r.nic_batch_jobs, r.nic_batch_mean);
   std::printf("  ipc batches          %12llu jobs (mean %.2f msgs/job)\n",
@@ -281,6 +290,7 @@ void macro_fig9(JsonWriter& json, sim::SimTime warmup, sim::SimTime measure,
   json.add("fig9_sim_packets", r.pkts);
   json.add("fig9_pkts_per_host_sec", r.pkts_per_host_sec);
   json.add("fig9_events_per_host_sec", r.events_per_host_sec);
+  json.add("fig9_peak_rss_mb", peak_rss_mb);
   json.add("fig9_buffer_mallocs_per_packet", r.mallocs_per_pkt);
   json.add("fig9_pool_reuse_fraction", r.reuse_frac);
   json.add("pool_fresh", r.pool.fresh);

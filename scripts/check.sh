@@ -12,9 +12,10 @@
 # absolute pkts/host-sec floor (the flat-overhead PR's level must never
 # silently erode across PRs, committed-baseline drift or not), on a
 # simulated-result drift (fig9_krps is seed-deterministic and must match the
-# committed value), or on a latency-guard breach: batching may never trade
+# committed value), on a latency-guard breach (batching may never trade
 # more than 20% of the simulated request p99 against the pre-batching
-# baseline recorded in baseline_fig9_p99_latency_ms.
+# baseline recorded in baseline_fig9_p99_latency_ms), or on a memory-guard
+# breach: fig9_peak_rss_mb more than 20% above the committed value.
 #
 # Profiling note: to find where fig9 host time goes, configure a gprof
 # build and read the flat profile —
@@ -171,6 +172,18 @@ nic_mean = key("build/bench/BENCH_ext_perf.json", "fig9_nic_rx_batch_mean")
 print(f"fig9_nic_rx_batch_mean: {nic_mean:.2f} frames/doorbell")
 if nic_mean < 1.5:
     print("FAIL: NIC RX batching regressed to per-frame doorbells",
+          file=sys.stderr)
+    sys.exit(1)
+# Memory guard: socket byte rings pay only for the bytes they hold
+# (DESIGN.md §5m); fig9's peak RSS fell from ~190 MB to ~65 MB with them.
+# A >20% rise over the committed value means per-connection memory came
+# back.
+rss_committed = key("BENCH_ext_perf.json", "fig9_peak_rss_mb")
+rss = key("build/bench/BENCH_ext_perf.json", "fig9_peak_rss_mb")
+print(f"fig9_peak_rss_mb: committed {rss_committed:.1f}, current {rss:.1f} "
+      f"(guard <= {1.20 * rss_committed:.1f})")
+if rss > 1.20 * rss_committed:
+    print("FAIL: fig9 peak RSS grew >20% over the committed value",
           file=sys.stderr)
     sys.exit(1)
 print("perf gate passed")

@@ -5,6 +5,19 @@
 // send()/recv() are plain memory copies plus an occasional doorbell —
 // "resolving the vast majority of system calls within the application
 // itself". This class is that ring.
+//
+// Logical capacity vs physical bytes (DESIGN.md §5m): capacity() is the
+// ring's contract — what writable(), full() and the TCP advertised window
+// see — but the ring pays only for what it holds. The bytes live in one
+// uninitialised buffer that starts at kInitialBytes and doubles up to the
+// capacity. Below the capacity the live bytes stay contiguous at
+// [off_, off_ + size_), so every copy in or out is a single memcpy: when the
+// tail runs out but the consumed head has room, the live bytes are compacted
+// to offset 0, and when the ring drains the offset resets to 0 for free.
+// Request/response traffic therefore lives in the first 2 KiB of a 96 KiB
+// ring. Once the buffer reaches the capacity it is the fixed ring (physical
+// head == logical head, copies wrap), because a ring held near full would
+// otherwise compact almost all of its bytes on every small write.
 #pragma once
 
 #include <algorithm>
@@ -12,13 +25,16 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
-#include <vector>
 
 namespace neat::ipc {
 
 class ByteRing {
  public:
+  /// Physical size of the first allocation (clamped to the capacity).
+  static constexpr std::size_t kInitialBytes = 2048;
+
   /// Backing memory is allocated lazily on first write and can be released
   /// with release() — connection teardown states (TIME_WAIT) must not pin
   /// buffer memory, or high connection churn exhausts RAM.
@@ -31,17 +47,19 @@ class ByteRing {
   [[nodiscard]] std::size_t writable() const { return capacity_ - size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] bool full() const { return size_ == capacity_; }
+  /// Physical bytes currently allocated (0 before the first write and after
+  /// release(); never more than capacity()).
+  [[nodiscard]] std::size_t allocated() const { return alloc_; }
 
-  /// Copy as much of `src` in as fits; returns bytes written. At most two
-  /// memcpy segments: [tail, min(end, tail+n)) and the wrap onto [0, rest).
+  /// Copy as much of `src` in as fits; returns bytes written.
   std::size_t write(std::span<const std::uint8_t> src) {
-    if (buf_.empty() && !src.empty()) buf_.resize(capacity_);
     const std::size_t n = std::min(src.size(), writable());
     if (n == 0) return 0;
-    const std::size_t tail = (head_ + size_) % capacity_;
-    const std::size_t first = std::min(n, capacity_ - tail);
-    std::memcpy(buf_.data() + tail, src.data(), first);
-    if (n > first) std::memcpy(buf_.data(), src.data() + first, n - first);
+    if (alloc_ < capacity_) make_room(size_ + n);
+    const std::size_t tail = wrap(off_ + size_);
+    const std::size_t first = std::min(n, alloc_ - tail);
+    std::memcpy(buf_.get() + tail, src.data(), first);
+    if (n > first) std::memcpy(buf_.get(), src.data() + first, n - first);
     size_ += n;
     high_water_ = std::max(high_water_, size_);
     total_in_ += n;
@@ -51,19 +69,14 @@ class ByteRing {
   /// Drop content AND free the backing memory (lazily re-allocated if the
   /// ring is written again).
   void release() {
-    head_ = 0;
-    size_ = 0;
-    buf_.clear();
-    buf_.shrink_to_fit();
+    clear();
+    buf_.reset();
+    alloc_ = 0;
   }
 
   /// Copy up to dst.size() bytes out; returns bytes read.
   std::size_t read(std::span<std::uint8_t> dst) {
-    const std::size_t n = copy_out(0, dst);
-    head_ = (head_ + n) % capacity_;
-    size_ -= n;
-    total_out_ += n;
-    return n;
+    return consume(copy_out(0, dst));
   }
 
   /// Copy bytes starting `offset` into the readable region, without
@@ -77,30 +90,32 @@ class ByteRing {
     return copy_out(0, dst);
   }
 
-  /// Zero-copy view of the readable region in ring order: at most two
-  /// contiguous segments (the second is the wrap; empty when the content
-  /// is contiguous). Invalidated by any mutating call.
+  /// Zero-copy view of the readable region in ring order, split where a
+  /// fixed ring of capacity() bytes would wrap: the first span holds
+  /// min(size, capacity - logical head) bytes, the second the rest (empty
+  /// when the content does not cross the logical wrap point). Below the
+  /// capacity the two spans are physically adjacent; the split is kept
+  /// because callers emit one segment per span, so it shapes the simulated
+  /// wire traffic. Invalidated by any mutating call.
   [[nodiscard]] std::array<std::span<const std::uint8_t>, 2> readable_spans()
       const {
-    if (buf_.empty() || size_ == 0) return {};
-    const std::size_t first = std::min(size_, capacity_ - head_);
-    return {std::span<const std::uint8_t>{buf_.data() + head_, first},
-            std::span<const std::uint8_t>{buf_.data(), size_ - first}};
+    if (size_ == 0) return {};
+    const std::size_t first = std::min(size_, capacity_ - logical_head_);
+    return {std::span<const std::uint8_t>{buf_.get() + off_, first},
+            std::span<const std::uint8_t>{buf_.get() + wrap(off_ + first),
+                                          size_ - first}};
   }
 
   /// Drop up to n bytes; returns bytes dropped.
   std::size_t discard(std::size_t n) {
-    if (buf_.empty()) return 0;
-    n = std::min(n, readable());
-    head_ = (head_ + n) % buf_.size();
-    size_ -= n;
-    total_out_ += n;
-    return n;
+    return consume(std::min(n, readable()));
   }
 
-  /// Remove all content (socket teardown / replica restart).
+  /// Remove all content (socket teardown / replica restart). Keeps the
+  /// allocation; release() frees it.
   void clear() {
-    head_ = 0;
+    logical_head_ = 0;
+    off_ = 0;
     size_ = 0;
   }
 
@@ -110,23 +125,73 @@ class ByteRing {
   [[nodiscard]] std::size_t high_water() const { return high_water_; }
 
  private:
+  /// Physical index of position `i` < 2 * alloc_ in the buffer.
+  [[nodiscard]] std::size_t wrap(std::size_t i) const {
+    return i >= alloc_ ? i - alloc_ : i;
+  }
+
   /// Shared tail of read/peek/peek_at: copy up to dst.size() bytes starting
-  /// `offset` into the readable region, in at most two memcpy segments.
+  /// `offset` into the readable region (one memcpy unless the fixed ring
+  /// wraps).
   std::size_t copy_out(std::size_t offset,
                        std::span<std::uint8_t> dst) const {
-    if (buf_.empty() || offset >= size_) return 0;
+    if (offset >= size_) return 0;
     const std::size_t n = std::min(dst.size(), size_ - offset);
     if (n == 0) return 0;
-    const std::size_t pos = (head_ + offset) % capacity_;
-    const std::size_t first = std::min(n, capacity_ - pos);
-    std::memcpy(dst.data(), buf_.data() + pos, first);
-    if (n > first) std::memcpy(dst.data() + first, buf_.data(), n - first);
+    const std::size_t pos = wrap(off_ + offset);
+    const std::size_t first = std::min(n, alloc_ - pos);
+    std::memcpy(dst.data(), buf_.get() + pos, first);
+    if (n > first) std::memcpy(dst.data() + first, buf_.get(), n - first);
     return n;
   }
 
+  /// Advance the head past n (<= size_) bytes. Below the capacity a
+  /// drained ring restarts at offset 0, so the next write needs no
+  /// compaction; at the capacity the physical head is the logical one.
+  std::size_t consume(std::size_t n) {
+    logical_head_ = (logical_head_ + n) % capacity_;
+    size_ -= n;
+    if (alloc_ == capacity_) {
+      off_ = logical_head_;
+    } else {
+      off_ = size_ == 0 ? 0 : off_ + n;
+    }
+    total_out_ += n;
+    return n;
+  }
+
+  /// Below the capacity: make [off_, off_ + need) fit without wrapping. A
+  /// short tail compacts the live bytes to offset 0 when they fit the
+  /// allocation; otherwise the buffer doubles (capped at the capacity). On
+  /// reaching the capacity the live bytes move to the logical head, which
+  /// makes the buffer the fixed ring from then on.
+  void make_room(std::size_t need) {
+    if (off_ + need <= alloc_) return;
+    if (need <= alloc_) {
+      std::memmove(buf_.get(), buf_.get() + off_, size_);
+      off_ = 0;
+      return;
+    }
+    std::size_t grown = alloc_ == 0 ? std::min(kInitialBytes, capacity_)
+                                    : alloc_;
+    while (grown < need) grown = std::min(grown * 2, capacity_);
+    auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(grown);
+    const std::size_t at = grown == capacity_ ? logical_head_ : 0;
+    const std::size_t first = std::min(size_, grown - at);
+    if (first > 0) std::memcpy(bigger.get() + at, buf_.get() + off_, first);
+    if (size_ > first) {
+      std::memcpy(bigger.get(), buf_.get() + off_ + first, size_ - first);
+    }
+    buf_ = std::move(bigger);
+    alloc_ = grown;
+    off_ = at;
+  }
+
   std::size_t capacity_;
-  std::vector<std::uint8_t> buf_;  // empty until first write
-  std::size_t head_{0};
+  std::unique_ptr<std::uint8_t[]> buf_;  // null until first write
+  std::size_t alloc_{0};                 // physical bytes behind buf_
+  std::size_t off_{0};                   // physical index of the head
+  std::size_t logical_head_{0};          // head in a fixed ring of capacity_
   std::size_t size_{0};
   std::size_t high_water_{0};
   std::uint64_t total_in_{0};

@@ -2,6 +2,7 @@
 // doorbells.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <numeric>
 #include <vector>
@@ -149,23 +150,144 @@ TEST_P(ByteRingProperty, StreamIntegrityUnderRandomChunking) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ByteRingProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-/// Property: against a std::deque reference model, arbitrary interleavings
-/// of write / read / peek / peek_at / discard behave identically — this
-/// pins the wrap-around arithmetic (at most two memcpy segments per
-/// operation) to an obviously-correct implementation.
-class ByteRingModelProperty : public ::testing::TestWithParam<std::uint64_t> {
-};
+/// Bytes 0, 1, 2, ... (mod 256) starting at `first`.
+std::vector<std::uint8_t> counting(std::size_t n, std::uint8_t first = 0) {
+  std::vector<std::uint8_t> v(n);
+  std::iota(v.begin(), v.end(), first);
+  return v;
+}
 
-TEST_P(ByteRingModelProperty, MatchesDequeReferenceModel) {
-  sim::Rng rng(GetParam());
-  const std::size_t cap = 1 + rng.below(300);
+TEST(ByteRing, AllocationStartsSmallAndGrowsWhileNonEmpty) {
+  ByteRing r(96 * 1024);
+  EXPECT_EQ(r.allocated(), 0u);
+  const auto a = counting(1500);
+  ASSERT_EQ(r.write(a), 1500u);
+  EXPECT_EQ(r.allocated(), ByteRing::kInitialBytes);
+  std::uint8_t head[500];
+  ASSERT_EQ(r.read(head), 500u);
+  // 1000 live + 2000 new > 2 KiB: doubles once, keeping the live bytes.
+  const auto b = counting(2000, static_cast<std::uint8_t>(1500));
+  ASSERT_EQ(r.write(b), 2000u);
+  EXPECT_EQ(r.allocated(), 2 * ByteRing::kInitialBytes);
+  std::vector<std::uint8_t> out(3000);
+  ASSERT_EQ(r.read(out), 3000u);
+  EXPECT_EQ(out, counting(3000, static_cast<std::uint8_t>(500)));
+}
+
+TEST(ByteRing, GrowthStopsAtCapacity) {
+  ByteRing r(5000);
+  ASSERT_EQ(r.write(counting(6000)), 5000u);
+  EXPECT_TRUE(r.full());
+  EXPECT_EQ(r.allocated(), 5000u);
+  std::vector<std::uint8_t> out(5000);
+  ASSERT_EQ(r.read(out), 5000u);
+  EXPECT_EQ(out, counting(5000));
+}
+
+TEST(ByteRing, ShortTailCompactsIntoTheConsumedHead) {
+  ByteRing r(96 * 1024);
+  ASSERT_EQ(r.write(counting(2000)), 2000u);
+  std::uint8_t head[1500];
+  ASSERT_EQ(r.read(head), 1500u);  // 500 live bytes at offset 1500
+  // 500 + 1000 fits the 2 KiB allocation, but not after offset 1500: the
+  // live bytes move to offset 0 instead of the buffer growing.
+  ASSERT_EQ(r.write(counting(1000, static_cast<std::uint8_t>(2000))), 1000u);
+  EXPECT_EQ(r.allocated(), ByteRing::kInitialBytes);
+  std::vector<std::uint8_t> out(1500);
+  ASSERT_EQ(r.peek_at(0, out), 1500u);
+  EXPECT_EQ(out, counting(1500, static_cast<std::uint8_t>(1500)));
+  const auto spans = r.readable_spans();
+  EXPECT_EQ(spans[0].size(), 1500u);
+  EXPECT_TRUE(spans[1].empty());
+  // Draining resets the offset: the next write lands at offset 0 again.
+  const std::uint8_t* base = spans[0].data();
+  ASSERT_EQ(r.discard(1500), 1500u);
+  ASSERT_EQ(r.write(counting(10)), 10u);
+  EXPECT_EQ(r.readable_spans()[0].data(), base);
+}
+
+TEST(ByteRing, SpansSplitAtTheLogicalWrapNotThePhysicalOne) {
+  ByteRing r(16 * 1024);
+  std::vector<std::uint8_t> sink(1500);
+  for (int i = 0; i < 10; ++i) {  // logical head to 15000, buffer stays 2 KiB
+    ASSERT_EQ(r.write(sink), 1500u);
+    ASSERT_EQ(r.read(sink), 1500u);
+  }
+  // A fixed 16 KiB ring would now hold the next 2000 bytes at
+  // [15000, 16384) and [0, 616); here they sit contiguously at offset 0.
+  const auto in = counting(2000);
+  ASSERT_EQ(r.write(in), 2000u);
+  EXPECT_EQ(r.allocated(), ByteRing::kInitialBytes);
+  const auto spans = r.readable_spans();
+  ASSERT_EQ(spans[0].size(), 1384u);
+  ASSERT_EQ(spans[1].size(), 616u);
+  EXPECT_EQ(spans[1].data(), spans[0].data() + spans[0].size());
+  std::vector<std::uint8_t> joined(spans[0].begin(), spans[0].end());
+  joined.insert(joined.end(), spans[1].begin(), spans[1].end());
+  EXPECT_EQ(joined, in);
+  // clear() restarts the logical ring too.
+  r.clear();
+  ASSERT_EQ(r.write(counting(100)), 100u);
+  EXPECT_EQ(r.readable_spans()[0].size(), 100u);
+  EXPECT_TRUE(r.readable_spans()[1].empty());
+}
+
+TEST(ByteRing, GrowingToCapacityBecomesTheFixedRing) {
+  ByteRing r(8192);
+  ASSERT_EQ(r.write(counting(1500)), 1500u);
+  std::vector<std::uint8_t> sink(1000);
+  ASSERT_EQ(r.read(sink), 1000u);  // 500 live bytes, logical head 1000
+  // 500 + 7000 needs the whole capacity: the live bytes land at the logical
+  // head and the write wraps physically exactly where the spans split.
+  ASSERT_EQ(r.write(counting(7000, static_cast<std::uint8_t>(1500))), 7000u);
+  EXPECT_EQ(r.allocated(), 8192u);
+  EXPECT_FALSE(r.full());
+  const auto spans = r.readable_spans();
+  ASSERT_EQ(spans[0].size(), 7192u);
+  ASSERT_EQ(spans[1].size(), 308u);
+  EXPECT_EQ(spans[0].data() + spans[0].size(), spans[1].data() + 8192);
+  std::vector<std::uint8_t> joined(spans[0].begin(), spans[0].end());
+  joined.insert(joined.end(), spans[1].begin(), spans[1].end());
+  EXPECT_EQ(joined, counting(7500, static_cast<std::uint8_t>(1000)));
+  // Held near full, small writes wrap instead of compacting: the head
+  // stays at the logical head, never moves back to offset 0.
+  const std::uint8_t* base = spans[0].data() - 1000;
+  std::size_t logical_head = 1000;
+  for (int i = 0; i < 20; ++i) {
+    std::vector<std::uint8_t> out(600);
+    ASSERT_EQ(r.read(out), 600u);
+    ASSERT_EQ(r.write(out), 600u);
+    logical_head = (logical_head + 600) % 8192;
+    ASSERT_EQ(r.readable_spans()[0].data(), base + logical_head);
+    ASSERT_EQ(r.allocated(), 8192u);
+  }
+  // Each read+write moved 600 bytes from the front to the back.
+  auto expect = counting(7500, static_cast<std::uint8_t>(1000));
+  std::rotate(expect.begin(), expect.begin() + (20 * 600) % 7500,
+              expect.end());
+  std::vector<std::uint8_t> out(7500);
+  ASSERT_EQ(r.read(out), 7500u);
+  EXPECT_EQ(out, expect);
+}
+
+/// Property: against a std::deque reference model, arbitrary interleavings
+/// of write / read / peek / peek_at / discard / release behave identically.
+/// Beyond the bytes, every step checks the span split against a fixed ring
+/// of the same capacity (min(size, cap - logical head)) and bounds the
+/// physical allocation by the capacity and by twice the high-water mark.
+void run_ring_model(sim::Rng& rng, std::size_t cap) {
   ByteRing ring(cap);
   std::deque<std::uint8_t> model;
   std::size_t model_high_water = 0;
+  std::size_t logical_head = 0;
   std::uint8_t next = 0;
+  const auto consume = [&](std::size_t n) {
+    model.erase(model.begin(), model.begin() + static_cast<long>(n));
+    logical_head = (logical_head + n) % cap;
+  };
 
   for (int step = 0; step < 4000; ++step) {
-    switch (rng.below(5)) {
+    switch (rng.below(6)) {
       case 0: {  // write
         std::vector<std::uint8_t> chunk(1 + rng.below(cap + 16));
         for (auto& c : chunk) c = next++;
@@ -181,10 +303,8 @@ TEST_P(ByteRingModelProperty, MatchesDequeReferenceModel) {
         std::vector<std::uint8_t> buf(1 + rng.below(cap + 16));
         const std::size_t n = ring.read(buf);
         ASSERT_EQ(n, std::min(buf.size(), model.size()));
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(buf[i], model.front());
-          model.pop_front();
-        }
+        for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(buf[i], model[i]);
+        consume(n);
         break;
       }
       case 2: {  // peek (does not consume)
@@ -208,14 +328,54 @@ TEST_P(ByteRingModelProperty, MatchesDequeReferenceModel) {
         const std::size_t want = rng.below(cap + 8);
         const std::size_t n = ring.discard(want);
         ASSERT_EQ(n, std::min(want, model.size()));
-        model.erase(model.begin(), model.begin() + static_cast<long>(n));
+        consume(n);
+        break;
+      }
+      case 5: {  // release (TIME_WAIT teardown), rarely
+        if (!rng.chance(0.05)) break;
+        ring.release();
+        ASSERT_EQ(ring.allocated(), 0u);
+        model.clear();
+        logical_head = 0;
         break;
       }
     }
     ASSERT_EQ(ring.readable(), model.size());
     ASSERT_EQ(ring.writable(), cap - model.size());
+
+    const auto spans = ring.readable_spans();
+    const std::size_t first = std::min(model.size(), cap - logical_head);
+    ASSERT_EQ(spans[0].size(), first);
+    ASSERT_EQ(spans[1].size(), model.size() - first);
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      const std::uint8_t b =
+          i < first ? spans[0][i] : spans[1][i - first];
+      ASSERT_EQ(b, model[i]);
+    }
+
+    ASSERT_LE(ring.allocated(), cap);
+    ASSERT_LE(ring.allocated(),
+              std::max(std::min(ByteRing::kInitialBytes, cap),
+                       2 * ring.high_water()));
   }
   EXPECT_EQ(ring.high_water(), model_high_water);
+}
+
+class ByteRingModelProperty : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(ByteRingModelProperty, MatchesDequeReferenceModel) {
+  sim::Rng rng(GetParam());
+  const std::size_t cap = 1 + rng.below(300);
+  run_ring_model(rng, cap);
+}
+
+// Capacities above the initial allocation, so growth and compaction run.
+TEST_P(ByteRingModelProperty, MatchesDequeReferenceModelWhileGrowing) {
+  sim::Rng rng(GetParam());
+  const std::size_t cap =
+      ByteRing::kInitialBytes / 2 + rng.below(8 * ByteRing::kInitialBytes);
+  run_ring_model(rng, cap);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ByteRingModelProperty,
