@@ -5,6 +5,9 @@
 // evidence of how well the shape reproduces.
 #pragma once
 
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -218,6 +221,17 @@ inline void add_recovery(JsonWriter& j, const std::vector<RecoveryEvent>& log) {
   j.add("recovery_first_service_observed", first.count());
   j.add("recovery_first_service_p50_ms", ms(first.quantile(0.5)));
   j.add("recovery_first_service_p99_ms", ms(first.quantile(0.99)));
+}
+
+/// The process's current resident set in bytes (Linux /proc/self/statm;
+/// 0 where unavailable). Unlike getrusage's peak, it can be sampled before
+/// and after a phase to measure what that phase kept resident.
+inline std::uint64_t current_rss_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t size_pages = 0;
+  std::uint64_t resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return 0;
+  return resident_pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
 }
 
 inline void header(const char* title) {

@@ -16,6 +16,9 @@
 //
 // Per-host and fleet-merged percentiles (obs_merge fold over the per-host
 // hubs) go to BENCH_ext_fleet.json; the exit code reflects the gates.
+// So does fleet_bytes_per_conn, the host memory one connection costs (RSS
+// growth over run A's ramp per established connection), which
+// scripts/check.sh --perf bounds against the committed value.
 //
 // Usage: ext_fleet [--quick] [--trace-out=FILE]
 #include <chrono>
@@ -80,6 +83,9 @@ struct RunOut {
   double fleet_p99_ms{0.0};
   std::map<int, HostOut> hosts;
   double wall_s{0.0};
+  /// Resident-set growth over the ramp per established connection (both
+  /// ends: client and server sockets live in this one process).
+  double bytes_per_conn{0.0};
 };
 
 double ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
@@ -133,14 +139,20 @@ RunOut run_fleet(const Params& p, bool crash, const std::string& trace_out) {
   }
 
   fleet.start_health_probing();
+  const std::uint64_t rss_before_ramp = current_rss_bytes();
   for (auto& c : clients) c->start();
   fleet.sim.run_for(p.warmup);
+  const std::uint64_t rss_after_ramp = current_rss_bytes();
 
   RunOut out;
   for (std::size_t i = 0; i < fleet.backend_count(); ++i) {
     const auto n = static_cast<std::uint64_t>(fleet.backend_connections(i));
     out.established += n;
     out.hosts[fleet.backend(i).id].conns = n;
+  }
+  if (out.established > 0 && rss_after_ramp > rss_before_ramp) {
+    const auto grown = static_cast<double>(rss_after_ramp - rss_before_ramp);
+    out.bytes_per_conn = grown / static_cast<double>(out.established);
   }
   for (auto& c : clients) c->mark();
 
@@ -268,10 +280,11 @@ int main(int argc, char** argv) {
   std::printf("\n-- run A: undisturbed --\n");
   const RunOut base = run_fleet(p, /*crash=*/false, "");
   std::printf("established %llu, window responses %llu, fleet p50/p99 "
-              "%.3f/%.3f ms (%.1fs wall)\n",
+              "%.3f/%.3f ms (%.1fs wall, %.0f B/conn over the ramp)\n",
               static_cast<unsigned long long>(base.established),
               static_cast<unsigned long long>(base.window_responses),
-              base.fleet_p50_ms, base.fleet_p99_ms, base.wall_s);
+              base.fleet_p50_ms, base.fleet_p99_ms, base.wall_s,
+              base.bytes_per_conn);
 
   std::printf("\n-- run B: same seed, host %d powered off mid-measure --\n",
               static_cast<int>(p.victim));
@@ -338,6 +351,9 @@ int main(int argc, char** argv) {
   json.add("victim", static_cast<int>(p.victim));
   add_run(json, "nocrash_", base);
   add_run(json, "crash_", dead);
+  // Host-side memory: taken from run A, the first in this process — run B
+  // reuses memory the allocator kept from run A, so its growth undercounts.
+  json.add("fleet_bytes_per_conn", base.bytes_per_conn);
   json.add("gates_passed", ok);
   // Written in quick mode too (the "quick" flag marks it): CI uploads the
   // sidecar as its auditable crash-isolation artifact.

@@ -15,7 +15,10 @@
 # committed value), on a latency-guard breach (batching may never trade
 # more than 20% of the simulated request p99 against the pre-batching
 # baseline recorded in baseline_fig9_p99_latency_ms), or on a memory-guard
-# breach: fig9_peak_rss_mb more than 20% above the committed value.
+# breach: fig9_peak_rss_mb more than 20% above the committed value. It also
+# runs the full ext_fleet bench and applies the same +20% memory guard to
+# fleet_bytes_per_conn (RSS growth over the connection ramp per established
+# connection) against the committed BENCH_ext_fleet.json.
 #
 # Profiling note: to find where fig9 host time goes, configure a gprof
 # build and read the flat profile —
@@ -48,13 +51,13 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 if [[ "$SKIP_SANITIZE" == 1 ]]; then
   echo "== sanitizer pass skipped =="
 else
-  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_workload / test_udp_e2e / test_defense / test_fleet / test_flat_map / test_tcp / test_nic / test_socklib / ext_perf / ext_workloads / ext_defense / ext_fleet =="
+  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_workload / test_udp_e2e / test_defense / test_fleet / test_flat_map / test_tcp / test_nic / test_socklib / test_sim / test_linux / ext_perf / ext_workloads / ext_defense / ext_fleet =="
   cmake -B build-asan -S . -DNEAT_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target test_ipc test_obs test_chaos test_fastpath test_workload \
              test_udp_e2e test_defense test_fleet test_flat_map test_tcp \
-             test_nic test_socklib ext_perf ext_workloads ext_defense \
-             ext_fleet
+             test_nic test_socklib test_sim test_linux ext_perf \
+             ext_workloads ext_defense ext_fleet
   ./build-asan/tests/test_ipc
   ./build-asan/tests/test_obs
   ./build-asan/tests/test_chaos
@@ -77,6 +80,11 @@ else
   ./build-asan/tests/test_tcp
   ./build-asan/tests/test_nic
   ./build-asan/tests/test_socklib
+  # Callables with per-use inline budgets (sim::SmallFnOf<Sig, N>): the
+  # heap-fallback and relocation paths, the wake-path job FIFO, and the
+  # Linux baseline's callback dispatch (close() from inside a callback).
+  ./build-asan/tests/test_sim
+  ./build-asan/tests/test_linux
   # One short end-to-end pass over the pooled data path under ASan: buffer
   # recycling must be invisible to the sanitizer.
   (cd build-asan/bench && ./ext_perf --quick)
@@ -187,6 +195,29 @@ if rss > 1.20 * rss_committed:
           file=sys.stderr)
     sys.exit(1)
 print("perf gate passed")
+EOF
+
+  echo "== memory gate: full ext_fleet vs committed BENCH_ext_fleet.json =="
+  (cd build/bench && ./ext_fleet)
+  python3 - <<'EOF'
+import json, sys
+
+def key(path, k):
+    with open(path) as f:
+        return float(json.load(f)[k])
+
+# Memory guard: what one connection costs the host (both ends live in the
+# bench process). A >20% rise over the committed value means per-connection
+# state grew back (callback budgets, socket fields, rings; DESIGN.md §5n).
+committed = key("BENCH_ext_fleet.json", "fleet_bytes_per_conn")
+current = key("build/bench/BENCH_ext_fleet.json", "fleet_bytes_per_conn")
+print(f"fleet_bytes_per_conn: committed {committed:.0f}, current "
+      f"{current:.0f} (guard <= {1.20 * committed:.0f})")
+if current > 1.20 * committed:
+    print("FAIL: fleet bytes per connection grew >20% over the committed "
+          "value", file=sys.stderr)
+    sys.exit(1)
+print("memory gate passed")
 EOF
 fi
 

@@ -107,22 +107,25 @@ void HttpServer::serve_next(Fd fd) {
   if (c.respond_pending || c.queue.empty() || !c.out.empty()) return;
   c.respond_pending = true;
 
-  const HttpRequest req = c.queue.front();
+  // The response job needs only the body and keep-alive flag, not the
+  // request: a small capture keeps the job inline (no heap closure, no
+  // string copies).
+  const std::vector<std::uint8_t>* body = files_.lookup(c.queue.front().path);
+  const bool keep_alive = c.queue.front().keep_alive;
   c.queue.erase(c.queue.begin());
   const sim::SimTime arrived_at = c.queue_at.front();
   c.queue_at.erase(c.queue_at.begin());
-  const std::vector<std::uint8_t>* body = files_.lookup(req.path);
   const std::size_t body_size = body ? body->size() : 0;
 
   post(costs_.respond + costs_.per_16_bytes * (body_size / 16),
-       [this, fd, req, body, arrived_at] {
+       [this, fd, keep_alive, body, arrived_at] {
          auto cit = conns_.find(fd);
          if (cit == conns_.end()) return;
          Conn& c = cit->second;
          c.respond_pending = false;
 
          if (body != nullptr) {
-           c.out = build_response(200, *body, req.keep_alive);
+           c.out = build_response(200, *body, keep_alive);
            ++stats_.requests;
            const sim::SimTime lat = sim().now() - arrived_at;
            if (req_latency_ == nullptr) {
@@ -137,7 +140,7 @@ void HttpServer::serve_next(Fd fd) {
          }
          c.out_off = 0;
          ++c.served;
-         if (!req.keep_alive || c.served >= max_requests_per_conn) {
+         if (!keep_alive || c.served >= max_requests_per_conn) {
            c.closing = true;
          }
          continue_write(fd);

@@ -274,18 +274,17 @@ void LinuxHost::handle_frame_in_softirq(SoftirqProcess& ctx,
 /// app through its epoll doorbell.
 struct LinuxSockets::LinuxSocket
     : public std::enable_shared_from_this<LinuxSockets::LinuxSocket> {
+  // The bell's handler may capture a bare `this`: a ring's delivery holds
+  // this socket (its owner) for the handler's duration.
   LinuxSocket(sim::Process& app, LinuxHost& host, net::TcpSocketPtr t)
       : tcp(std::move(t)),
-        bell(app, host.config().costs.epoll_wake, [] {}) {}
+        bell(app, host.config().costs.epoll_wake, [this] { dispatch(); }) {}
 
   void init(socklib::ConnCallbacks callbacks, socklib::Fd fd,
             bool notify_connect) {
     cb = std::move(callbacks);
     this_fd = fd;
     std::weak_ptr<LinuxSocket> wp = weak_from_this();
-    bell.set_handler([wp] {
-      if (auto s = wp.lock()) s->dispatch();
-    });
     net::TcpSocket::Callbacks tcb;
     if (notify_connect) {
       tcb.on_established = [wp] {
@@ -313,7 +312,7 @@ struct LinuxSockets::LinuxSocket
 
   void raise(std::uint32_t bits) {
     pending |= bits;
-    bell.ring();
+    bell.ring(weak_from_this());
   }
 
   void dispatch() {
@@ -322,7 +321,7 @@ struct LinuxSockets::LinuxSocket
     // A handler may reenter close(), which clears cb: run each callable
     // from local storage so the executing closure cannot be destroyed
     // mid-call, restoring it only if cb was not swapped while it ran.
-    const auto run = [this](sim::SmallFnOf<void(socklib::Fd)>& slot) {
+    const auto run = [this](sim::Callback<void(socklib::Fd)>& slot) {
       if (!slot) return;
       const std::uint64_t gen = cb_gen;
       auto fn = std::move(slot);
@@ -385,7 +384,7 @@ socklib::Fd LinuxSockets::listen(std::uint16_t port, std::size_t backlog,
   const socklib::Fd fd = next_fd_++;
   auto bell = std::make_shared<ipc::Doorbell>(
       app_, host_.config().costs.epoll_wake, std::move(on_acceptable));
-  l->set_accept_ready([bell] { bell->ring(); });
+  l->set_accept_ready([bell] { bell->ring(bell); });
   listeners_.emplace(fd, ListenEntry{port, bell});
   return fd;
 }

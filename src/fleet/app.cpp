@@ -74,7 +74,7 @@ void PingServer::on_acceptable(socklib::Fd listen_fd) {
   for (;;) {
     const socklib::Fd fd = lib_->accept(listen_fd, callbacks());
     if (fd == socklib::kBadFd) return;
-    conns_.insert(fd);
+    conns_.try_emplace(fd);
     ++stats_.accepted;
   }
 }
@@ -96,7 +96,7 @@ void PingServer::adopt(StackReplica& replica,
   for (const auto& s : sockets) {
     const socklib::Fd fd = lib_->adopt_socket(replica, s, callbacks());
     if (fd == socklib::kBadFd) continue;
-    conns_.insert(fd);
+    conns_.try_emplace(fd);
     ++stats_.adopted;
     // Requests (or partial frames completed by capture replay) may already
     // sit in the adopted receive buffer; the on_readable edge for those
@@ -157,7 +157,7 @@ void FleetClient::open_one() {
     ++stats_.connected;
     ++live_conns_;
     if (pinger) {
-      pingers_.emplace(fd, Pinger{});
+      pingers_.try_emplace(fd);
       ping_tick(fd);
     }
   };

@@ -22,10 +22,10 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "fleet/cluster.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/process.hpp"
 #include "socklib/socklib.hpp"
 
@@ -72,7 +72,8 @@ class PingServer : public sim::Process {
 
   int host_id_;
   std::unique_ptr<socklib::SockLib> lib_;
-  std::unordered_set<socklib::Fd> conns_;
+  /// Open fds (a set: the value is unused). Never iterated.
+  sim::FlatMap<socklib::Fd, bool, sim::IntHash> conns_;
   Stats stats_;
 };
 
@@ -147,7 +148,8 @@ class FleetClient : public sim::Process {
   NeatHost& host_;
   Config cfg_;
   std::unique_ptr<socklib::SockLib> lib_;
-  std::unordered_map<socklib::Fd, Pinger> pingers_;
+  /// Never iterated; no reference into it is held across an insert/erase.
+  sim::FlatMap<socklib::Fd, Pinger, sim::IntHash> pingers_;
   std::unordered_map<int, obs::Histogram*> rtt_by_host_;
   /// RTT histograms record only after mark(): warmup runs the ramp at the
   /// stack's saturation point, and those queueing delays are not what the

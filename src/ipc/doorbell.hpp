@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 
@@ -18,33 +17,35 @@ namespace neat::ipc {
 
 class Doorbell {
  public:
+  /// Stored for the doorbell's lifetime, and a socket carries two
+  /// doorbells: a capture beyond one `this` or weak_ptr costs one heap
+  /// allocation at construction.
+  using Handler = sim::Callback<void()>;
+
   /// `cost` is the consumer-side cycles to take the notification (queue
   /// scan); `handler` then runs in the consumer's context and typically
   /// drains the associated ring(s).
-  Doorbell(sim::Process& consumer, sim::Cycles cost,
-           std::function<void()> handler)
+  Doorbell(sim::Process& consumer, sim::Cycles cost, Handler handler)
       : consumer_(&consumer), cost_(cost), handler_(std::move(handler)) {}
-
-  ~Doorbell() { *alive_ = false; }  // in-flight rings become no-ops
 
   Doorbell(const Doorbell&) = delete;
   Doorbell& operator=(const Doorbell&) = delete;
 
-  /// Replace the handler (used when the handler must capture shared
-  /// ownership of an object that contains this doorbell).
-  void set_handler(std::function<void()> handler) {
-    handler_ = std::move(handler);
-  }
-
-  /// Ring. Coalesced while a previous ring is pending.
-  void ring() {
+  /// Ring on behalf of `owner`: the object this doorbell is a member of,
+  /// or the doorbell itself when it is shared-owned. Coalesced while a
+  /// previous ring is pending. The delivery holds `owner` weakly and keeps
+  /// it alive while the handler runs, so a ring still in flight when the
+  /// owner dies is a no-op — the owner's own control block is the liveness
+  /// check, and the doorbell carries no flag of its own.
+  void ring(std::weak_ptr<const void> owner) {
     ++rings_;
     if (pending_) return;
     if (consumer_->crashed()) return;
     pending_ = true;
     ++deliveries_;
-    consumer_->post(cost_, [this, alive = alive_] {
-      if (!*alive) return;  // the doorbell's owner was destroyed
+    consumer_->post(cost_, [this, owner = std::move(owner)] {
+      const auto alive = owner.lock();
+      if (!alive) return;  // the doorbell's owner was destroyed
       pending_ = false;
       handler_();
     });
@@ -67,8 +68,7 @@ class Doorbell {
  private:
   sim::Process* consumer_;
   sim::Cycles cost_;
-  std::function<void()> handler_;
-  std::shared_ptr<bool> alive_{std::make_shared<bool>(true)};
+  Handler handler_;
   bool pending_{false};
   std::uint64_t rings_{0};
   std::uint64_t deliveries_{0};

@@ -62,7 +62,7 @@ void IpLayer::send(net::PacketPtr payload, net::IpProto proto,
       !payload->tso &&
       payload->size() + net::Ipv4Header::kSize > net::kEthernetMtu;
 
-  auto emit = [this](net::PacketPtr ip_pkt, net::MacAddr dst_mac) {
+  const auto frame = [this](net::PacketPtr ip_pkt, net::MacAddr dst_mac) {
     net::EthernetHeader eth;
     eth.src = mac_;
     eth.dst = dst_mac;
@@ -70,19 +70,29 @@ void IpLayer::send(net::PacketPtr payload, net::IpProto proto,
     eth.encode(*ip_pkt);
     tx_frame_(std::move(ip_pkt));
   };
-
-  arp_.resolve(dst, [this, hdr, needs_frag, payload = std::move(payload),
-                     emit](net::MacAddr mac) mutable {
+  auto emit = [hdr, needs_frag, frame](net::PacketPtr pkt,
+                                       net::MacAddr mac) mutable {
     if (needs_frag) {
-      for (auto& frag : net::ipv4_fragment(hdr, *payload, net::kEthernetMtu)) {
-        emit(std::move(frag), mac);
+      for (auto& frag : net::ipv4_fragment(hdr, *pkt, net::kEthernetMtu)) {
+        frame(std::move(frag), mac);
       }
     } else {
-      const bool tso = payload->tso;
-      hdr.encode(*payload);
-      payload->tso = tso;
-      emit(std::move(payload), mac);
+      const bool tso = pkt->tso;
+      hdr.encode(*pkt);
+      pkt->tso = tso;
+      frame(std::move(pkt), mac);
     }
+  };
+
+  // Cache hit (every packet after the first to a peer): emit directly.
+  // Only a miss builds the resolver's heap-allocated callback.
+  if (const auto mac = arp_.lookup(dst)) {
+    emit(std::move(payload), *mac);
+    return;
+  }
+  arp_.resolve(dst, [emit, payload = std::move(payload)](
+                        net::MacAddr mac) mutable {
+    emit(std::move(payload), mac);
   });
 }
 
@@ -183,8 +193,9 @@ void SingleComponentReplica::flush_tx() {
     post(rest, [] {});  // CPU time for packets 2..N of the burst
   }
   if (tx_stage_.empty()) return;
-  auto stage = std::move(tx_stage_);
-  tx_stage_.clear();
+  // Stage into the spare buffer while this burst drains, then keep the
+  // drained one as the next spare: neither reallocates across bursts.
+  auto stage = std::exchange(tx_stage_, std::move(tx_spare_));
   for (auto& s : stage) {
     if (s.proto == net::IpProto::kUdp) {
       net::UdpHeader uh;
@@ -202,6 +213,8 @@ void SingleComponentReplica::flush_tx() {
     }
     ip_.send(std::move(s.pkt), net::IpProto::kTcp, s.src, s.dst);
   }
+  stage.clear();
+  tx_spare_ = std::move(stage);
 }
 
 void SingleComponentReplica::handle_frame(net::PacketPtr frame) {
@@ -358,8 +371,9 @@ void TcpComponent::flush_tx() {
     post(rest, [] {});  // CPU time for packets 2..N of the burst
   }
   if (tx_stage_.empty()) return;
-  auto stage = std::move(tx_stage_);
-  tx_stage_.clear();
+  // Stage into the spare buffer while this burst drains, then keep the
+  // drained one as the next spare: neither reallocates across bursts.
+  auto stage = std::exchange(tx_stage_, std::move(tx_spare_));
   for (auto& s : stage) {
     if (s.dst == tcp_stack_.local_ip()) {
       // Loopback short-circuits inside the TCP component.
@@ -372,6 +386,8 @@ void TcpComponent::flush_tx() {
     owner_.tcp_to_ip_->send(MultiComponentReplica::TcpToIp{
         std::move(s.pkt), s.src, s.dst, net::IpProto::kTcp});
   }
+  stage.clear();
+  tx_spare_ = std::move(stage);
 }
 
 void TcpComponent::on_flow_established(const net::FlowKey& key) {

@@ -218,6 +218,7 @@ class SingleComponentReplica final : public sim::Process,
   void flush_tx();
 
   std::vector<StagedTx> tx_stage_;
+  std::vector<StagedTx> tx_spare_;  ///< tx_stage_'s twin while it drains
   sim::Cycles tx_stage_cost_{0};  ///< cost of staged packets after the first
   bool tx_flush_armed_{false};    ///< a flush_tx job is already queued
   StackCosts costs_;
@@ -272,6 +273,7 @@ class TcpComponent final : public sim::Process, public net::TcpEnv {
   sim::Rng rng_;
   net::TcpStack tcp_stack_;
   std::vector<StagedTx> tx_stage_;
+  std::vector<StagedTx> tx_spare_;  ///< tx_stage_'s twin while it drains
   sim::Cycles tx_stage_cost_{0};  ///< cost of staged packets after the first
   bool tx_flush_armed_{false};    ///< a flush_tx job is already queued
 };

@@ -213,15 +213,16 @@ class TcpStack;
 /// accept queue. All app-facing calls are non-blocking.
 class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
  public:
-  /// Per-connection event callbacks. SmallFn, not std::function: these
+  /// Per-connection event callbacks. SmallFnOf, not std::function: these
   /// fire on the hottest per-segment paths and must not pay type-erased
   /// heap dispatch (move-only is fine — a connection's callbacks have
-  /// exactly one owner).
+  /// exactly one owner). A capture beyond sim::Callback's 16-B budget
+  /// costs one heap allocation when it is set.
   struct Callbacks {
-    sim::SmallFn on_established;
-    sim::SmallFn on_readable;  ///< data or EOF available
-    sim::SmallFn on_writable;  ///< send space freed
-    sim::SmallFnOf<void(TcpCloseReason)> on_closed;
+    sim::Callback<void()> on_established;
+    sim::Callback<void()> on_readable;  ///< data or EOF available
+    sim::Callback<void()> on_writable;  ///< send space freed
+    sim::Callback<void(TcpCloseReason)> on_closed;
   };
 
   TcpSocket(TcpStack& stack, FlowKey flow, const TcpConfig& cfg);

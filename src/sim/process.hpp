@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/small_fn.hpp"
@@ -135,6 +136,19 @@ class Process {
   std::uint64_t epoch_{0};
   std::uint64_t backlog_{0};
   SimTime wake_deadline_{0};  // valid while run_state_ == kWaking
+
+  /// Jobs posted while the process wakes, in post order. Each such post
+  /// schedules one small event at the wake deadline that submits the
+  /// oldest entry, so the events stay exactly where a job-carrying event
+  /// would have been (same time, same tie-break order) while the job's
+  /// callable never has to fit inside another closure.
+  struct WokenJob {
+    Cycles cost;
+    Cycles kernel_cost;
+    SmallFn fn;
+  };
+  std::vector<WokenJob> woken_;
+  std::size_t woken_head_{0};
 };
 
 }  // namespace neat::sim

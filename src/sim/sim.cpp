@@ -217,14 +217,21 @@ void Process::post(Cycles cost, SmallFn fn) {
       wake_deadline_ = sim_.now() + latency;
       run_state_ = RunState::kWaking;
     }
+    woken_.push_back(WokenJob{cost, kernel_cost, std::move(fn)});
     const auto epoch = epoch_;
-    sim_.queue().post_at(
-        wake_deadline_,
-        [this, epoch, cost, kernel_cost, fn = std::move(fn)]() mutable {
-          if (crashed_ || epoch_ != epoch) return;
-          run_state_ = RunState::kAwake;
-          thread_->submit(*this, cost, std::move(fn), kernel_cost);
-        });
+    sim_.queue().post_at(wake_deadline_, [this, epoch] {
+      // A crash empties woken_, and this epoch's events fire in post
+      // order, so the oldest entry is this event's own job.
+      if (crashed_ || epoch_ != epoch) return;
+      assert(woken_head_ < woken_.size());
+      WokenJob job = std::move(woken_[woken_head_]);
+      if (++woken_head_ == woken_.size()) {
+        woken_.clear();
+        woken_head_ = 0;
+      }
+      run_state_ = RunState::kAwake;
+      thread_->submit(*this, job.cost, std::move(job.fn), job.kernel_cost);
+    });
     return;
   }
   run_state_ = RunState::kAwake;
@@ -257,6 +264,8 @@ void Process::crash() {
   crashed_ = true;
   ++epoch_;
   backlog_ = 0;
+  woken_.clear();  // jobs still waiting on the wake die with the process
+  woken_head_ = 0;
   run_state_ = RunState::kSuspended;
   on_crash();
 }

@@ -1,19 +1,30 @@
-// Move-only callable with large inline storage.
+// Move-only callable with a fixed inline capture budget.
 //
 // The simulator's hot path is "schedule a closure, fire it once": 18M+
 // closures per bench run. std::function's 16-byte small-buffer means nearly
 // every capture (a PacketPtr plus a timestamp plus a this-pointer already
 // exceeds it) heap-allocates, and the allocator shows up at the top of the
 // wall-clock profile. SmallFn trades memory for allocation-freedom: 80
-// bytes of inline storage covers every closure the data path creates, with
-// a heap fallback for the rare oversized capture. Move-only (closures own
-// packets and sockets; copying them would be a bug anyway).
+// bytes of inline storage, sized for the per-packet closures (a `this`, an
+// epoch, costs, a PacketPtr). That is a budget, not a guarantee: a larger
+// capture silently takes the heap fallback (one allocation per
+// construction). A closure that nests another SmallFn (96 B) can never fit,
+// and one that copies a whole request rarely does — check the size of a
+// new hot-path closure instead of assuming it is inline. Move-only
+// (closures own packets and sockets; copying them would be a bug anyway).
 //
-// SmallFnOf<Sig> generalizes the same storage scheme to any signature —
-// the socket layer's per-connection callbacks (on_readable(fd),
-// on_closed(fd, reason), ...) use it so the per-segment notification path
-// carries no std::function dispatch or allocation either. sim::SmallFn
-// stays the void() alias every schedule()/post() call site uses.
+// SmallFnOf<Sig, N> generalizes the same storage scheme to any signature
+// and any inline budget N. A stored callback pays for its budget whether
+// it uses it or not, so long-lived per-connection callbacks
+// (TcpSocket::Callbacks, socklib::ConnCallbacks, the ipc::Doorbell
+// handler) are sim::Callback<Sig>, N = 16: one `this` or one weak_ptr,
+// which is all any of them captures, for 32 bytes per callback instead of
+// 96. sim::SmallFn stays the void() alias every schedule()/post() call
+// site uses.
+//
+// SmallFnOfs of different budgets are distinct types and never convert
+// into each other (wrapping one in another would hide a heap allocation):
+// move the underlying callable instead.
 #pragma once
 
 #include <cstddef>
@@ -24,21 +35,26 @@
 
 namespace neat::sim {
 
-template <typename Sig>
+template <typename Sig, std::size_t N = 80>
 class SmallFnOf;
 
-template <typename R, typename... Args>
-class SmallFnOf<R(Args...)> {
+template <typename T>
+inline constexpr bool is_small_fn_v = false;
+template <typename Sig, std::size_t N>
+inline constexpr bool is_small_fn_v<SmallFnOf<Sig, N>> = true;
+
+template <typename R, typename... Args, std::size_t N>
+class SmallFnOf<R(Args...), N> {
  public:
-  /// Inline capture budget. Sized for the largest hot-path closure
-  /// (Process::post wake path: this + epoch + costs + a nested callable).
-  static constexpr std::size_t kInlineSize = 80;
+  /// Inline capture budget in bytes; larger captures go to the heap.
+  static constexpr std::size_t kInlineSize = N;
+  static_assert(N >= sizeof(void*), "the heap fallback stores a pointer");
 
   SmallFnOf() = default;
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, SmallFnOf> &&
+                !is_small_fn_v<std::decay_t<F>> &&
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   SmallFnOf(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for
                       // std::function at every call site
@@ -131,5 +147,11 @@ class SmallFnOf<R(Args...)> {
 };
 
 using SmallFn = SmallFnOf<void()>;
+
+/// A callback stored for as long as a connection lives: the TcpSocket and
+/// socket-API callbacks and the doorbell handlers. Every connection end
+/// holds several, so the inline budget is one `this` or one weak_ptr.
+template <typename Sig>
+using Callback = SmallFnOf<Sig, 16>;
 
 }  // namespace neat::sim

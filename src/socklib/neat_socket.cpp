@@ -32,28 +32,25 @@ CloseReason map_reason(net::TcpCloseReason r) {
 }  // namespace
 
 NeatSocket::NeatSocket(sim::Process& app, StackReplica& replica,
-                       const StackCosts& costs, net::TcpSocketPtr tcp)
-    : app_(app),
-      replica_(&replica),
+                       const StackCosts& costs, net::TcpSocketPtr tcp, Fd fd)
+    : replica_(&replica),
       costs_(costs),
       tcp_(std::move(tcp)),
       tx_ring_(std::min<std::size_t>(
           32768, tcp_->send_space() > 0 ? tcp_->send_space() : 32768)),
-      to_stack_(replica.tcp_process(), costs.doorbell_take, [] {}),
-      to_app_(app, costs.app_notify, [] {}) {}
+      // The handlers may capture a bare `this`: a ring's delivery holds
+      // this socket (its owner) for the handler's duration.
+      to_stack_(replica.tcp_process(), costs.doorbell_take,
+                [this] { pump(); }),
+      to_app_(app, costs.app_notify, [this] { dispatch(); }),
+      fd_(fd) {}
 
 void NeatSocket::init() {
-  // Persistent handlers hold weak ownership: the doorbells live inside this
-  // object and the TCP socket holds its callbacks — strong captures would
-  // form reference cycles and leak a socket per connection.
+  // The TCP socket may outlive this one (TIME_WAIT, a closing socket the
+  // stack still drains), so its callbacks hold weak ownership — a strong
+  // capture would also form a reference cycle and leak a socket per
+  // connection.
   std::weak_ptr<NeatSocket> wp = weak_from_this();
-
-  to_stack_.set_handler([wp] {
-    if (auto s = wp.lock()) s->pump();
-  });
-  to_app_.set_handler([wp] {
-    if (auto s = wp.lock()) s->dispatch();
-  });
 
   net::TcpSocket::Callbacks cb;
   cb.on_established = [wp] {
@@ -85,7 +82,7 @@ std::size_t NeatSocket::write(std::span<const std::uint8_t> data) {
   if (failed_ || close_requested_) return 0;
   const std::size_t n = tx_ring_.write(data);
   if (n < data.size()) want_write_ = true;
-  if (n > 0) to_stack_.ring();
+  if (n > 0) to_stack_.ring(weak_from_this());
   return n;
 }
 
@@ -105,11 +102,11 @@ void NeatSocket::close() {
   replica_->tcp_process().post(costs_.doorbell_take, [self] { self->pump(); });
 }
 
-void NeatSocket::set_events(Events ev) {
-  ++events_gen_;  // tells a mid-callback dispatch() not to restore old events
-  ev_ = std::move(ev);
+void NeatSocket::set_callbacks(ConnCallbacks cb) {
+  ++cb_gen_;  // tells a mid-callback dispatch() not to restore old ones
+  cb_ = std::move(cb);
   // Anything already pending (data that raced ahead of accept())?
-  if (ev_.on_readable && (tcp_->readable() > 0 || tcp_->eof())) {
+  if (cb_.on_readable && (tcp_->readable() > 0 || tcp_->eof())) {
     raise(kEvReadable);
   }
   if (tcp_->state() == net::TcpState::kClosed && !closed_delivered_) {
@@ -121,10 +118,10 @@ void NeatSocket::reattach(net::TcpSocketPtr tcp) {
   if (failed_ || closed_delivered_) return;
   tcp_ = std::move(tcp);
   pump_scheduled_ = false;
-  init();  // rewire TCP callbacks + doorbell handlers to the new socket
+  init();  // rewire the TCP callbacks to the new socket
   // Anything buffered pre-crash is readable again; resume sending too.
   if (tcp_->readable() > 0) raise(kEvReadable);
-  to_stack_.ring();
+  to_stack_.ring(weak_from_this());
 }
 
 void NeatSocket::rehome(StackReplica& replica, net::TcpSocketPtr tcp) {
@@ -209,34 +206,37 @@ void NeatSocket::pump() {
 
 void NeatSocket::raise(std::uint32_t bits) {
   pending_events_ |= bits;
-  to_app_.ring();
+  to_app_.ring(weak_from_this());
 }
 
 void NeatSocket::dispatch() {
   // App context: deliver coalesced events. A handler may reenter
-  // set_events() — SockLib::close() clears the callbacks mid-callback — so
-  // each callable runs from local storage (the executing closure cannot be
-  // destroyed under its own feet) and is restored only if the events were
-  // not swapped while it ran.
+  // set_callbacks() — SockLib::close() clears the callbacks mid-callback —
+  // so each callable runs from local storage (the executing closure cannot
+  // be destroyed under its own feet) and is restored only if the callbacks
+  // were not swapped while it ran.
   const std::uint32_t ev = pending_events_;
   pending_events_ = 0;
-  const auto run = [this](sim::SmallFn& slot) {
+  const auto run = [this](sim::Callback<void(Fd)>& slot) {
     if (!slot) return;
-    const std::uint64_t gen = events_gen_;
-    sim::SmallFn fn = std::move(slot);
-    fn();
-    if (events_gen_ == gen) slot = std::move(fn);
+    const std::uint64_t gen = cb_gen_;
+    auto fn = std::move(slot);
+    fn(fd_);
+    if (cb_gen_ == gen) slot = std::move(fn);
   };
-  if (ev & kEvConnected) run(ev_.on_connected);
-  if (ev & kEvReadable) run(ev_.on_readable);
-  if (ev & kEvWritable) run(ev_.on_writable);
+  if (ev & kEvConnected) run(cb_.on_connected);
+  if (ev & kEvReadable) run(cb_.on_readable);
+  if (ev & kEvWritable) run(cb_.on_writable);
   if (ev & kEvClosed) {
     if (!closed_delivered_) {
       closed_delivered_ = true;
       tx_ring_.release();
-      if (ev_.on_closed) {
-        auto on_closed = std::move(ev_.on_closed);  // final event: no restore
-        on_closed(close_reason_);
+      // Nothing can drain into a dead connection: a socket closed by the
+      // app while draining (pump()'s keepalive) must not keep itself.
+      self_keepalive_.reset();
+      if (cb_.on_closed) {
+        auto on_closed = std::move(cb_.on_closed);  // final event: no restore
+        on_closed(fd_, close_reason_);
       }
     }
   }

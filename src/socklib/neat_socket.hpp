@@ -25,15 +25,11 @@ namespace neat::socklib {
 
 class NeatSocket : public std::enable_shared_from_this<NeatSocket> {
  public:
-  struct Events {
-    sim::SmallFn on_connected;
-    sim::SmallFn on_readable;
-    sim::SmallFn on_writable;
-    sim::SmallFnOf<void(CloseReason)> on_closed;
-  };
-
+  /// `costs` is the host's own (NeatHost::costs()) and must outlive the
+  /// socket; `fd` is the number the application knows the socket by and
+  /// is passed to every ConnCallbacks call.
   NeatSocket(sim::Process& app, StackReplica& replica, const StackCosts& costs,
-             net::TcpSocketPtr tcp);
+             net::TcpSocketPtr tcp, Fd fd);
 
   /// Wire the TCP callbacks (requires shared ownership; call right after
   /// make_shared).
@@ -50,7 +46,9 @@ class NeatSocket : public std::enable_shared_from_this<NeatSocket> {
   [[nodiscard]] bool alive() const { return !failed_ && !closed_delivered_; }
   void close();
 
-  void set_events(Events ev);
+  /// Install the application's callbacks (empty ones stop all further
+  /// calls). Events that raced ahead of the install are delivered.
+  void set_callbacks(ConnCallbacks cb);
 
   /// Replica died with this socket's state: deliver kStackFailure upward.
   void fail();
@@ -85,17 +83,17 @@ class NeatSocket : public std::enable_shared_from_this<NeatSocket> {
   void raise(std::uint32_t bits);   // any context
   void dispatch();                  // app context
 
-  sim::Process& app_;
   StackReplica* replica_;  // pointer: migration re-homes the socket
-  const StackCosts costs_;
+  const StackCosts& costs_;
   net::TcpSocketPtr tcp_;
   ipc::ByteRing tx_ring_;
   ipc::Doorbell to_stack_;
   ipc::Doorbell to_app_;
-  Events ev_;
-  /// Bumped by set_events(); dispatch() uses it to detect a mid-callback
+  ConnCallbacks cb_;
+  /// Bumped by set_callbacks(); dispatch() uses it to detect a mid-callback
   /// swap (close() clearing the callbacks) and skip restoring stale ones.
-  std::uint64_t events_gen_{0};
+  std::uint64_t cb_gen_{0};
+  Fd fd_;
   std::uint32_t pending_events_{0};
   CloseReason close_reason_{CloseReason::kNormal};
   bool pump_scheduled_{false};

@@ -39,12 +39,15 @@ using DatagramRx =
 /// Per-connection event callbacks (edge-style notifications). Move-only
 /// (sim::SmallFnOf): these fire on the per-segment data path, so they must
 /// not heap-allocate or touch a std::function vtable — and a connection's
-/// callbacks have exactly one owner anyway.
+/// callbacks have exactly one owner anyway. The socket stores them as given
+/// and passes its fd to each call, so an app callback captures no more than
+/// its own `this`, well within sim::Callback's 16-B budget (a larger
+/// capture costs one heap allocation per connection).
 struct ConnCallbacks {
-  sim::SmallFnOf<void(Fd)> on_connected;
-  sim::SmallFnOf<void(Fd)> on_readable;  ///< data or EOF became available
-  sim::SmallFnOf<void(Fd)> on_writable;  ///< send space freed after short write
-  sim::SmallFnOf<void(Fd, CloseReason)> on_closed;
+  sim::Callback<void(Fd)> on_connected;
+  sim::Callback<void(Fd)> on_readable;  ///< data or EOF became available
+  sim::Callback<void(Fd)> on_writable;  ///< send space freed after short write
+  sim::Callback<void(Fd, CloseReason)> on_closed;
 };
 
 class SocketApi {

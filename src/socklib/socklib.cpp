@@ -31,7 +31,7 @@ Fd SockLib::listen(std::uint16_t port, std::size_t backlog,
     rec.port = port;
     rec.backlog = backlog;
     rec.wire = [bell](StackReplica&, net::TcpListener& l) {
-      l.set_accept_ready([bell] { bell->ring(); });
+      l.set_accept_ready([bell] { bell->ring(bell); });
     };
     for (auto* r : host->serving_replicas()) {
       StackReplica* rep = r;
@@ -143,30 +143,12 @@ Fd SockLib::connect(net::SockAddr remote, ConnCallbacks cb) {
 void SockLib::wire_connection(Fd fd, StackReplica& replica,
                               net::TcpSocketPtr tcp, ConnCallbacks cb,
                               bool notify_connect) {
-  auto sock =
-      std::make_shared<NeatSocket>(app_, replica, host_.costs(), std::move(tcp));
+  auto sock = std::make_shared<NeatSocket>(app_, replica, host_.costs(),
+                                           std::move(tcp), fd);
   sock->init();
-  // Each callback moves into its own adapter — the ConnCallbacks fields are
-  // move-only, and splitting them means an unused field costs nothing.
-  NeatSocket::Events ev;
-  if (notify_connect && cb.on_connected) {
-    ev.on_connected = [f = std::move(cb.on_connected), fd]() mutable {
-      f(fd);
-    };
-  }
-  if (cb.on_readable) {
-    ev.on_readable = [f = std::move(cb.on_readable), fd]() mutable { f(fd); };
-  }
-  if (cb.on_writable) {
-    ev.on_writable = [f = std::move(cb.on_writable), fd]() mutable { f(fd); };
-  }
-  if (cb.on_closed) {
-    ev.on_closed = [f = std::move(cb.on_closed), fd](CloseReason r) mutable {
-      f(fd, r);
-    };
-  }
+  if (!notify_connect) cb.on_connected = {};  // accepted/adopted: no connect
   conns_.try_emplace(fd, sock);
-  sock->set_events(std::move(ev));
+  sock->set_callbacks(std::move(cb));
 }
 
 std::size_t SockLib::send(Fd fd, std::span<const std::uint8_t> data) {
@@ -195,7 +177,7 @@ void SockLib::close(Fd fd) {
   if (auto it = conns_.find(fd); it != conns_.end()) {
     const NeatSocketPtr sock = it->second;
     conns_.erase(it);
-    sock->set_events({});  // no callbacks after close()
+    sock->set_callbacks({});  // no callbacks after close()
     sock->close();
     return;
   }

@@ -532,25 +532,25 @@ TEST_F(SimFixture, ChannelBatchDiesWithCrashedConsumer) {
 
 TEST_F(SimFixture, DoorbellCoalescesRings) {
   int handled = 0;
-  Doorbell bell(proc, 50, [&] { ++handled; });
-  bell.ring();
-  bell.ring();
-  bell.ring();
+  auto bell = std::make_shared<Doorbell>(proc, 50, [&] { ++handled; });
+  bell->ring(bell);
+  bell->ring(bell);
+  bell->ring(bell);
   sim.run();
   EXPECT_EQ(handled, 1);
-  EXPECT_EQ(bell.rings(), 3u);
-  EXPECT_EQ(bell.deliveries(), 1u);
+  EXPECT_EQ(bell->rings(), 3u);
+  EXPECT_EQ(bell->deliveries(), 1u);
   // After consumption, a new ring delivers again.
-  bell.ring();
+  bell->ring(bell);
   sim.run();
   EXPECT_EQ(handled, 2);
 }
 
 TEST_F(SimFixture, DoorbellToCrashedConsumerIsNoop) {
   int handled = 0;
-  Doorbell bell(proc, 50, [&] { ++handled; });
+  auto bell = std::make_shared<Doorbell>(proc, 50, [&] { ++handled; });
   proc.crash();
-  bell.ring();
+  bell->ring(bell);
   sim.run();
   EXPECT_EQ(handled, 0);
 }
@@ -558,8 +558,8 @@ TEST_F(SimFixture, DoorbellToCrashedConsumerIsNoop) {
 TEST_F(SimFixture, DestroyedDoorbellNeverFires) {
   int handled = 0;
   {
-    Doorbell bell(proc, 50, [&] { ++handled; });
-    bell.ring();
+    auto bell = std::make_shared<Doorbell>(proc, 50, [&] { ++handled; });
+    bell->ring(bell);
   }  // destroyed with the ring still in flight
   sim.run();
   EXPECT_EQ(handled, 0);

@@ -2,12 +2,17 @@
 // deterministic RNG, machines, hardware threads and the process model.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/machine.hpp"
 #include "sim/process.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "sim/small_fn.hpp"
 #include "sim/stats.hpp"
 
 namespace neat::sim {
@@ -386,6 +391,154 @@ TEST(ProcessModel, FifoPreservedAcrossWakeup) {
   p.post(10, [&] { order.push_back(2); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(ProcessModel, WokenJobsInterleaveWithOtherEventsInPostOrder) {
+  Simulator sim;
+  MachineParams mp;
+  mp.cores = 2;
+  mp.freq = Frequency{1.0};
+  Machine& m = sim.add_machine(mp);
+  TestProc a(sim, "a"), b(sim, "b");
+  a.pin(m.thread(0));
+  b.pin(m.thread(1));
+
+  // Both processes wake at the same deadline; each one's jobs must run in
+  // its own post order however the two wakes interleave.
+  std::vector<int> order;
+  a.post(10, [&] { order.push_back(1); });
+  b.post(10, [&] { order.push_back(10); });
+  a.post(10, [&] { order.push_back(2); });
+  b.post(10, [&] { order.push_back(20); });
+  a.post(10, [&] { order.push_back(3); });
+  sim.run();
+  std::vector<int> a_order, b_order;
+  for (const int v : order) (v < 10 ? a_order : b_order).push_back(v);
+  EXPECT_EQ(a_order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(b_order, (std::vector<int>{10, 20}));
+}
+
+TEST(ProcessModel, CrashDuringWakeDropsWokenJobsButNotLaterOnes) {
+  Simulator sim;
+  MachineParams mp;
+  mp.cores = 1;
+  mp.freq = Frequency{1.0};
+  Machine& m = sim.add_machine(mp);
+  TestProc p(sim, "p");
+  p.pin(m.thread(0));
+
+  std::vector<int> ran;
+  p.post(10, [&] { ran.push_back(1); });
+  p.post(10, [&] { ran.push_back(2); });
+  p.crash();  // both jobs still wait on the wake deadline
+  p.restart();
+  // A fresh wake in the new epoch: only this job may run, and the stale
+  // wake events must not hand it one of the dead jobs.
+  p.post(10, [&] { ran.push_back(3); });
+  sim.run();
+  EXPECT_EQ(ran, (std::vector<int>{3}));
+}
+
+// ---------------------------------------------------------------------------
+// SmallFnOf inline budgets
+// ---------------------------------------------------------------------------
+
+/// Counts heap allocations of the callables below: SmallFnOf's fallback
+/// allocates with `new Fn`, which picks up the class operator new.
+struct HeapCounted {
+  static inline int news = 0;
+  static inline int deletes = 0;
+  static void* operator new(std::size_t n) {
+    ++news;
+    return ::operator new(n);
+  }
+  static void operator delete(void* ptr) {
+    ++deletes;
+    ::operator delete(ptr);
+  }
+};
+
+/// 16 B: one shared_ptr, the size of a socket callback's weak_ptr.
+struct Capture16 : HeapCounted {
+  std::shared_ptr<int> token;
+  int operator()(int x) const { return x + *token; }
+};
+
+/// 48 B: the size of the largest in-tree test/bench callbacks.
+struct Capture48 : HeapCounted {
+  std::shared_ptr<int> token;
+  std::array<std::uint64_t, 4> pad{1, 2, 3, 4};
+  int operator()(int x) const {
+    return x + *token + static_cast<int>(pad[3]);
+  }
+};
+
+TEST(SmallFnOf, SixteenByteCaptureIsHeldInline) {
+  using Fn16 = SmallFnOf<int(int), 16>;
+  static_assert(sizeof(Fn16) == 32, "16 B inline + ops pointer, aligned");
+  static_assert(sizeof(SmallFn) == 96);
+  static_assert(sizeof(Capture16) == 16);
+  HeapCounted::news = HeapCounted::deletes = 0;
+
+  auto token = std::make_shared<int>(5);
+  {
+    Fn16 fn(Capture16{{}, token});
+    Fn16 moved(std::move(fn));
+    EXPECT_EQ(moved(1), 6);
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(HeapCounted::news, 0);
+  EXPECT_EQ(token.use_count(), 1);
+
+  // The same budget holds one weak_ptr (what a socket's callbacks capture).
+  std::weak_ptr<int> wp = token;
+  int seen = 0;
+  SmallFnOf<void(), 16> by_weak([wp, &seen] { seen = *wp.lock(); });
+  by_weak();
+  EXPECT_EQ(seen, 5);
+}
+
+TEST(SmallFnOf, FortyEightByteCaptureSpillsToHeapAndStaysCorrect) {
+  using Fn16 = SmallFnOf<int(int), 16>;
+  static_assert(sizeof(Capture48) == 48);
+  HeapCounted::news = HeapCounted::deletes = 0;
+  auto token = std::make_shared<int>(2);
+  {
+    Fn16 a(Capture48{{}, token});
+    EXPECT_EQ(HeapCounted::news, 1);
+    EXPECT_EQ(a(1), 1 + 2 + 4);
+
+    // Moves relocate the pointer, not the callable: no new allocation.
+    Fn16 b(std::move(a));
+    EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(b(10), 10 + 2 + 4);
+    Fn16 c;
+    c = std::move(b);
+    EXPECT_EQ(c(0), 2 + 4);
+    EXPECT_EQ(HeapCounted::news, 1);
+    EXPECT_EQ(token.use_count(), 2);
+
+    // Assigning over a heap-held callable destroys the old one.
+    c = Fn16(Capture48{{}, token});
+    EXPECT_EQ(HeapCounted::news, 2);
+    EXPECT_EQ(HeapCounted::deletes, 1);
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(HeapCounted::deletes, 2);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SmallFnOf, DifferentBudgetsNeverConvert) {
+  // Wrapping one budget's SmallFnOf in another would hide a heap
+  // allocation (and a second indirection): it is a compile error.
+  using Fn16 = SmallFnOf<void(), 16>;
+  static_assert(!std::is_constructible_v<Fn16, SmallFn&&>);
+  static_assert(!std::is_constructible_v<SmallFn, Fn16&&>);
+  static_assert(!std::is_assignable_v<Fn16&, SmallFn&&>);
+  static_assert(!std::is_assignable_v<SmallFn&, Fn16&&>);
+  static_assert(std::is_nothrow_move_constructible_v<Fn16>);
+  static_assert(std::is_nothrow_move_assignable_v<Fn16>);
+  SUCCEED();
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,14 @@
 // integrity, close semantics, and failure notification.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "harness/testbed.hpp"
+#include "ipc/doorbell.hpp"
 #include "socklib/socklib.hpp"
 
 namespace neat::harness {
@@ -250,6 +255,190 @@ TEST_F(SockLibFixture, ConnectToDeadPortReportsRefused) {
   run(300 * sim::kMillisecond);
   EXPECT_TRUE(closed);
   EXPECT_EQ(reason, CloseReason::kRefused);
+}
+
+// ---------------------------------------------------------------------------
+// Callback delivery: the socket stores the app's callbacks as given and
+// passes its own fd to each call.
+// ---------------------------------------------------------------------------
+
+TEST_F(SockLibFixture, EachCallbackReceivesItsOwnFd) {
+  const Fd lfd = server_app->lib->listen(8080, 64, [] {});
+  run();
+
+  // Every connection gets callbacks of the same shape, each recording the
+  // fd it is called with: a socket passing a wrong fd shows up as a
+  // missing or extra key below.
+  std::map<Fd, int> connected, readable, writable;
+  std::map<Fd, CloseReason> closed;
+  const auto make_ccb = [&] {
+    ConnCallbacks ccb;
+    ccb.on_connected = [&](Fd fd) { ++connected[fd]; };
+    ccb.on_readable = [&](Fd fd) {
+      ++readable[fd];
+      std::uint8_t buf[256];
+      while (client_app->lib->recv(fd, buf) > 0) {
+      }
+    };
+    ccb.on_writable = [&](Fd fd) { ++writable[fd]; };
+    ccb.on_closed = [&](Fd fd, CloseReason r) { closed[fd] = r; };
+    return ccb;
+  };
+  std::set<Fd> cfds;
+  for (int i = 0; i < 3; ++i) {
+    cfds.insert(client_app->lib->connect(net::SockAddr{kServerIp, 8080},
+                                         make_ccb()));
+  }
+  ASSERT_EQ(cfds.size(), 3u);
+  run();
+
+  // The server greets every connection and drains whatever it receives.
+  std::set<Fd> sfds;
+  std::map<Fd, std::size_t> server_got;
+  for (;;) {
+    ConnCallbacks scb;
+    scb.on_readable = [&](Fd fd) {
+      std::uint8_t buf[4096];
+      while (const std::size_t n = server_app->lib->recv(fd, buf)) {
+        server_got[fd] += n;
+      }
+    };
+    const Fd sfd = server_app->lib->accept(lfd, std::move(scb));
+    if (sfd == kBadFd) break;
+    sfds.insert(sfd);
+    const std::uint8_t hi[] = {'h', 'i'};
+    server_app->lib->send(sfd, hi);
+  }
+  ASSERT_EQ(sfds.size(), 3u);
+
+  // One client overfills its tx ring: a short write, then on_writable once
+  // the stack has drained the ring.
+  const Fd bulk = *cfds.begin();
+  const std::vector<std::uint8_t> big(256 * 1024, 'x');
+  const std::size_t took = client_app->lib->send(bulk, big);
+  EXPECT_LT(took, big.size());
+  run();
+
+  const auto keys = [](const auto& m) {
+    std::set<Fd> out;
+    for (const auto& kv : m) out.insert(kv.first);
+    return out;
+  };
+  EXPECT_EQ(keys(connected), cfds);
+  for (const auto& [fd, n] : connected) EXPECT_EQ(n, 1) << "fd " << fd;
+  EXPECT_EQ(keys(readable), cfds);
+  EXPECT_EQ(keys(writable), std::set<Fd>{bulk});
+  ASSERT_EQ(server_got.size(), 1u);
+  EXPECT_TRUE(sfds.contains(server_got.begin()->first));
+  EXPECT_EQ(server_got.begin()->second, took);
+  EXPECT_TRUE(closed.empty());
+
+  // A stack failure closes every client socket, each with its own fd.
+  client_host->inject_crash(client_host->replica(0), Component::kWhole);
+  run(200 * sim::kMillisecond);
+  EXPECT_EQ(keys(closed), cfds);
+}
+
+TEST_F(SockLibFixture, AcceptedFdNeverSeesOnConnected) {
+  int acceptable = 0;
+  const Fd lfd = server_app->lib->listen(8080, 64, [&] { ++acceptable; });
+  run();
+  const Fd cfd =
+      client_app->lib->connect(net::SockAddr{kServerIp, 8080}, {});
+  run();
+  ASSERT_GT(acceptable, 0);
+
+  // The server passes an on_connected too (one callbacks struct for both
+  // directions): an accepted connection was never "connected" by this
+  // side, so it must not fire — while on_readable still does.
+  int server_connected = 0;
+  int server_readable = 0;
+  ConnCallbacks scb;
+  scb.on_connected = [&](Fd) { ++server_connected; };
+  scb.on_readable = [&](Fd) { ++server_readable; };
+  const Fd sfd = server_app->lib->accept(lfd, std::move(scb));
+  ASSERT_NE(sfd, kBadFd);
+  const std::uint8_t ping[] = {'p'};
+  client_app->lib->send(cfd, ping);
+  run();
+  EXPECT_EQ(server_connected, 0);
+  EXPECT_GT(server_readable, 0);
+}
+
+TEST_F(SockLibFixture, CloseInsideCallbackIsNotUndone) {
+  const Fd lfd = server_app->lib->listen(8080, 64, [] {});
+  run();
+  const Fd cfd =
+      client_app->lib->connect(net::SockAddr{kServerIp, 8080}, {});
+  run();
+
+  // The server streams to a client that does not read until every buffer
+  // on the path is full, then closes its fd from inside on_readable. The
+  // socket outlives the close, draining its tx ring like a kernel drains a
+  // closed socket, so later events still reach it: the callback it ran
+  // from local storage must not be put back when it returns.
+  const std::vector<std::uint8_t> chunk(4096, 'r');
+  int server_readable = 0;
+  int server_closed = 0;
+  ConnCallbacks scb;
+  scb.on_writable = [&](Fd fd) {
+    while (server_app->lib->send(fd, chunk) == chunk.size()) {
+    }
+  };
+  scb.on_readable = [&](Fd fd) {
+    ++server_readable;
+    server_app->lib->close(fd);
+  };
+  scb.on_closed = [&](Fd, CloseReason) { ++server_closed; };
+  const Fd sfd = server_app->lib->accept(lfd, std::move(scb));
+  ASSERT_NE(sfd, kBadFd);
+  while (server_app->lib->send(sfd, chunk) == chunk.size()) {
+  }
+  run();
+
+  const std::uint8_t a[] = {'a'};
+  client_app->lib->send(cfd, a);
+  run();
+  EXPECT_EQ(server_readable, 1);
+  EXPECT_EQ(server_app->lib->open_sockets(), 0u);
+
+  // The closed socket still receives data: no callback may fire for it.
+  client_app->lib->send(cfd, a);
+  run();
+  EXPECT_EQ(server_readable, 1);
+
+  // Kill the client's stack: the server's TCP socket then dies (RST or
+  // timeout) with bytes still queued, which must release the draining
+  // socket (ASan's leak check sees it otherwise) without any callback.
+  client_host->inject_crash(client_host->replica(0), Component::kWhole);
+  run(120 * sim::kSecond);
+  client_app->lib->close(cfd);
+  EXPECT_EQ(server_host->replica(0).tcp().connection_count() +
+                server_host->replica(1).tcp().connection_count(),
+            0u);
+  EXPECT_EQ(server_readable, 1);
+  EXPECT_EQ(server_closed, 0);
+}
+
+/// An object that owns a doorbell, as NeatSocket does.
+struct BellOwner {
+  BellOwner(sim::Process& consumer, int& handled)
+      : bell(consumer, 10, [&handled] { ++handled; }) {}
+  ipc::Doorbell bell;
+};
+
+TEST_F(SockLibFixture, DoorbellRungAfterOwnerDiedIsNoop) {
+  int handled = 0;
+  auto owner = std::make_shared<BellOwner>(*server_app, handled);
+  owner->bell.ring(owner);
+  run();
+  EXPECT_EQ(handled, 1);  // control: a live owner's ring is delivered
+
+  owner->bell.ring(owner);
+  EXPECT_TRUE(owner->bell.pending());
+  owner.reset();  // the owner (and its doorbell) die with the ring in flight
+  run();
+  EXPECT_EQ(handled, 1);
 }
 
 }  // namespace
