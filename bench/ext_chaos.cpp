@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     mismatches += g->report().payload_mismatches;
     committed += g->report().committed_requests;
     error_conns += g->report().error_conns;
-    clean_conns += g->report().clean_conns;
+    clean_conns += g->report().sessions_completed;
     latency.merge(g->report().latency);
   }
 

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     co.generators = 6;
     co.concurrency_per_gen = row.conc_per_gen;
     ClientRig client = build_client(tb, co, 6);
-    for (auto& g : client.gens) g->config().think_time = row.think;
+    for (auto& g : client.gens) g->config().session.think_time = row.think;
     prepopulate_arp(server, client);
 
     tb.sim.run_for(kWarmup);

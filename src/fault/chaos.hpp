@@ -22,8 +22,8 @@
 //     and it stays out of the serving set.
 //
 // Client-visible invariants (payload integrity via
-// LoadGen::Report::payload_mismatches, no cross-replica disturbance) are
-// asserted by the callers, which own the workload.
+// wl::OpenLoopClient::Report::payload_mismatches, no cross-replica
+// disturbance) are asserted by the callers, which own the workload.
 //
 // The campaign layer deliberately depends only on neat_core + nic — not on
 // the harness — so any rig can be chaos-tested.

@@ -277,15 +277,16 @@ ClientRig build_client(Testbed& tb, ClientOptions opt, int num_ports) {
   }
 
   for (int g = 0; g < opt.generators; ++g) {
-    apps::LoadGen::Config lc;
+    wl::OpenLoopClient::Config lc;
+    lc.tenant = "httperf" + std::to_string(g);
     lc.server = net::SockAddr{
         kServerIp, static_cast<std::uint16_t>(kBasePort + g % num_ports)};
-    lc.path = opt.path;
-    lc.concurrency = opt.concurrency_per_gen;
-    lc.requests_per_conn = opt.requests_per_conn;
+    lc.arrival = wl::ArrivalModel::closed(opt.concurrency_per_gen);
+    lc.session.requests_per_session =
+        static_cast<std::uint32_t>(opt.requests_per_conn);
+    lc.catalog = {opt.path};
     lc.max_conns = opt.max_conns;
-    auto gen = std::make_unique<apps::LoadGen>(
-        tb.sim, "httperf" + std::to_string(g), lc);
+    auto gen = std::make_unique<wl::OpenLoopClient>(tb.sim, lc.tenant, lc);
     gen->pin(mc.thread(3 + opt.stack_replicas + g));
     gen->attach_api(std::make_unique<socklib::SockLib>(*gen, *rig.host));
     gen->start();
@@ -309,7 +310,6 @@ ClientRig::Aggregate ClientRig::aggregate(sim::SimTime window) const {
     a.requests += r.committed_requests;
     bytes += r.committed_bytes;
     a.error_conns += r.error_conns;
-    a.clean_conns += r.clean_conns;
     merged.merge(r.latency);
   }
   const double secs = sim::to_seconds(window);

@@ -14,7 +14,6 @@
 
 #include "apps/http.hpp"
 #include "apps/http_server.hpp"
-#include "apps/loadgen.hpp"
 #include "baseline/linux.hpp"
 #include "ipc/channel.hpp"
 #include "neat/host.hpp"
@@ -22,6 +21,7 @@
 #include "nic/nic.hpp"
 #include "sim/simulator.hpp"
 #include "socklib/socklib.hpp"
+#include "wl/openloop.hpp"
 
 namespace neat::harness {
 
@@ -228,7 +228,7 @@ struct ClientRig {
   /// Teardown-order witness (first member; see ServerRig).
   TestbedDependent testbed_token;
   std::unique_ptr<NeatHost> host;
-  std::vector<std::unique_ptr<apps::LoadGen>> gens;
+  std::vector<std::unique_ptr<wl::OpenLoopClient>> gens;
 
   /// Reset all measurement windows.
   void mark();
@@ -243,7 +243,6 @@ struct ClientRig {
     double p999_latency_ms{0.0};
     std::uint64_t requests{0};
     std::uint64_t error_conns{0};
-    std::uint64_t clean_conns{0};
   };
   [[nodiscard]] Aggregate aggregate(sim::SimTime window) const;
 };

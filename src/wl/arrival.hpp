@@ -1,7 +1,9 @@
 // Arrival processes for the workload engine.
 //
 // An ArrivalModel describes session arrivals per second as a (possibly
-// time-varying) intensity λ(t); an ArrivalSampler turns it into a concrete
+// time-varying) intensity λ(t), or a closed population of users that each
+// start their next session when the last one ends (httperf); an
+// ArrivalSampler turns an open model into a concrete
 // deterministic arrival sequence via Lewis–Shedler thinning against the
 // model's peak rate. Everything draws from the sampler's own sub-Rng, so a
 // (seed, model) pair replays the identical arrival train regardless of what
@@ -11,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "sim/random.hpp"
@@ -24,6 +27,7 @@ struct ArrivalModel {
     kMmpp,        ///< 2-state Markov-modulated Poisson (base/burst)
     kDiurnal,     ///< sinusoidal ramp between base and peak
     kFlashCrowd,  ///< base rate with a ramp/hold/decay surge window
+    kClosed,      ///< `users` back-to-back sessions, no arrival process
   };
 
   Kind kind{Kind::kPoisson};
@@ -45,6 +49,16 @@ struct ArrivalModel {
   sim::SimTime surge_ramp{50 * sim::kMillisecond};
   sim::SimTime surge_hold{300 * sim::kMillisecond};
   sim::SimTime surge_decay{100 * sim::kMillisecond};
+
+  // kClosed: concurrent users, each one session at a time.
+  std::size_t users{0};
+
+  [[nodiscard]] static ArrivalModel closed(std::size_t users) {
+    ArrivalModel m;
+    m.kind = Kind::kClosed;
+    m.users = users;
+    return m;
+  }
 
   [[nodiscard]] static ArrivalModel poisson(double rate) {
     ArrivalModel m;
@@ -94,7 +108,8 @@ struct ArrivalModel {
   /// Peak intensity, the thinning envelope.
   [[nodiscard]] double max_rate() const {
     switch (kind) {
-      case Kind::kPoisson: return rate;
+      case Kind::kPoisson:
+      case Kind::kClosed: return rate;
       case Kind::kMmpp: return std::max(rate, burst_rate);
       case Kind::kDiurnal: return std::max(rate, peak_rate);
       case Kind::kFlashCrowd: return std::max(rate, surge_rate);
@@ -113,6 +128,7 @@ class ArrivalSampler {
   [[nodiscard]] double rate_at(sim::SimTime t) {
     switch (model_.kind) {
       case ArrivalModel::Kind::kPoisson:
+      case ArrivalModel::Kind::kClosed:
         return model_.rate;
       case ArrivalModel::Kind::kMmpp: {
         while (t >= state_until_) {

@@ -25,29 +25,29 @@ void OpenLoopClient::start() {
   assert(api_ && "attach_api() before start()");
   running_ = true;
   last_epoch_ = sim().now();
-  sampler_ = std::make_unique<ArrivalSampler>(config_.arrival,
-                                              rng_.split(0xa441));
   hub_latency_ = &sim().metrics().histogram("wl." + config_.tenant +
                                             ".request_latency_ns");
   hub_requests_ =
       &sim().metrics().counter("wl." + config_.tenant + ".requests");
+  if (closed_loop()) {
+    for (std::size_t u = 0; u < config_.arrival.users; ++u) {
+      user_next_session();
+    }
+    return;
+  }
+  sampler_ = std::make_unique<ArrivalSampler>(config_.arrival,
+                                              rng_.split(0xa441));
   schedule_next_arrival();
 }
 
 void OpenLoopClient::stop() { running_ = false; }
 
 void OpenLoopClient::mark() {
-  report_.sessions_started = 0;
-  report_.sessions_completed = 0;
-  report_.sessions_failed = 0;
-  report_.sessions_abandoned = 0;
-  report_.sessions_shed = 0;
-  report_.requests_completed = 0;
-  report_.bytes_received = 0;
-  report_.bad_status = 0;
-  report_.slo_violations = 0;
-  report_.latency.reset();
-  report_.raw_latency.reset();
+  report_ = Report{};
+  for (auto& [fd, s] : sessions_) {
+    s.window_requests = 0;
+    s.window_bytes = 0;
+  }
 }
 
 void OpenLoopClient::schedule_next_arrival() {
@@ -63,58 +63,95 @@ void OpenLoopClient::schedule_next_arrival() {
 }
 
 void OpenLoopClient::on_arrival(sim::SimTime epoch) {
-  if (!running_) return;
+  if (!running_ || budget_spent()) return;
   if (sessions_.size() >= config_.max_in_flight) {
     ++report_.sessions_shed;
     return;
   }
+  ++sessions_opened_;
+  open_session(epoch);
+}
+
+void OpenLoopClient::user_next_session() {
+  if (!closed_loop() || !running_ || budget_spent()) return;
+  ++sessions_opened_;
+  post(config_.connect_cost, [this] { open_session(sim().now()); });
+}
+
+void OpenLoopClient::open_session(sim::SimTime epoch) {
   ++report_.sessions_started;
 
   ConnCallbacks cb;
-  cb.on_connected = [this, epoch](Fd fd) {
+  cb.on_connected = [this](Fd fd) {
     auto it = sessions_.find(fd);
     if (it == sessions_.end()) return;
-    it->second.connected = true;
     // First request's CO clock starts at the arrival epoch: connect time
     // (SYN backlog queueing included) is part of what the user waited.
-    issue_request(fd, epoch);
+    issue_request(fd, it->second.intended_at);
   };
   cb.on_readable = [this](Fd fd) { on_readable(fd); };
   cb.on_closed = [this](Fd fd, CloseReason r) { on_closed(fd, r); };
 
   const Fd fd = api_->connect(config_.server, std::move(cb));
   if (fd == kBadFd) {
-    ++report_.sessions_failed;
+    count_failure();
     return;
   }
-  Session s;
+  Session& s = sessions_[fd];
   s.path = config_.catalog[rng_.below(config_.catalog.size())];
   s.remaining = config_.session.sample_requests(rng_);
   s.intended_at = epoch;
-  sessions_.emplace(fd, std::move(s));
+  if (config_.expect_body != nullptr) {
+    // Element addresses in an unordered_map are stable; the sink dies
+    // with the Session it points at.
+    Session* sp = &s;
+    s.parser.set_body_sink(
+        [this, sp](std::size_t off, std::span<const std::uint8_t> chunk) {
+          if (sp->parser.last_status() != 200) return;
+          const auto& want = *config_.expect_body;
+          if (off + chunk.size() > want.size() ||
+              !std::equal(chunk.begin(), chunk.end(), want.begin() + off)) {
+            ++report_.payload_mismatches;
+          }
+        });
+  }
   // The user's patience clock runs from arrival, covering connect too: a
   // SYN that the server never answers must surface as abandonment, not
   // vanish because no request was ever "outstanding".
   arm_abandonment(fd);
 }
 
-void OpenLoopClient::issue_request(Fd fd, sim::SimTime intended) {
-  post(config_.send_cost, [this, fd, intended] {
-    auto it = sessions_.find(fd);
-    if (it == sessions_.end()) return;
-    Session& s = it->second;
-    const auto req = apps::build_request(s.path);
-    const std::size_t n = api_->send(fd, req);
-    if (n != req.size()) {
-      api_->close(fd);
-      on_closed(fd, CloseReason::kReset);
-      return;
-    }
-    s.request_outstanding = true;
-    s.intended_at = intended;
-    s.request_sent_at = sim().now();
-    arm_abandonment(fd);
-  });
+void OpenLoopClient::issue_request(Fd fd, sim::SimTime from) {
+  // Think time precedes every request, a session's first included. It is
+  // user behavior, not server queueing, so the CO clock excludes it.
+  const sim::SimTime think = config_.session.think_time;
+  auto send = [this, fd, intended = from + think] {
+    send_request(fd, intended);
+  };
+  if (think > 0) {
+    after(think, config_.send_cost, std::move(send));
+  } else {
+    post(config_.send_cost, std::move(send));
+  }
+}
+
+void OpenLoopClient::send_request(Fd fd, sim::SimTime intended) {
+  auto it = sessions_.find(fd);
+  if (it == sessions_.end()) return;
+  Session& s = it->second;
+  const auto req = apps::build_request(s.path);
+  const std::size_t n = api_->send(fd, req);
+  // Requests are tiny; a short write here means the connection is dying.
+  if (n != req.size()) {
+    api_->close(fd);
+    on_closed(fd, CloseReason::kReset);
+    return;
+  }
+  s.request_outstanding = true;
+  s.request_sent_at = sim().now();
+  // A closed user has no schedule: its request is intended when sent.
+  s.intended_at = closed_loop() ? s.request_sent_at : intended;
+  arm_abandonment(fd);
 }
 
 void OpenLoopClient::arm_abandonment(Fd fd) {
@@ -131,7 +168,7 @@ void OpenLoopClient::arm_abandonment(Fd fd) {
     const sim::SimTime waited = sim().now() - sit->second.intended_at;
     record_latency_sample(waited);
     ++report_.sessions_abandoned;
-    finish_session(fd, /*completed=*/false);
+    finish_session(fd);
   });
 }
 
@@ -165,29 +202,26 @@ void OpenLoopClient::on_readable(Fd fd) {
       ++s.wait_seq;  // retires the pending abandonment timer
       if (s.parser.last_status() != 200) ++report_.bad_status;
 
-      const sim::SimTime now = sim().now();
       record_latency(s.intended_at, s.request_sent_at);
       ++report_.requests_completed;
-      if (hub_requests_ != nullptr) hub_requests_->inc();
+      hub_requests_->inc();
       const std::uint64_t nb =
           s.parser.body_bytes_total() - s.prev_body_total;
-      report_.bytes_received += nb;
       s.prev_body_total = s.parser.body_bytes_total();
+      report_.bytes_received += nb;
+      // Committed optimistically; on_closed() takes the window's share
+      // back if the session later fails.
+      ++s.window_requests;
+      ++report_.committed_requests;
+      s.window_bytes += nb;
+      report_.committed_bytes += nb;
 
       if (--s.remaining == 0) {
         ++report_.sessions_completed;
-        finish_session(fd, /*completed=*/true);
+        finish_session(fd);
         return;
       }
-      // Next request's intended time: now + think. Think time is user
-      // behavior, not server queueing, so the CO clock excludes it.
-      const sim::SimTime intended = now + config_.session.think_time;
-      if (config_.session.think_time > 0) {
-        after(config_.session.think_time, 0,
-              [this, fd, intended] { issue_request(fd, intended); });
-      } else {
-        issue_request(fd, intended);
-      }
+      issue_request(fd, sim().now());
     }
 
     if (api_->eof(fd)) {
@@ -201,22 +235,33 @@ void OpenLoopClient::on_closed(Fd fd, CloseReason) {
   auto it = sessions_.find(fd);
   if (it == sessions_.end()) return;
   Session& s = it->second;
-  if (s.request_outstanding) {
+  if (s.request_outstanding && !closed_loop()) {
     // The in-flight request died with the connection; record the waited
     // time as a lower bound so failures don't launder the tail.
     record_latency_sample(sim().now() - s.intended_at);
   }
-  ++report_.sessions_failed;
+  // httperf semantics: a session with an error is dismissed from the
+  // reported request rate and throughput.
+  report_.committed_requests -=
+      std::min(report_.committed_requests, s.window_requests);
+  report_.committed_bytes -= std::min(report_.committed_bytes, s.window_bytes);
   sessions_.erase(it);
+  count_failure();
 }
 
-void OpenLoopClient::finish_session(Fd fd, bool) {
-  auto it = sessions_.find(fd);
-  if (it == sessions_.end()) return;
+// The one place sessions_failed and its alias error_conns move.
+void OpenLoopClient::count_failure() {
+  ++report_.sessions_failed;
+  ++report_.error_conns;
+  user_next_session();
+}
+
+void OpenLoopClient::finish_session(Fd fd) {
   // Erase before close() so a reentrant on_closed finds nothing and the
   // session is not double-counted as failed.
-  sessions_.erase(it);
+  sessions_.erase(fd);
   api_->close(fd);
+  user_next_session();
 }
 
 void OpenLoopClient::record_latency(sim::SimTime intended,
@@ -230,7 +275,7 @@ void OpenLoopClient::record_latency(sim::SimTime intended,
 
 void OpenLoopClient::record_latency_sample(sim::SimTime co) {
   report_.latency.record(co);
-  if (hub_latency_ != nullptr) hub_latency_->record(co);
+  hub_latency_->record(co);
   if (config_.slo > 0 && co > config_.slo) ++report_.slo_violations;
 }
 

@@ -1,6 +1,7 @@
 // Application- and harness-level tests: HttpServer behaviours (keep-alive
-// limits, 404s, pipelining), LoadGen controls (max_conns, think time), and
-// the placement generators that encode the paper's Figures 6, 8 and 10.
+// limits, 404s, pipelining), the HTTP client engine (closed-loop controls,
+// httperf accounting, open-loop think time and body checks), and the
+// placement generators that encode the paper's Figures 6, 8 and 10.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -12,6 +13,7 @@ namespace {
 
 struct AppsFixture : public ::testing::Test {
   void build(int webs = 1, std::function<void(NeatServerOptions&)> mod = {}) {
+    open.reset();
     client.reset();  // rigs pin processes to the old testbed's hw threads
     server.reset();
     tb.reset();
@@ -26,10 +28,32 @@ struct AppsFixture : public ::testing::Test {
     server = std::make_unique<ServerRig>(build_neat_server(*tb, so));
   }
 
+  /// An open-loop client for web 0 on a generator-less client rig.
+  wl::OpenLoopClient& build_open(wl::OpenLoopClient::Config oc) {
+    ClientOptions co;
+    co.generators = 0;
+    client = std::make_unique<ClientRig>(build_client(*tb, co, 1));
+    oc.server = net::SockAddr{kServerIp, kBasePort};
+    open = std::make_unique<wl::OpenLoopClient>(tb->sim, "open", oc);
+    open->pin(tb->client_machine.thread(3 + co.stack_replicas));
+    open->attach_api(std::make_unique<socklib::SockLib>(*open, *client->host));
+    prepopulate_arp(*server, *client);
+    open->start();
+    return *open;
+  }
+
   std::unique_ptr<Testbed> tb;
   std::unique_ptr<ServerRig> server;
   std::unique_ptr<ClientRig> client;
+  std::unique_ptr<wl::OpenLoopClient> open;
 };
+
+void expect_sessions_conserved(const wl::OpenLoopClient& c) {
+  const auto& r = c.report();
+  EXPECT_EQ(r.sessions_started, r.sessions_completed + r.sessions_failed +
+                                    r.sessions_abandoned +
+                                    c.in_flight_sessions());
+}
 
 TEST_F(AppsFixture, NotFoundReturns404WithoutKillingTheConnection) {
   build();
@@ -76,9 +100,9 @@ TEST_F(AppsFixture, MaxConnsStopsTheGenerator) {
   prepopulate_arp(*server, *client);
   tb->sim.run_for(400 * sim::kMillisecond);
   const auto& r = client->gens[0]->report();
-  EXPECT_EQ(r.clean_conns + r.error_conns, 6u);
+  EXPECT_EQ(r.sessions_completed + r.error_conns, 6u);
   EXPECT_EQ(r.committed_requests, 6u * 3u);
-  EXPECT_EQ(client->gens[0]->in_flight_conns(), 0u);
+  EXPECT_EQ(client->gens[0]->in_flight_sessions(), 0u);
 }
 
 TEST_F(AppsFixture, ThinkTimeThrottlesOfferedLoad) {
@@ -88,7 +112,7 @@ TEST_F(AppsFixture, ThinkTimeThrottlesOfferedLoad) {
     co.generators = 1;
     co.concurrency_per_gen = 4;
     client = std::make_unique<ClientRig>(build_client(*tb, co, 1));
-    for (auto& g : client->gens) g->config().think_time = think;
+    for (auto& g : client->gens) g->config().session.think_time = think;
     prepopulate_arp(*server, *client);
     tb->sim.run_for(100 * sim::kMillisecond);
     client->mark();
@@ -115,6 +139,118 @@ TEST_F(AppsFixture, LargerFilesYieldMultiSegmentResponses) {
   EXPECT_GT(r.committed_requests, 100u);
   EXPECT_GT(r.committed_bytes, r.committed_requests * 4000u);
   EXPECT_EQ(r.bad_status, 0u);
+}
+
+TEST_F(AppsFixture, ClosedLoopLatencyIsWireLatency) {
+  build();
+  ClientOptions co;
+  co.generators = 1;
+  co.concurrency_per_gen = 4;
+  co.requests_per_conn = 10;
+  client = std::make_unique<ClientRig>(build_client(*tb, co, 1));
+  prepopulate_arp(*server, *client);
+  tb->sim.run_for(200 * sim::kMillisecond);
+  // Closed users have no schedule: each request is intended when sent, so
+  // connect time and think time stay out of the latency record.
+  const auto& r = client->gens[0]->report();
+  ASSERT_GT(r.latency.count(), 100u);
+  EXPECT_EQ(r.latency.count(), r.raw_latency.count());
+  EXPECT_EQ(r.latency.quantile(0.50), r.raw_latency.quantile(0.50));
+  EXPECT_EQ(r.latency.quantile(0.99), r.raw_latency.quantile(0.99));
+  expect_sessions_conserved(*client->gens[0]);
+}
+
+TEST_F(AppsFixture, FailedClosedSessionsUseHttperfAccounting) {
+  build();
+  server->webs[0]->max_requests_per_conn = 5;
+  ClientOptions co;
+  co.generators = 1;
+  co.concurrency_per_gen = 2;
+  co.requests_per_conn = 100;
+  client = std::make_unique<ClientRig>(build_client(*tb, co, 1));
+  prepopulate_arp(*server, *client);
+  tb->sim.run_for(300 * sim::kMillisecond);
+  const auto& r = client->gens[0]->report();
+  ASSERT_GT(r.sessions_failed, 5u);
+  EXPECT_EQ(r.error_conns, r.sessions_failed);
+  // Every session is cut short, so only the live ones' requests remain
+  // committed; the completed count keeps them all.
+  EXPECT_GE(r.requests_completed, 5u * r.sessions_failed);
+  EXPECT_LE(r.committed_requests, 5u * client->gens[0]->in_flight_sessions());
+  // No lower-bound samples: one latency sample per completed request.
+  EXPECT_EQ(r.latency.count(), r.requests_completed);
+  expect_sessions_conserved(*client->gens[0]);
+}
+
+TEST_F(AppsFixture, ClosedSessionsKilledMidRequestRecordNoLowerBound) {
+  build();
+  ClientOptions co;
+  co.generators = 1;
+  co.concurrency_per_gen = 8;
+  client = std::make_unique<ClientRig>(build_client(*tb, co, 1));
+  prepopulate_arp(*server, *client);
+  tb->sim.run_for(50 * sim::kMillisecond);
+  // The recovered replica knows none of the old connections: requests in
+  // flight at the crash end in resets.
+  server->neat->inject_crash(server->neat->replica(0), Component::kWhole);
+  tb->sim.run_for(400 * sim::kMillisecond);
+  const auto& r = client->gens[0]->report();
+  ASSERT_GT(r.sessions_failed, 0u);
+  EXPECT_EQ(r.error_conns, r.sessions_failed);
+  EXPECT_EQ(r.latency.count(), r.requests_completed);
+  expect_sessions_conserved(*client->gens[0]);
+}
+
+TEST_F(AppsFixture, OpenLoopSessionsAreConserved) {
+  build();
+  server->webs[0]->max_requests_per_conn = 3;
+  wl::OpenLoopClient::Config oc;
+  oc.arrival = wl::ArrivalModel::poisson(4000.0);
+  oc.session.requests_per_session = 4;  // beyond the server's limit
+  oc.session.geometric = true;
+  oc.session.abandon_after = 2 * sim::kMillisecond;
+  wl::OpenLoopClient& c = build_open(oc);
+  for (int i = 0; i < 20; ++i) {
+    tb->sim.run_for(10 * sim::kMillisecond);
+    expect_sessions_conserved(c);
+  }
+  const auto& r = c.report();
+  EXPECT_GT(r.sessions_completed, 0u);
+  EXPECT_GT(r.sessions_failed, 0u);
+  EXPECT_EQ(r.error_conns, r.sessions_failed);
+}
+
+TEST_F(AppsFixture, OpenLoopThinkTimePrecedesTheFirstRequest) {
+  build();
+  wl::OpenLoopClient::Config oc;
+  oc.arrival = wl::ArrivalModel::poisson(1000.0);
+  oc.session.think_time = 50 * sim::kMillisecond;
+  wl::OpenLoopClient& c = build_open(oc);
+  tb->sim.run_for(40 * sim::kMillisecond);
+  EXPECT_GT(c.report().sessions_started, 10u);
+  EXPECT_EQ(c.report().requests_completed, 0u);
+  tb->sim.run_for(60 * sim::kMillisecond);
+  EXPECT_GT(c.report().requests_completed, 0u);
+}
+
+TEST_F(AppsFixture, OpenLoopChecksBodiesAgainstTheExpectedFile) {
+  for (const bool tamper : {false, true}) {
+    build();
+    std::vector<std::uint8_t> want = *server->files->lookup("/file20");
+    if (tamper) want[7] ^= 0xff;
+    wl::OpenLoopClient::Config oc;
+    oc.arrival = wl::ArrivalModel::poisson(2000.0);
+    oc.expect_body = &want;
+    wl::OpenLoopClient& c = build_open(oc);
+    tb->sim.run_for(100 * sim::kMillisecond);
+    ASSERT_GT(c.report().requests_completed, 50u);
+    if (tamper) {
+      EXPECT_GT(c.report().payload_mismatches, 0u);
+    } else {
+      EXPECT_EQ(c.report().payload_mismatches, 0u);
+    }
+    open.reset();  // `want` dies at the end of this iteration
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -393,7 +393,7 @@ TEST(ObsEndToEnd, WorkloadAndCrashPopulateMetricsAndTrace) {
 
   const obs::Registry& reg = tb.sim.metrics();
   for (const char* name :
-       {"http.request_latency_ns", "loadgen.request_latency_ns",
+       {"http.request_latency_ns", "wl.httperf0.request_latency_ns",
         "ipc.queue_delay_ns", "tcp.rtt_ns",
         "recovery.crash_to_detect_ns", "recovery.crash_to_recovered_ns",
         "recovery.crash_to_first_service_ns"}) {
