@@ -51,13 +51,13 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 if [[ "$SKIP_SANITIZE" == 1 ]]; then
   echo "== sanitizer pass skipped =="
 else
-  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_workload / test_udp_e2e / test_defense / test_fleet / test_flat_map / test_tcp / test_nic / test_socklib / test_sim / test_linux / test_apps_harness / ext_perf / ext_workloads / ext_defense / ext_fleet =="
+  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_workload / test_udp_e2e / test_defense / test_fleet / test_flat_map / test_tcp / test_nic / test_socklib / test_sim / test_linux / test_apps_harness / test_replica / ext_perf / ext_workloads / ext_defense / ext_fleet =="
   cmake -B build-asan -S . -DNEAT_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target test_ipc test_obs test_chaos test_fastpath test_workload \
              test_udp_e2e test_defense test_fleet test_flat_map test_tcp \
              test_nic test_socklib test_sim test_linux test_apps_harness \
-             ext_perf ext_workloads ext_defense ext_fleet
+             test_replica ext_perf ext_workloads ext_defense ext_fleet
   ./build-asan/tests/test_ipc
   ./build-asan/tests/test_obs
   ./build-asan/tests/test_chaos
@@ -89,6 +89,10 @@ else
   # this suite ends closed sessions mid-body (keep-alive limit, 404s,
   # max_conns, a replica crash).
   ./build-asan/tests/test_apps_harness
+  # Every stack process stages its egress in a TxStage whose emit callback
+  # captures a bare `this`; this suite crashes and restarts stagers and
+  # runs both replica compositions.
+  ./build-asan/tests/test_replica
   # One short end-to-end pass over the pooled data path under ASan: buffer
   # recycling must be invisible to the sanitizer.
   (cd build-asan/bench && ./ext_perf --quick)

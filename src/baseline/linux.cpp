@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "socklib/conn_events.hpp"
+
 namespace neat::baseline {
 
 // ---------------------------------------------------------------------------
@@ -276,92 +278,47 @@ struct LinuxSockets::LinuxSocket
     : public std::enable_shared_from_this<LinuxSockets::LinuxSocket> {
   // The bell's handler may capture a bare `this`: a ring's delivery holds
   // this socket (its owner) for the handler's duration.
-  LinuxSocket(sim::Process& app, LinuxHost& host, net::TcpSocketPtr t)
+  LinuxSocket(sim::Process& app, LinuxHost& host, net::TcpSocketPtr t,
+              socklib::Fd fd)
       : tcp(std::move(t)),
-        bell(app, host.config().costs.epoll_wake, [this] { dispatch(); }) {}
+        events(app, host.config().costs.epoll_wake,
+               [this] {
+                 if (events.run_pending()) events.deliver_close();
+               },
+               fd) {}
 
-  void init(socklib::ConnCallbacks callbacks, socklib::Fd fd,
-            bool notify_connect) {
-    cb = std::move(callbacks);
-    this_fd = fd;
+  void init(socklib::ConnCallbacks callbacks, bool notify_connect) {
+    using socklib::ConnEvents;
+    events.set_callbacks(std::move(callbacks));
     std::weak_ptr<LinuxSocket> wp = weak_from_this();
     net::TcpSocket::Callbacks tcb;
     if (notify_connect) {
       tcb.on_established = [wp] {
-        if (auto s = wp.lock()) s->raise(1);
+        if (auto s = wp.lock()) s->raise(ConnEvents::kConnected);
       };
     }
     tcb.on_readable = [wp] {
-      if (auto s = wp.lock()) s->raise(2);
+      if (auto s = wp.lock()) s->raise(ConnEvents::kReadable);
     };
     tcb.on_writable = [wp] {
-      if (auto s = wp.lock()) s->raise(4);
+      if (auto s = wp.lock()) s->raise(ConnEvents::kWritable);
     };
     tcb.on_closed = [wp](net::TcpCloseReason r) {
-      auto s = wp.lock();
-      if (!s) return;
-      s->reason = r;
-      s->raise(8);
+      if (auto s = wp.lock()) {
+        s->events.raise_closed(socklib::to_close_reason(r), s);
+      }
     };
     tcp->set_callbacks(std::move(tcb));
     // Data (or a close) may have raced ahead of accept(): deliver the edge
     // that fired before callbacks were installed.
-    if (tcp->readable() > 0 || tcp->eof()) raise(2);
-    if (tcp->state() == net::TcpState::kClosed) raise(8);
+    if (tcp->readable() > 0 || tcp->eof()) raise(ConnEvents::kReadable);
+    if (tcp->state() == net::TcpState::kClosed) raise(ConnEvents::kClosed);
   }
 
-  void raise(std::uint32_t bits) {
-    pending |= bits;
-    bell.ring(weak_from_this());
-  }
-
-  void dispatch() {
-    const std::uint32_t ev = pending;
-    pending = 0;
-    // A handler may reenter close(), which clears cb: run each callable
-    // from local storage so the executing closure cannot be destroyed
-    // mid-call, restoring it only if cb was not swapped while it ran.
-    const auto run = [this](sim::Callback<void(socklib::Fd)>& slot) {
-      if (!slot) return;
-      const std::uint64_t gen = cb_gen;
-      auto fn = std::move(slot);
-      fn(this_fd);
-      if (cb_gen == gen) slot = std::move(fn);
-    };
-    if (ev & 1) run(cb.on_connected);
-    if (ev & 2) run(cb.on_readable);
-    if (ev & 4) run(cb.on_writable);
-    if ((ev & 8) && cb.on_closed && !closed_delivered) {
-      closed_delivered = true;
-      auto on_closed = std::move(cb.on_closed);  // final event: no restore
-      on_closed(this_fd, [this] {
-        switch (reason) {
-          case net::TcpCloseReason::kNormal:
-            return socklib::CloseReason::kNormal;
-          case net::TcpCloseReason::kReset:
-            return socklib::CloseReason::kReset;
-          case net::TcpCloseReason::kTimeout:
-            return socklib::CloseReason::kTimeout;
-          case net::TcpCloseReason::kRefused:
-            return socklib::CloseReason::kRefused;
-          case net::TcpCloseReason::kStackFailure:
-            return socklib::CloseReason::kStackFailure;
-        }
-        return socklib::CloseReason::kNormal;
-      }());
-    }
-  }
+  void raise(std::uint8_t bits) { events.raise(bits, weak_from_this()); }
 
   net::TcpSocketPtr tcp;
-  ipc::Doorbell bell;
-  socklib::ConnCallbacks cb;
-  /// Bumped whenever cb is replaced; dispatch() checks it before restoring
-  /// a callable it moved out for the duration of the call.
-  std::uint64_t cb_gen{0};
-  socklib::Fd this_fd{socklib::kBadFd};
-  std::uint32_t pending{0};
-  net::TcpCloseReason reason{net::TcpCloseReason::kNormal};
-  bool closed_delivered{false};
+  socklib::ConnEvents events;
 };
 
 LinuxSockets::LinuxSockets(sim::Process& app, LinuxHost& host,
@@ -420,8 +377,8 @@ socklib::Fd LinuxSockets::wire(net::TcpSocketPtr tcp,
                                socklib::ConnCallbacks cb,
                                bool notify_connect) {
   const socklib::Fd fd = next_fd_++;
-  auto sock = std::make_shared<LinuxSocket>(app_, host_, std::move(tcp));
-  sock->init(std::move(cb), fd, notify_connect);
+  auto sock = std::make_shared<LinuxSocket>(app_, host_, std::move(tcp), fd);
+  sock->init(std::move(cb), notify_connect);
   conns_.emplace(fd, std::move(sock));
   return fd;
 }
@@ -472,8 +429,7 @@ bool LinuxSockets::eof(socklib::Fd fd) const {
 void LinuxSockets::close(socklib::Fd fd) {
   if (auto it = conns_.find(fd); it != conns_.end()) {
     charge(host_.config().costs.sys_close, 2);
-    it->second->cb = {};
-    ++it->second->cb_gen;
+    it->second->events.set_callbacks({});
     host_.set_current(&app_);
     it->second->tcp->close();
     host_.set_current(nullptr);

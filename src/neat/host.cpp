@@ -60,13 +60,13 @@ StackReplica& NeatHost::add_replica(
   if (config_.kind == Config::Kind::kSingle) {
     auto r = std::make_unique<SingleComponentReplica>(
         sim_, id, queue, *driver_, nic_.mac(), nic_.ip(), config_.costs,
-        config_.tcp, config_.hub);
+        config_.tcp, hub());
     r->pin(*pins[0]);
     rep = std::move(r);
   } else {
     auto r = std::make_unique<MultiComponentReplica>(
         sim_, id, queue, *driver_, nic_.mac(), nic_.ip(), config_.costs,
-        config_.tcp, config_.hub);
+        config_.tcp, hub());
     sim::HwThread* tcp_pin = pins[0];
     sim::HwThread* ip_pin = pins.size() > 1 ? pins[1] : pins[0];
     sim::HwThread* udp_pin = pins.size() > 2 ? pins[2] : ip_pin;

@@ -19,6 +19,22 @@ void deferred_filter_install(drv::NicDriver* driver, const net::FlowKey& key,
       [driver, key, queue] { driver->nic().add_flow_filter(key, queue); });
 }
 
+/// Packet-filter consultation, free when no rules are installed. Both
+/// compositions apply it to every datagram the IP layer hands up.
+bool pf_pass(const net::PacketFilter& pf, const net::Ipv4Header& hdr,
+             const net::Packet& payload) {
+  if (pf.rule_count() == 0) return true;
+  std::uint16_t sport = 0;
+  std::uint16_t dport = 0;
+  const auto b = payload.bytes();
+  if ((hdr.proto == net::IpProto::kTcp || hdr.proto == net::IpProto::kUdp) &&
+      b.size() >= 4) {
+    sport = static_cast<std::uint16_t>(b[0] << 8 | b[1]);
+    dport = static_cast<std::uint16_t>(b[2] << 8 | b[3]);
+  }
+  return pf.accept(hdr.proto, hdr.src, hdr.dst, sport, dport);
+}
+
 }  // namespace
 
 const char* to_string(Component c) {
@@ -40,7 +56,11 @@ IpLayer::IpLayer(net::MacAddr mac, net::Ipv4Addr ip, FrameTx tx_frame)
     : mac_(mac),
       ip_(ip),
       tx_frame_(std::move(tx_frame)),
-      arp_(mac, ip, [this](const net::ArpMessage& m, net::MacAddr dst) {
+      arp_(make_arp()) {}
+
+net::ArpResolver IpLayer::make_arp() {
+  return net::ArpResolver(
+      mac_, ip_, [this](const net::ArpMessage& m, net::MacAddr dst) {
         auto pkt = m.encode();
         net::EthernetHeader eth;
         eth.src = mac_;
@@ -48,7 +68,8 @@ IpLayer::IpLayer(net::MacAddr mac, net::Ipv4Addr ip, FrameTx tx_frame)
         eth.type = net::EtherType::kArp;
         eth.encode(*pkt);
         tx_frame_(std::move(pkt));
-      }) {}
+      });
+}
 
 void IpLayer::send(net::PacketPtr payload, net::IpProto proto,
                    net::Ipv4Addr src, net::Ipv4Addr dst) {
@@ -112,19 +133,65 @@ std::optional<IpLayer::Decoded> IpLayer::rx_frame(
   return Decoded{complete->header, complete->payload};
 }
 
+void IpLayer::answer_echo(const net::Ipv4Header& hdr, net::Packet& payload) {
+  auto icmp = net::IcmpMessage::decode(payload);
+  if (!icmp || icmp->type != net::IcmpMessage::Type::kEchoRequest) return;
+  auto reply = net::Packet::of(payload.bytes());
+  net::IcmpMessage r = *icmp;
+  r.type = net::IcmpMessage::Type::kEchoReply;
+  r.encode(*reply);
+  send(std::move(reply), net::IpProto::kIcmp, hdr.dst, hdr.src);
+}
+
 void IpLayer::reset() {
-  arp_ = net::ArpResolver(
-      mac_, ip_, [this](const net::ArpMessage& m, net::MacAddr dst) {
-        auto pkt = m.encode();
-        net::EthernetHeader eth;
-        eth.src = mac_;
-        eth.dst = dst;
-        eth.type = net::EtherType::kArp;
-        eth.encode(*pkt);
-        tx_frame_(std::move(pkt));
-      });
+  arp_ = make_arp();
   reasm_.expire_all();
   ident_ = 1;
+}
+
+// ---------------------------------------------------------------------------
+// TxStage
+// ---------------------------------------------------------------------------
+
+void TxStage::add(StagedTx tx, sim::Cycles cost) {
+  if (proc_.crashed()) return;
+  stage_.push_back(std::move(tx));
+  if (armed_) {
+    rest_cost_ += cost;
+  } else {
+    armed_ = true;
+    proc_.post(cost, [this] { flush(); });
+  }
+}
+
+void TxStage::flush() {
+  armed_ = false;
+  if (const sim::Cycles rest = std::exchange(rest_cost_, sim::Cycles{0});
+      rest > 0) {
+    proc_.post(rest, [] {});  // CPU time for packets 2..N of the burst
+  }
+  if (stage_.empty()) return;
+  // Stage into the spare buffer while this burst drains (emit may stage
+  // again), then keep the drained one as the next spare: neither
+  // reallocates across bursts.
+  auto stage = std::exchange(stage_, std::move(spare_));
+  for (auto& s : stage) {
+    if (s.proto == net::IpProto::kUdp) {
+      net::UdpHeader uh;
+      uh.src_port = s.src_port;
+      uh.dst_port = s.dst_port;
+      uh.encode(*s.pkt, s.src, s.dst);
+    }
+    emit_(std::move(s));
+  }
+  stage.clear();
+  spare_ = std::move(stage);
+}
+
+void TxStage::clear() {
+  stage_.clear();
+  rest_cost_ = 0;
+  armed_ = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -134,7 +201,7 @@ void IpLayer::reset() {
 SingleComponentReplica::SingleComponentReplica(
     sim::Simulator& sim, int id, int queue, drv::NicDriver& driver,
     net::MacAddr mac, net::Ipv4Addr ip, StackCosts costs,
-    net::TcpConfig tcp_cfg, obs::Hub* hub)
+    net::TcpConfig tcp_cfg, obs::Hub& hub)
     : sim::Process(sim, "neat" + std::to_string(id)),
       StackReplica(id, queue,
                    sim.rng().split(0xa5172 + static_cast<std::uint64_t>(id))()),
@@ -150,7 +217,17 @@ SingleComponentReplica::SingleComponentReplica(
           },
           [this](net::PacketPtr&& p) { handle_frame(std::move(p)); }),
       ip_(mac, ip, [this](net::PacketPtr f) { tx_port_(std::move(f)); }),
-      tcp_stack_(*this, ip, tcp_cfg) {
+      tcp_stack_(*this, ip, tcp_cfg),
+      tx_(*this, [this](StagedTx&& s) {
+        if (s.proto == net::IpProto::kTcp && s.dst == ip_.ip()) {
+          // Loopback: each replica implements its own loopback device
+          // (§3.3).
+          handle_ip(net::Ipv4Header{s.src, s.dst, net::IpProto::kTcp},
+                    std::move(s.pkt));
+          return;
+        }
+        ip_.send(std::move(s.pkt), s.proto, s.src, s.dst);
+      }) {
   // Burst mode: one channel delivery job hands the whole frame batch over;
   // TCP segments are regrouped and consumed by TcpStack::rx_batch with
   // per-burst (not per-frame) bookkeeping.
@@ -167,54 +244,10 @@ sim::EventHandle SingleComponentReplica::start_timer(
 
 void SingleComponentReplica::tx(net::PacketPtr segment, net::Ipv4Addr src,
                                 net::Ipv4Addr dst) {
-  if (crashed()) return;
-  // Charge segment-construction cost in our own context. The segment is
-  // staged now and emitted by flush_tx() when the burst's first tx job
-  // completes: by then the enclosing job (an rx_batch, a timer) has staged
-  // the whole burst, so it leaves at ONE virtual instant and downstream
-  // flush windows see it as one batch. Only the first packet posts a job;
-  // the rest accumulate cost that the flush charges in one accounting job
-  // (see StagedTx).
+  // Segment construction is charged in our own context (see TxStage).
   const sim::Cycles c =
       costs_.single_tx_base + costs_.bytes_cost(segment->size());
-  tx_stage_.push_back({std::move(segment), src, dst, net::IpProto::kTcp, 0, 0});
-  if (tx_flush_armed_) {
-    tx_stage_cost_ += c;
-  } else {
-    tx_flush_armed_ = true;
-    post(c, [this] { flush_tx(); });
-  }
-}
-
-void SingleComponentReplica::flush_tx() {
-  tx_flush_armed_ = false;
-  if (const sim::Cycles rest = std::exchange(tx_stage_cost_, sim::Cycles{0});
-      rest > 0) {
-    post(rest, [] {});  // CPU time for packets 2..N of the burst
-  }
-  if (tx_stage_.empty()) return;
-  // Stage into the spare buffer while this burst drains, then keep the
-  // drained one as the next spare: neither reallocates across bursts.
-  auto stage = std::exchange(tx_stage_, std::move(tx_spare_));
-  for (auto& s : stage) {
-    if (s.proto == net::IpProto::kUdp) {
-      net::UdpHeader uh;
-      uh.src_port = s.src_port;
-      uh.dst_port = s.dst_port;
-      uh.encode(*s.pkt, s.src, s.dst);
-      ip_.send(std::move(s.pkt), net::IpProto::kUdp, s.src, s.dst);
-      continue;
-    }
-    if (s.dst == ip_.ip()) {
-      // Loopback: each replica implements its own loopback device (§3.3).
-      handle_ip(net::Ipv4Header{s.src, s.dst, net::IpProto::kTcp},
-                std::move(s.pkt));
-      continue;
-    }
-    ip_.send(std::move(s.pkt), net::IpProto::kTcp, s.src, s.dst);
-  }
-  stage.clear();
-  tx_spare_ = std::move(stage);
+  tx_.add({std::move(segment), src, dst, net::IpProto::kTcp, 0, 0}, c);
 }
 
 void SingleComponentReplica::handle_frame(net::PacketPtr frame) {
@@ -235,7 +268,7 @@ void SingleComponentReplica::handle_frame_batch(
     auto decoded = ip_.rx_frame(f);
     if (!decoded) continue;
     if (decoded->hdr.proto == net::IpProto::kTcp) {
-      if (!pf_pass(decoded->hdr, *decoded->payload)) continue;
+      if (!pf_pass(pf_, decoded->hdr, *decoded->payload)) continue;
       segs.push_back({decoded->hdr.src, decoded->hdr.dst,
                       std::move(decoded->payload)});
     } else {
@@ -248,24 +281,9 @@ void SingleComponentReplica::handle_frame_batch(
   });
 }
 
-bool SingleComponentReplica::pf_pass(const net::Ipv4Header& hdr,
-                                     const net::Packet& payload) const {
-  // Packet filter consultation is free when no rules are installed.
-  if (pf_.rule_count() == 0) return true;
-  std::uint16_t sport = 0;
-  std::uint16_t dport = 0;
-  const auto b = payload.bytes();
-  if ((hdr.proto == net::IpProto::kTcp || hdr.proto == net::IpProto::kUdp) &&
-      b.size() >= 4) {
-    sport = static_cast<std::uint16_t>(b[0] << 8 | b[1]);
-    dport = static_cast<std::uint16_t>(b[2] << 8 | b[3]);
-  }
-  return pf_.accept(hdr.proto, hdr.src, hdr.dst, sport, dport);
-}
-
 void SingleComponentReplica::handle_ip(const net::Ipv4Header& hdr,
                                        net::PacketPtr payload) {
-  if (!pf_pass(hdr, *payload)) return;
+  if (!pf_pass(pf_, hdr, *payload)) return;
   switch (hdr.proto) {
     case net::IpProto::kTcp:
       tcp_stack_.rx(hdr.src, hdr.dst, std::move(payload));
@@ -275,33 +293,19 @@ void SingleComponentReplica::handle_ip(const net::Ipv4Header& hdr,
       if (uh) udp_.deliver(*uh, hdr.src, hdr.dst, std::move(payload));
       break;
     }
-    case net::IpProto::kIcmp: {
-      auto icmp = net::IcmpMessage::decode(*payload);
-      if (icmp && icmp->type == net::IcmpMessage::Type::kEchoRequest) {
-        auto reply = net::Packet::of(payload->bytes());
-        net::IcmpMessage r = *icmp;
-        r.type = net::IcmpMessage::Type::kEchoReply;
-        r.encode(*reply);
-        ip_.send(std::move(reply), net::IpProto::kIcmp, hdr.dst, hdr.src);
-      }
+    case net::IpProto::kIcmp:
+      ip_.answer_echo(hdr, *payload);
       break;
-    }
   }
 }
 
 void SingleComponentReplica::udp_tx(net::PacketPtr payload,
                                     std::uint16_t src_port, net::SockAddr to) {
-  if (crashed()) return;
   const sim::Cycles c =
       costs_.udp_per_packet + costs_.bytes_cost(payload->size());
-  tx_stage_.push_back({std::move(payload), ip_.ip(), to.ip,
-                       net::IpProto::kUdp, src_port, to.port});
-  if (tx_flush_armed_) {
-    tx_stage_cost_ += c;
-  } else {
-    tx_flush_armed_ = true;
-    post(c, [this] { flush_tx(); });
-  }
+  tx_.add({std::move(payload), ip_.ip(), to.ip, net::IpProto::kUdp, src_port,
+           to.port},
+          c);
 }
 
 void SingleComponentReplica::on_flow_established(const net::FlowKey& key) {
@@ -313,9 +317,7 @@ void SingleComponentReplica::on_crash() {
   tcp_stack_.destroy_all_state();
   ip_.reset();
   udp_.clear();
-  tx_stage_.clear();  // staged egress dies with the process
-  tx_stage_cost_ = 0;
-  tx_flush_armed_ = false;  // the queued flush job died with the process
+  tx_.clear();  // staged egress dies with the process
 }
 
 void SingleComponentReplica::reset_after_restart(Component) {
@@ -323,9 +325,6 @@ void SingleComponentReplica::reset_after_restart(Component) {
   ip_.reset();
   udp_.clear();
   pf_.clear();
-  tx_stage_.clear();
-  tx_stage_cost_ = 0;
-  tx_flush_armed_ = false;
   rerandomize_layout();  // a fresh process image -> fresh ASLR layout
 }
 
@@ -340,7 +339,20 @@ TcpComponent::TcpComponent(sim::Simulator& sim, MultiComponentReplica& owner,
       owner_(owner),
       costs_(costs),
       rng_(sim.rng().split(0x7c9 + static_cast<std::uint64_t>(owner.id()))),
-      tcp_stack_(*this, ip, cfg) {}
+      tcp_stack_(*this, ip, cfg),
+      tx_(*this, [this](StagedTx&& s) {
+        if (s.dst == tcp_stack_.local_ip()) {
+          // Loopback short-circuits inside the TCP component.
+          post(costs_.tcp_rx_base + costs_.bytes_cost(s.pkt->size()),
+               [this, seg = std::move(s.pkt), src = s.src,
+                dst = s.dst]() mutable {
+                 tcp_stack_.rx(src, dst, std::move(seg));
+               });
+          return;
+        }
+        owner_.tcp_to_ip_->send(MultiComponentReplica::TcpToIp{
+            std::move(s.pkt), s.src, s.dst, net::IpProto::kTcp});
+      }) {}
 
 sim::EventHandle TcpComponent::start_timer(sim::SimTime delay,
                                            std::function<void()> fn) {
@@ -349,61 +361,19 @@ sim::EventHandle TcpComponent::start_timer(sim::SimTime delay,
 
 void TcpComponent::tx(net::PacketPtr segment, net::Ipv4Addr src,
                       net::Ipv4Addr dst) {
-  if (crashed()) return;
-  // Stage now, emit when the burst's first tx job completes — the whole
-  // burst is staged by then and leaves at one instant, so the tcp->ip
-  // channel's flush window sees it as one batch. Later packets of the
-  // burst skip the job and just accumulate cost (see StagedTx).
   const sim::Cycles c = costs_.tcp_tx_base + costs_.bytes_cost(segment->size());
-  tx_stage_.push_back({std::move(segment), src, dst, net::IpProto::kTcp, 0, 0});
-  if (tx_flush_armed_) {
-    tx_stage_cost_ += c;
-  } else {
-    tx_flush_armed_ = true;
-    post(c, [this] { flush_tx(); });
-  }
-}
-
-void TcpComponent::flush_tx() {
-  tx_flush_armed_ = false;
-  if (const sim::Cycles rest = std::exchange(tx_stage_cost_, sim::Cycles{0});
-      rest > 0) {
-    post(rest, [] {});  // CPU time for packets 2..N of the burst
-  }
-  if (tx_stage_.empty()) return;
-  // Stage into the spare buffer while this burst drains, then keep the
-  // drained one as the next spare: neither reallocates across bursts.
-  auto stage = std::exchange(tx_stage_, std::move(tx_spare_));
-  for (auto& s : stage) {
-    if (s.dst == tcp_stack_.local_ip()) {
-      // Loopback short-circuits inside the TCP component.
-      post(costs_.tcp_rx_base + costs_.bytes_cost(s.pkt->size()),
-           [this, seg = std::move(s.pkt), src = s.src, dst = s.dst]() mutable {
-             tcp_stack_.rx(src, dst, std::move(seg));
-           });
-      continue;
-    }
-    owner_.tcp_to_ip_->send(MultiComponentReplica::TcpToIp{
-        std::move(s.pkt), s.src, s.dst, net::IpProto::kTcp});
-  }
-  stage.clear();
-  tx_spare_ = std::move(stage);
+  tx_.add({std::move(segment), src, dst, net::IpProto::kTcp, 0, 0}, c);
 }
 
 void TcpComponent::on_flow_established(const net::FlowKey& key) {
   deferred_filter_install(owner_.driver_, key, owner_.queue());
 }
 
-obs::Hub* TcpComponent::obs_hub() {
-  obs::Hub* hub = owner_.hub_override();
-  return hub != nullptr ? hub : &sim().obs();
-}
+obs::Hub* TcpComponent::obs_hub() { return &owner_.hub_; }
 
 void TcpComponent::on_crash() {
   tcp_stack_.destroy_all_state();
-  tx_stage_.clear();  // staged egress dies with the process
-  tx_stage_cost_ = 0;
-  tx_flush_armed_ = false;  // the queued flush job died with the process
+  tx_.clear();  // staged egress dies with the process
 }
 
 IpComponent::IpComponent(sim::Simulator& sim, MultiComponentReplica& owner,
@@ -424,6 +394,7 @@ void IpComponent::handle_frame(net::PacketPtr frame) {
   auto decoded = ip_.rx_frame(frame);
   if (!decoded) return;
   const auto& hdr = decoded->hdr;
+  if (!pf_pass(owner_.pf_proc_->filter(), hdr, *decoded->payload)) return;
   switch (hdr.proto) {
     case net::IpProto::kTcp:
       owner_.ip_to_tcp_->send(MultiComponentReplica::IpToTcp{
@@ -433,17 +404,9 @@ void IpComponent::handle_frame(net::PacketPtr frame) {
       owner_.ip_to_udp_->send(MultiComponentReplica::IpToTcp{
           hdr.src, hdr.dst, std::move(decoded->payload)});
       break;
-    case net::IpProto::kIcmp: {
-      auto icmp = net::IcmpMessage::decode(*decoded->payload);
-      if (icmp && icmp->type == net::IcmpMessage::Type::kEchoRequest) {
-        auto reply = net::Packet::of(decoded->payload->bytes());
-        net::IcmpMessage r = *icmp;
-        r.type = net::IcmpMessage::Type::kEchoReply;
-        r.encode(*reply);
-        ip_.send(std::move(reply), net::IpProto::kIcmp, hdr.dst, hdr.src);
-      }
+    case net::IpProto::kIcmp:
+      ip_.answer_echo(hdr, *decoded->payload);
       break;
-    }
   }
 }
 
@@ -452,9 +415,13 @@ void IpComponent::on_restart() { ip_.reset(); }
 
 UdpComponent::UdpComponent(sim::Simulator& sim, MultiComponentReplica& owner,
                            std::string name)
-    : sim::Process(sim, std::move(name)), owner_(owner) {
-  (void)owner_;
-}
+    : sim::Process(sim, std::move(name)),
+      // Reuses the transport→IP channel; the IP component pays its usual
+      // TX cost and encapsulates in its own context.
+      tx_(*this, [&owner](StagedTx&& s) {
+        owner.tcp_to_ip_->send(MultiComponentReplica::TcpToIp{
+            std::move(s.pkt), s.src, s.dst, net::IpProto::kUdp});
+      }) {}
 
 FilterComponent::FilterComponent(sim::Simulator& sim, std::string name)
     : sim::Process(sim, std::move(name)) {}
@@ -462,7 +429,7 @@ FilterComponent::FilterComponent(sim::Simulator& sim, std::string name)
 MultiComponentReplica::MultiComponentReplica(
     sim::Simulator& sim, int id, int queue, drv::NicDriver& driver,
     net::MacAddr mac, net::Ipv4Addr ip, StackCosts costs,
-    net::TcpConfig tcp_cfg, obs::Hub* hub)
+    net::TcpConfig tcp_cfg, obs::Hub& hub)
     : StackReplica(id, queue,
                    sim.rng().split(0xa5173 + static_cast<std::uint64_t>(id))()),
       costs_(costs),
@@ -505,15 +472,6 @@ MultiComponentReplica::MultiComponentReplica(
         auto uh = net::UdpHeader::decode(*m.seg, m.src, m.dst);
         if (uh) udp_proc_->mux().deliver(*uh, m.src, m.dst, std::move(m.seg));
       });
-  // UDP consumes bursts too: one delivery job drains the whole batch.
-  ip_to_udp_->set_batch_handler([this](std::vector<IpToTcp>&& batch) {
-    const auto ep = udp_proc_->epoch();
-    for (auto& m : batch) {
-      if (udp_proc_->crashed() || udp_proc_->epoch() != ep) break;
-      auto uh = net::UdpHeader::decode(*m.seg, m.src, m.dst);
-      if (uh) udp_proc_->mux().deliver(*uh, m.src, m.dst, std::move(m.seg));
-    }
-  });
 
   tcp_to_ip_ = std::make_unique<ipc::Channel<TcpToIp>>(
       *ip_proc_, 2048, ipc::kDefaultChannelLatency,
@@ -527,38 +485,11 @@ MultiComponentReplica::MultiComponentReplica(
 
 void MultiComponentReplica::udp_tx(net::PacketPtr payload,
                                    std::uint16_t src_port, net::SockAddr to) {
-  if (udp_proc_->crashed()) return;
   const sim::Cycles c =
       costs_.udp_per_packet + costs_.bytes_cost(payload->size());
-  udp_stage_.push_back({std::move(payload), ip_proc_->layer().ip(), to.ip,
-                        net::IpProto::kUdp, src_port, to.port});
-  if (udp_flush_armed_) {
-    udp_stage_cost_ += c;
-  } else {
-    udp_flush_armed_ = true;
-    udp_proc_->post(c, [this] { flush_udp_tx(); });
-  }
-}
-
-void MultiComponentReplica::flush_udp_tx() {
-  udp_flush_armed_ = false;
-  if (const sim::Cycles rest = std::exchange(udp_stage_cost_, sim::Cycles{0});
-      rest > 0) {
-    udp_proc_->post(rest, [] {});  // CPU time for datagrams 2..N of the burst
-  }
-  if (udp_stage_.empty()) return;
-  auto stage = std::move(udp_stage_);
-  udp_stage_.clear();
-  for (auto& s : stage) {
-    net::UdpHeader uh;
-    uh.src_port = s.src_port;
-    uh.dst_port = s.dst_port;
-    uh.encode(*s.pkt, s.src, s.dst);
-    // Reuses the transport→IP channel; the IP component pays its usual TX
-    // cost and encapsulates in its own context.
-    tcp_to_ip_->send(TcpToIp{std::move(s.pkt), s.src, s.dst,
-                             net::IpProto::kUdp});
-  }
+  udp_proc_->tx().add({std::move(payload), ip_proc_->layer().ip(), to.ip,
+                       net::IpProto::kUdp, src_port, to.port},
+                      c);
 }
 
 std::vector<sim::Process*> MultiComponentReplica::processes() {
@@ -592,9 +523,6 @@ void MultiComponentReplica::reset_after_restart(Component which) {
       break;
     case Component::kUdp:
       udp_proc_->mux().clear();
-      udp_stage_.clear();
-      udp_stage_cost_ = 0;
-      udp_flush_armed_ = false;
       ip_to_udp_->rebind(*udp_proc_);
       break;
     case Component::kFilter:

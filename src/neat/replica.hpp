@@ -61,6 +61,10 @@ class IpLayer {
   /// IPv4 datagram (post-reassembly) is returned.
   std::optional<Decoded> rx_frame(const net::PacketPtr& frame);
 
+  /// Reply to `payload` if it is an ICMP echo request (`hdr` is the
+  /// datagram's IP header). Consumes the ICMP header.
+  void answer_echo(const net::Ipv4Header& hdr, net::Packet& payload);
+
   [[nodiscard]] net::ArpResolver& arp() { return arp_; }
   [[nodiscard]] net::Ipv4Addr ip() const { return ip_; }
   [[nodiscard]] net::MacAddr mac() const { return mac_; }
@@ -69,6 +73,9 @@ class IpLayer {
   void reset();
 
  private:
+  /// A resolver whose requests and replies leave through tx_frame_.
+  [[nodiscard]] net::ArpResolver make_arp();
+
   net::MacAddr mac_;
   net::Ipv4Addr ip_;
   FrameTx tx_frame_;
@@ -140,16 +147,7 @@ class StackReplica {
   std::uint64_t aslr_layout_{0};
 };
 
-/// One staged egress packet. Outgoing segments are staged as they are
-/// produced and emitted together when the burst's FIRST tx job completes:
-/// by then the enclosing job (an rx_batch, a timer tick) has staged the
-/// whole burst, so all packets leave at ONE virtual instant — the
-/// downstream channel and NIC flush windows see whole bursts instead of
-/// ~2-message slivers. Only the first packet of a burst posts a flush job;
-/// the rest just accumulate their construction cost, which the flush
-/// charges in a single follow-up accounting job. A burst of N packets thus
-/// costs 2 jobs instead of N (1 for N == 1), with the process's busy time
-/// unchanged. For UDP entries the header is encoded at flush time.
+/// One staged egress packet (see TxStage).
 struct StagedTx {
   net::PacketPtr pkt;
   net::Ipv4Addr src;
@@ -157,6 +155,47 @@ struct StagedTx {
   net::IpProto proto{net::IpProto::kTcp};
   std::uint16_t src_port{0};  ///< UDP only
   std::uint16_t dst_port{0};  ///< UDP only
+};
+
+/// Egress staging of one stack process. Outgoing packets are staged as
+/// they are produced and emitted together when the burst's FIRST job
+/// completes: by then the enclosing job (an rx_batch, a timer tick) has
+/// staged the whole burst, so all packets leave at ONE virtual instant —
+/// the downstream channel and NIC flush windows see whole bursts instead
+/// of ~2-message slivers. Only the first packet of a burst posts the flush
+/// job, carrying its own cost; the rest just accumulate theirs, which the
+/// flush charges first, in a single accounting job. A burst of N packets
+/// thus costs 2 jobs instead of N (1 for N == 1), with the process's busy
+/// time unchanged. The flush encodes the UDP header of UDP entries, then
+/// hands every entry to `emit` in stage order; `emit` does the owner's
+/// routing only.
+class TxStage {
+ public:
+  /// `emit` may capture a bare owner `this`: the stage is its member.
+  using Emit = sim::Callback<void(StagedTx&&)>;
+
+  TxStage(sim::Process& proc, Emit emit)
+      : proc_(proc), emit_(std::move(emit)) {}
+
+  TxStage(const TxStage&) = delete;
+  TxStage& operator=(const TxStage&) = delete;
+
+  /// Stage `tx`, whose construction takes `cost` cycles of the process.
+  /// A crashed process stages nothing.
+  void add(StagedTx tx, sim::Cycles cost);
+
+  /// Forget the staged burst: its queued flush job died with the process.
+  void clear();
+
+ private:
+  void flush();
+
+  sim::Process& proc_;
+  Emit emit_;
+  std::vector<StagedTx> stage_;
+  std::vector<StagedTx> spare_;  ///< stage_'s twin while it drains
+  sim::Cycles rest_cost_{0};     ///< cost of staged packets after the first
+  bool armed_{false};            ///< a flush job is already queued
 };
 
 // ---------------------------------------------------------------------------
@@ -167,12 +206,11 @@ class SingleComponentReplica final : public sim::Process,
                                      public net::TcpEnv,
                                      public StackReplica {
  public:
-  /// `hub` overrides the simulator-global obs hub (per-host metric
-  /// namespaces in a fleet); nullptr keeps the global one.
+  /// `hub` is the owning host's (NeatHost::hub()).
   SingleComponentReplica(sim::Simulator& sim, int id, int queue,
                          drv::NicDriver& driver, net::MacAddr mac,
                          net::Ipv4Addr ip, StackCosts costs,
-                         net::TcpConfig tcp_cfg, obs::Hub* hub = nullptr);
+                         net::TcpConfig tcp_cfg, obs::Hub& hub);
 
   // StackReplica
   net::TcpStack& tcp() override { return tcp_stack_; }
@@ -197,9 +235,7 @@ class SingleComponentReplica final : public sim::Process,
   std::uint32_t random_u32() override {
     return static_cast<std::uint32_t>(rng_());
   }
-  obs::Hub* obs_hub() override {
-    return hub_ != nullptr ? hub_ : &sim().obs();
-  }
+  obs::Hub* obs_hub() override { return &hub_; }
   void on_flow_established(const net::FlowKey& key) override;
 
   [[nodiscard]] IpLayer& ip_layer() { return ip_; }
@@ -211,19 +247,10 @@ class SingleComponentReplica final : public sim::Process,
   void handle_frame(net::PacketPtr frame);
   void handle_frame_batch(std::vector<net::PacketPtr>&& frames);
   void handle_ip(const net::Ipv4Header& hdr, net::PacketPtr payload);
-  [[nodiscard]] bool pf_pass(const net::Ipv4Header& hdr,
-                             const net::Packet& payload) const;
-  /// Emit every staged egress packet (runs when the burst's first tx job
-  /// completes; charges the rest of the burst's accumulated cost).
-  void flush_tx();
 
-  std::vector<StagedTx> tx_stage_;
-  std::vector<StagedTx> tx_spare_;  ///< tx_stage_'s twin while it drains
-  sim::Cycles tx_stage_cost_{0};  ///< cost of staged packets after the first
-  bool tx_flush_armed_{false};    ///< a flush_tx job is already queued
   StackCosts costs_;
   sim::Rng rng_;
-  obs::Hub* hub_;  // per-host hub override; nullptr = simulator-global
+  obs::Hub& hub_;
   drv::NicDriver* driver_;  // deferred-filter installs go through here
   drv::NicDriver::TxPort tx_port_;     // → driver (or NIC, when offloaded)
   ipc::Channel<net::PacketPtr> rx_ch_;  // driver → this
@@ -231,6 +258,7 @@ class SingleComponentReplica final : public sim::Process,
   net::TcpStack tcp_stack_;
   net::UdpMux udp_;
   net::PacketFilter pf_;
+  TxStage tx_;  // TCP segments and UDP datagrams alike
 };
 
 // ---------------------------------------------------------------------------
@@ -264,18 +292,11 @@ class TcpComponent final : public sim::Process, public net::TcpEnv {
   void on_crash() override;
 
  private:
-  /// Emit every staged segment (runs when the burst's first tx job
-  /// completes; charges the rest of the burst's accumulated cost).
-  void flush_tx();
-
   MultiComponentReplica& owner_;
   StackCosts costs_;
   sim::Rng rng_;
   net::TcpStack tcp_stack_;
-  std::vector<StagedTx> tx_stage_;
-  std::vector<StagedTx> tx_spare_;  ///< tx_stage_'s twin while it drains
-  sim::Cycles tx_stage_cost_{0};  ///< cost of staged packets after the first
-  bool tx_flush_armed_{false};    ///< a flush_tx job is already queued
+  TxStage tx_;
 };
 
 /// The IP process: eth/ARP/IP handling between the driver and transports.
@@ -314,15 +335,21 @@ class UdpComponent final : public sim::Process {
   UdpComponent(sim::Simulator& sim, MultiComponentReplica& owner,
                std::string name);
   [[nodiscard]] net::UdpMux& mux() { return mux_; }
+  /// Outgoing datagrams, staged in this process and handed to IP.
+  [[nodiscard]] TxStage& tx() { return tx_; }
 
  protected:
-  /// Port bindings are soft state: they die with the process. The host
-  /// replays the durable bind registry after recovery.
-  void on_crash() override { mux_.clear(); }
+  /// Port bindings are soft state: they die with the process, and so do
+  /// staged datagrams. The host replays the durable bind registry after
+  /// recovery.
+  void on_crash() override {
+    mux_.clear();
+    tx_.clear();
+  }
 
  private:
-  MultiComponentReplica& owner_;
   net::UdpMux mux_;
+  TxStage tx_;
 };
 
 /// The packet-filter process (stateless rules, reloaded on restart).
@@ -341,13 +368,11 @@ class FilterComponent final : public sim::Process {
 /// Assembly of the four processes + the channels between them.
 class MultiComponentReplica final : public StackReplica {
  public:
-  /// `hub` as for SingleComponentReplica: per-host obs override.
+  /// `hub` as for SingleComponentReplica.
   MultiComponentReplica(sim::Simulator& sim, int id, int queue,
                         drv::NicDriver& driver, net::MacAddr mac,
                         net::Ipv4Addr ip, StackCosts costs,
-                        net::TcpConfig tcp_cfg, obs::Hub* hub = nullptr);
-
-  [[nodiscard]] obs::Hub* hub_override() const { return hub_; }
+                        net::TcpConfig tcp_cfg, obs::Hub& hub);
 
   net::TcpStack& tcp() override { return tcp_proc_->stack(); }
   sim::Process& tcp_process() override { return *tcp_proc_; }
@@ -383,17 +408,10 @@ class MultiComponentReplica final : public StackReplica {
     net::IpProto proto{net::IpProto::kTcp};
   };
 
-  /// Emit every staged datagram (runs when the burst's first udp_tx job
-  /// completes; charges the rest of the burst's accumulated cost).
-  void flush_udp_tx();
-
-  sim::Cycles udp_stage_cost_{0};  ///< cost of staged datagrams after the 1st
-  bool udp_flush_armed_{false};    ///< a flush_udp_tx job is already queued
   StackCosts costs_;
-  obs::Hub* hub_;  // per-host hub override; nullptr = simulator-global
+  obs::Hub& hub_;
   drv::NicDriver* driver_;  // deferred-filter installs go through here
   drv::NicDriver::TxPort drv_tx_;
-  std::vector<StagedTx> udp_stage_;
   std::unique_ptr<TcpComponent> tcp_proc_;
   std::unique_ptr<IpComponent> ip_proc_;
   std::unique_ptr<UdpComponent> udp_proc_;

@@ -17,20 +17,6 @@ const char* to_string(CloseReason r) {
   return "?";
 }
 
-namespace {
-CloseReason map_reason(net::TcpCloseReason r) {
-  switch (r) {
-    case net::TcpCloseReason::kNormal: return CloseReason::kNormal;
-    case net::TcpCloseReason::kReset: return CloseReason::kReset;
-    case net::TcpCloseReason::kTimeout: return CloseReason::kTimeout;
-    case net::TcpCloseReason::kRefused: return CloseReason::kRefused;
-    case net::TcpCloseReason::kStackFailure:
-      return CloseReason::kStackFailure;
-  }
-  return CloseReason::kNormal;
-}
-}  // namespace
-
 NeatSocket::NeatSocket(sim::Process& app, StackReplica& replica,
                        const StackCosts& costs, net::TcpSocketPtr tcp, Fd fd)
     : replica_(&replica),
@@ -42,8 +28,7 @@ NeatSocket::NeatSocket(sim::Process& app, StackReplica& replica,
       // this socket (its owner) for the handler's duration.
       to_stack_(replica.tcp_process(), costs.doorbell_take,
                 [this] { pump(); }),
-      to_app_(app, costs.app_notify, [this] { dispatch(); }),
-      fd_(fd) {}
+      events_(app, costs.app_notify, [this] { dispatch(); }, fd) {}
 
 void NeatSocket::init() {
   // The TCP socket may outlive this one (TIME_WAIT, a closing socket the
@@ -54,10 +39,10 @@ void NeatSocket::init() {
 
   net::TcpSocket::Callbacks cb;
   cb.on_established = [wp] {
-    if (auto s = wp.lock()) s->raise(kEvConnected);
+    if (auto s = wp.lock()) s->raise(ConnEvents::kConnected);
   };
   cb.on_readable = [wp] {
-    if (auto s = wp.lock()) s->raise(kEvReadable);
+    if (auto s = wp.lock()) s->raise(ConnEvents::kReadable);
   };
   cb.on_writable = [wp] {
     auto s = wp.lock();
@@ -66,14 +51,11 @@ void NeatSocket::init() {
     s->pump();
     if (s->want_write_ && s->tx_ring_.writable() > 0) {
       s->want_write_ = false;
-      s->raise(kEvWritable);
+      s->raise(ConnEvents::kWritable);
     }
   };
   cb.on_closed = [wp](net::TcpCloseReason r) {
-    auto s = wp.lock();
-    if (!s) return;
-    s->close_reason_ = map_reason(r);
-    s->raise(kEvClosed);
+    if (auto s = wp.lock()) s->events_.raise_closed(to_close_reason(r), s);
   };
   tcp_->set_callbacks(std::move(cb));
 }
@@ -103,29 +85,30 @@ void NeatSocket::close() {
 }
 
 void NeatSocket::set_callbacks(ConnCallbacks cb) {
-  ++cb_gen_;  // tells a mid-callback dispatch() not to restore old ones
-  cb_ = std::move(cb);
+  events_.set_callbacks(std::move(cb));
   // Anything already pending (data that raced ahead of accept())?
-  if (cb_.on_readable && (tcp_->readable() > 0 || tcp_->eof())) {
-    raise(kEvReadable);
+  if (events_.callbacks().on_readable &&
+      (tcp_->readable() > 0 || tcp_->eof())) {
+    raise(ConnEvents::kReadable);
   }
-  if (tcp_->state() == net::TcpState::kClosed && !closed_delivered_) {
-    raise(kEvClosed);
+  if (tcp_->state() == net::TcpState::kClosed &&
+      !events_.closed_delivered()) {
+    raise(ConnEvents::kClosed);
   }
 }
 
 void NeatSocket::reattach(net::TcpSocketPtr tcp) {
-  if (failed_ || closed_delivered_) return;
+  if (failed_ || events_.closed_delivered()) return;
   tcp_ = std::move(tcp);
   pump_scheduled_ = false;
   init();  // rewire the TCP callbacks to the new socket
   // Anything buffered pre-crash is readable again; resume sending too.
-  if (tcp_->readable() > 0) raise(kEvReadable);
+  if (tcp_->readable() > 0) raise(ConnEvents::kReadable);
   to_stack_.ring(weak_from_this());
 }
 
 void NeatSocket::rehome(StackReplica& replica, net::TcpSocketPtr tcp) {
-  if (failed_ || closed_delivered_) return;
+  if (failed_ || events_.closed_delivered()) return;
   replica_ = &replica;
   to_stack_.rebind(replica.tcp_process());
   reattach(std::move(tcp));
@@ -134,17 +117,15 @@ void NeatSocket::rehome(StackReplica& replica, net::TcpSocketPtr tcp) {
 void NeatSocket::fail() {
   if (failed_) return;
   failed_ = true;
-  close_reason_ = CloseReason::kStackFailure;
-  raise(kEvClosed);
+  events_.raise_closed(CloseReason::kStackFailure, weak_from_this());
 }
 
 void NeatSocket::migrated_away() {
-  if (failed_ || closed_delivered_) return;
+  if (failed_ || events_.closed_delivered()) return;
   // Reuse the failure plumbing — it detaches the socket from further I/O —
   // but tell the app the truth: the connection lives on, on another host.
   failed_ = true;
-  close_reason_ = CloseReason::kMigratedAway;
-  raise(kEvClosed);
+  events_.raise_closed(CloseReason::kMigratedAway, weak_from_this());
 }
 
 void NeatSocket::pump() {
@@ -198,48 +179,20 @@ void NeatSocket::pump() {
         self->tx_ring_.discard(accepted);
         if (self->want_write_ && self->tx_ring_.writable() > 0) {
           self->want_write_ = false;
-          self->raise(kEvWritable);
+          self->raise(ConnEvents::kWritable);
         }
         self->pump();  // either more data, or the deferred close
       });
 }
 
-void NeatSocket::raise(std::uint32_t bits) {
-  pending_events_ |= bits;
-  to_app_.ring(weak_from_this());
-}
-
 void NeatSocket::dispatch() {
-  // App context: deliver coalesced events. A handler may reenter
-  // set_callbacks() — SockLib::close() clears the callbacks mid-callback —
-  // so each callable runs from local storage (the executing closure cannot
-  // be destroyed under its own feet) and is restored only if the callbacks
-  // were not swapped while it ran.
-  const std::uint32_t ev = pending_events_;
-  pending_events_ = 0;
-  const auto run = [this](sim::Callback<void(Fd)>& slot) {
-    if (!slot) return;
-    const std::uint64_t gen = cb_gen_;
-    auto fn = std::move(slot);
-    fn(fd_);
-    if (cb_gen_ == gen) slot = std::move(fn);
-  };
-  if (ev & kEvConnected) run(cb_.on_connected);
-  if (ev & kEvReadable) run(cb_.on_readable);
-  if (ev & kEvWritable) run(cb_.on_writable);
-  if (ev & kEvClosed) {
-    if (!closed_delivered_) {
-      closed_delivered_ = true;
-      tx_ring_.release();
-      // Nothing can drain into a dead connection: a socket closed by the
-      // app while draining (pump()'s keepalive) must not keep itself.
-      self_keepalive_.reset();
-      if (cb_.on_closed) {
-        auto on_closed = std::move(cb_.on_closed);  // final event: no restore
-        on_closed(fd_, close_reason_);
-      }
-    }
-  }
+  if (!events_.run_pending()) return;
+  tx_ring_.release();
+  // Nothing can drain into a dead connection: a socket closed by the app
+  // while draining (pump()'s keepalive) must not keep itself. (The
+  // doorbell delivery running this holds the socket.)
+  self_keepalive_.reset();
+  events_.deliver_close();
 }
 
 }  // namespace neat::socklib

@@ -19,6 +19,7 @@
 #include "neat/costs.hpp"
 #include "neat/replica.hpp"
 #include "net/tcp.hpp"
+#include "socklib/conn_events.hpp"
 #include "socklib/socket_api.hpp"
 
 namespace neat::socklib {
@@ -43,7 +44,9 @@ class NeatSocket : public std::enable_shared_from_this<NeatSocket> {
   std::size_t read(std::span<std::uint8_t> dst);
   [[nodiscard]] std::size_t readable() const { return tcp_->readable(); }
   [[nodiscard]] bool eof() const { return tcp_->eof(); }
-  [[nodiscard]] bool alive() const { return !failed_ && !closed_delivered_; }
+  [[nodiscard]] bool alive() const {
+    return !failed_ && !events_.closed_delivered();
+  }
   void close();
 
   /// Install the application's callbacks (empty ones stop all further
@@ -72,33 +75,20 @@ class NeatSocket : public std::enable_shared_from_this<NeatSocket> {
   [[nodiscard]] net::TcpSocket& tcp() const { return *tcp_; }
 
  private:
-  enum EventBit : std::uint32_t {
-    kEvConnected = 1u << 0,
-    kEvReadable = 1u << 1,
-    kEvWritable = 1u << 2,
-    kEvClosed = 1u << 3,
-  };
-
-  void pump();                      // replica context
-  void raise(std::uint32_t bits);   // any context
-  void dispatch();                  // app context
+  void pump();      // replica context
+  void dispatch();  // app context
+  void raise(std::uint8_t bits) {  // any context
+    events_.raise(bits, weak_from_this());
+  }
 
   StackReplica* replica_;  // pointer: migration re-homes the socket
   const StackCosts& costs_;
   net::TcpSocketPtr tcp_;
   ipc::ByteRing tx_ring_;
   ipc::Doorbell to_stack_;
-  ipc::Doorbell to_app_;
-  ConnCallbacks cb_;
-  /// Bumped by set_callbacks(); dispatch() uses it to detect a mid-callback
-  /// swap (close() clearing the callbacks) and skip restoring stale ones.
-  std::uint64_t cb_gen_{0};
-  Fd fd_;
-  std::uint32_t pending_events_{0};
-  CloseReason close_reason_{CloseReason::kNormal};
+  ConnEvents events_;  // → app
   bool pump_scheduled_{false};
   bool close_requested_{false};
-  bool closed_delivered_{false};
   bool want_write_{false};
   bool failed_{false};
   // Set while draining remaining data after an app close() whose owner

@@ -441,5 +441,12 @@ TEST_F(SockLibFixture, DoorbellRungAfterOwnerDiedIsNoop) {
   EXPECT_EQ(handled, 1);
 }
 
+// Every connection end on a NEaT host carries one NeatSocket: DESIGN.md
+// §5n's byte budget puts it at 464 B. A new field, or padding from a
+// reordered or embedded member, is per-connection memory at fleet scale.
+TEST(NeatSocketFootprint, StaysWithinTheByteBudget) {
+  EXPECT_LE(sizeof(socklib::NeatSocket), 464u);
+}
+
 }  // namespace
 }  // namespace neat::harness
