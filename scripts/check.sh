@@ -6,6 +6,10 @@
 #
 # Usage: scripts/check.sh [--skip-sanitize] [--perf]
 #
+# The tier-1 tree is configured with CMake's built-in
+# CMAKE_COMPILE_WARNING_AS_ERROR (CMake >= 3.24), so a new compiler warning
+# anywhere in src/, tests/, bench/ or examples/ fails the check.
+#
 # --perf additionally runs the full ext_perf bench and fails on a >10%
 # regression of fig9_pkts_per_host_sec against the committed
 # BENCH_ext_perf.json (the perf trajectory gate; see EXPERIMENTS.md), on an
@@ -43,8 +47,8 @@ for arg in "$@"; do
   esac
 done
 
-echo "== tier 1: configure + build + ctest =="
-cmake -B build -S . >/dev/null
+echo "== tier 1: configure + build + ctest (warnings are errors) =="
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

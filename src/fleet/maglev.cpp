@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace neat::fleet {
 
@@ -26,8 +27,10 @@ namespace {
 
 MaglevTable::MaglevTable(std::size_t table_size)
     : table_(table_size, -1) {
-  assert(is_prime(table_size) &&
-         "maglev table size must be prime (skip must be coprime with M)");
+  if (!is_prime(table_size)) {
+    throw std::invalid_argument(
+        "maglev table size must be prime (skip must be coprime with M)");
+  }
 }
 
 void MaglevTable::add_backend(int id) {

@@ -267,8 +267,10 @@ void SteeringTier::handle_client_frame(net::PacketPtr frame) {
 void SteeringTier::handle_backend_frame(Port& in, net::PacketPtr frame) {
   if (is_icmp(*frame) && frame_dst_ip(*frame) == cfg_.prober_ip) {
     // A health-probe echo reply; attribution is by arrival port.
-    net::EthernetHeader::decode(*frame);
-    net::Ipv4Header::decode(*frame);
+    if (!net::EthernetHeader::decode(*frame) ||
+        !net::Ipv4Header::decode(*frame)) {
+      return;
+    }
     auto icmp = net::IcmpMessage::decode(*frame);
     if (icmp && icmp->type == net::IcmpMessage::Type::kEchoReply) {
       ++stats_.probe_replies;

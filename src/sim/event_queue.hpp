@@ -5,13 +5,18 @@
 // property the NEaT test suite relies on (DESIGN.md invariant 7).
 //
 // The queue is the hottest structure in the whole simulator (tens of
-// millions of events per bench run), so it is built for allocation-free
-// steady state:
+// millions of events per bench run), so it is built for allocation-free,
+// move-free steady state:
 //
-//  * heap entries are 24-byte PODs — sift operations never move closures;
-//  * callbacks live in a recycled slot table addressed by (index,
-//    generation); cancellation is a generation check, not a heap-allocated
-//    shared flag per event;
+//  * heap entries are 16-byte PODs {time, seq << 24 | slot} ordered by one
+//    128-bit compare — sift operations never move closures and never
+//    branch on a tie;
+//  * each callback is built in place in a recycled slot (fixed chunks, so
+//    slot addresses never move), runs there and is destroyed there;
+//    cancellation is a generation check, not a heap-allocated shared flag
+//    per event;
+//  * cancelled far-horizon timers are compacted out of the far heap in
+//    bulk instead of being sifted out one at a time;
 //  * post()/post_at() skip EventHandle construction entirely for
 //    fire-and-forget events (the vast majority: channel deliveries, NIC
 //    wire arrivals, process wake-ups).
@@ -19,6 +24,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/small_fn.hpp"
@@ -35,43 +42,50 @@ namespace detail {
 struct EventSlots {
   struct Slot {
     SmallFn fn;
-    std::uint32_t gen{0};
-    bool armed{false};
+    std::uint32_t gen{0};  // bumped whenever the slot disarms
+    bool armed{false};     // scheduled, not yet fired or cancelled
+    bool far{false};       // its heap entry sits in the far heap
   };
-  std::vector<Slot> slots;
-  std::vector<std::uint32_t> free;
 
-  std::uint32_t acquire(SmallFn fn) {
-    std::uint32_t idx;
+  /// Slots live in fixed chunks: a callback that schedules events while it
+  /// runs in its own slot may grow the table without moving itself.
+  static constexpr std::uint32_t kChunkBits = 10;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
+  /// Slot indices share a 64-bit heap key with the sequence number.
+  static constexpr unsigned kSlotBits = 24;
+
+  Slot& operator[](std::uint32_t idx) {
+    return chunks[idx >> kChunkBits][idx & (kChunkSize - 1)];
+  }
+
+  /// A free slot (unarmed, empty). Recycled LIFO for cache warmth.
+  std::uint32_t acquire() {
     if (!free.empty()) {
-      idx = free.back();
+      const std::uint32_t idx = free.back();
       free.pop_back();
-    } else {
-      idx = static_cast<std::uint32_t>(slots.size());
-      slots.emplace_back();
+      return idx;
     }
-    Slot& s = slots[idx];
-    s.fn = std::move(fn);
-    s.armed = true;
-    return idx;
+    if (allocated == chunks.size() * kChunkSize) {
+      if (allocated == (1u << kSlotBits)) [[unlikely]] {
+        throw std::length_error("EventQueue: more than 2^24 pending events");
+      }
+      chunks.push_back(std::make_unique<Slot[]>(kChunkSize));
+    }
+    return allocated++;
   }
 
-  /// Retire a slot once its heap entry has been popped; bumps the
-  /// generation so stale handles (and stale heap entries) can never match.
-  void release(std::uint32_t idx) {
-    Slot& s = slots[idx];
-    s.fn.reset();
-    s.armed = false;
-    ++s.gen;
-    free.push_back(idx);
-  }
+  std::vector<std::unique_ptr<Slot[]>> chunks;
+  std::uint32_t allocated{0};
+  std::vector<std::uint32_t> free;
+  std::size_t live{0};           // armed slots: pending events
+  std::size_t cancelled_far{0};  // cancelled slots with a far-heap entry
 };
 
 }  // namespace detail
 
 /// Handle to a scheduled event. Allows O(1) cancellation; cancelled events
 /// are skipped (and their slots recycled) when they reach the head of the
-/// queue.
+/// queue or when the far heap is compacted.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -79,17 +93,19 @@ class EventHandle {
   /// Cancel the event if it has not fired yet. Idempotent. Releases the
   /// closure (and anything it captured) immediately.
   void cancel() {
-    if (pending()) {
-      auto& s = slots_->slots[idx_];
-      s.fn.reset();
-      s.armed = false;  // slot itself is recycled when the entry pops
-    }
+    if (!pending()) return;
+    auto& s = (*slots_)[idx_];
+    s.fn.reset();
+    s.armed = false;  // slot itself is recycled when the entry leaves
+    ++s.gen;
+    --slots_->live;
+    if (s.far) ++slots_->cancelled_far;
   }
 
   /// True while the event is scheduled and not cancelled or fired.
   [[nodiscard]] bool pending() const {
     if (!slots_) return false;
-    const auto& s = slots_->slots[idx_];
+    const auto& s = (*slots_)[idx_];
     return s.armed && s.gen == gen_;
   }
 
@@ -106,6 +122,9 @@ class EventHandle {
 
 /// Min-heap of timestamped callbacks with deterministic tie-breaking.
 class EventQueue {
+  using Slot = detail::EventSlots::Slot;
+  static constexpr unsigned kSlotBits = detail::EventSlots::kSlotBits;
+
  public:
   EventQueue() : slots_(std::make_shared<detail::EventSlots>()) {}
 
@@ -113,11 +132,14 @@ class EventQueue {
     // Drop every outstanding closure now: callbacks may capture sockets or
     // packets that must not outlive the simulation just because some
     // EventHandle still exists somewhere.
-    for (auto& s : slots_->slots) {
+    detail::EventSlots& slots = *slots_;
+    for (std::uint32_t i = 0; i < slots.allocated; ++i) {
+      Slot& s = slots[i];
       s.fn.reset();
       s.armed = false;
       ++s.gen;
     }
+    slots.live = 0;
   }
 
   EventQueue(const EventQueue&) = delete;
@@ -127,8 +149,8 @@ class EventQueue {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Number of live (non-cancelled) events still queued.
-  [[nodiscard]] std::size_t size() const { return live_; }
-  [[nodiscard]] bool empty() const { return live_ == 0; }
+  [[nodiscard]] std::size_t size() const { return slots_->live; }
+  [[nodiscard]] bool empty() const { return slots_->live == 0; }
 
   /// Total events executed since construction (wall-clock perf accounting:
   /// ext_perf reports events per host-second).
@@ -162,21 +184,30 @@ class EventQueue {
   }
 
   /// Schedule `fn` to run at absolute time `at` (>= now). Times in the past
-  /// are clamped to `now` — firing immediately on the next step.
-  EventHandle schedule_at(SimTime at, SmallFn fn) {
-    const std::uint32_t idx = push(at, std::move(fn));
-    return EventHandle{slots_, idx, slots_->slots[idx].gen};
+  /// are clamped to `now` — firing immediately on the next step. `fn` is
+  /// any void() callable, built directly in its slot (a SmallFn is moved).
+  template <typename F>
+  EventHandle schedule_at(SimTime at, F&& fn) {
+    const std::uint32_t idx = push(at, std::forward<F>(fn));
+    return EventHandle{slots_, idx, (*slots_)[idx].gen};
   }
 
   /// Schedule `fn` to run `delay` ns from now.
-  EventHandle schedule(SimTime delay, SmallFn fn) {
-    return schedule_at(now_ + delay, std::move(fn));
+  template <typename F>
+  EventHandle schedule(SimTime delay, F&& fn) {
+    return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Fire-and-forget variants: no handle, no cancellation, no shared_ptr
   /// traffic. The fast path for every message delivery.
-  void post_at(SimTime at, SmallFn fn) { push(at, std::move(fn)); }
-  void post(SimTime delay, SmallFn fn) { push(now_ + delay, std::move(fn)); }
+  template <typename F>
+  void post_at(SimTime at, F&& fn) {
+    push(at, std::forward<F>(fn));
+  }
+  template <typename F>
+  void post(SimTime delay, F&& fn) {
+    push(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Run the earliest pending event, advancing time to it.
   /// Returns false if there is nothing left to run.
@@ -184,19 +215,12 @@ class EventQueue {
     while (std::vector<Entry>* h = top_heap()) {
       const Entry e = h->front();
       heap_pop(*h);
-      auto& slot = slots_->slots[e.slot];
-      if (slot.gen != e.gen) continue;  // slot already recycled (stale)
-      if (!slot.armed) {                // cancelled: recycle silently
-        slots_->release(e.slot);
-        --live_;
+      Slot& slot = (*slots_)[e.slot()];
+      if (!slot.armed) {  // cancelled: recycle silently
+        drop_cancelled(e.slot(), slot);
         continue;
       }
-      SmallFn fn = std::move(slot.fn);
-      slots_->release(e.slot);
-      --live_;
-      ++executed_;
-      now_ = e.time;
-      fn();
+      fire(e, slot);
       return true;
     }
     return false;
@@ -211,25 +235,15 @@ class EventQueue {
     deadline_ = deadline;
     while (std::vector<Entry>* h = top_heap()) {
       const Entry e = h->front();
-      auto& slot = slots_->slots[e.slot];
-      if (slot.gen != e.gen) {  // slot already recycled (stale)
-        heap_pop(*h);
-        continue;
-      }
+      Slot& slot = (*slots_)[e.slot()];
       if (!slot.armed) {  // cancelled: recycle silently
         heap_pop(*h);
-        slots_->release(e.slot);
-        --live_;
+        drop_cancelled(e.slot(), slot);
         continue;
       }
       if (e.time > deadline) break;
       heap_pop(*h);
-      SmallFn fn = std::move(slot.fn);
-      slots_->release(e.slot);
-      --live_;
-      ++executed_;
-      now_ = e.time;
-      fn();
+      fire(e, slot);
     }
     deadline_ = prev_deadline;
     if (now_ < deadline) now_ = deadline;
@@ -241,22 +255,31 @@ class EventQueue {
     }
   }
 
- private:
+  /// One heap entry. `key` packs the schedule sequence number above the
+  /// slot index; seq is unique, so the slot bits never decide the order.
+  /// (Public only so tests can pin its size.)
   struct Entry {
     SimTime time{};
-    std::uint64_t seq{};
-    std::uint32_t slot{};
-    std::uint32_t gen{};
+    std::uint64_t key{};
+
+    [[nodiscard]] std::uint32_t slot() const {
+      return static_cast<std::uint32_t>(key & ((1u << kSlotBits) - 1));
+    }
   };
 
+ private:
+  static constexpr unsigned kSeqBits = 64 - kSlotBits;
+
   /// Strict ordering: earlier time first, schedule order (seq) as the
-  /// deterministic tie-break (DESIGN.md invariant 7).
+  /// deterministic tie-break (DESIGN.md invariant 7) — one 128-bit
+  /// compare, no data-dependent branch.
   static bool earlier(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+    __extension__ using Key = unsigned __int128;
+    return ((static_cast<Key>(a.time) << 64) | a.key) <
+           ((static_cast<Key>(b.time) << 64) | b.key);
   }
 
-  // Hand-rolled 4-ary min-heaps over the 24-byte POD entries. A 4-ary heap
+  // Hand-rolled 4-ary min-heaps over the 16-byte POD entries. A 4-ary heap
   // halves the tree depth versus the binary std::priority_queue (fewer
   // cache lines touched per sift) and the hole-based sifts move each entry
   // once instead of swapping — this queue is the hottest structure in the
@@ -272,8 +295,41 @@ class EventQueue {
   // Pop order is still strictly (time, seq): step() compares the two heap
   // tops with the same `earlier` ordering, so determinism (DESIGN.md
   // invariant 7) is preserved bit-for-bit.
+  //
+  // Most far timers (delayed ACKs, RTOs) are cancelled long before they are
+  // due. Once cancelled entries outnumber live ones in a far heap of at
+  // least kCompactMin entries, the next far push drops them all in one pass
+  // and re-heapifies (compact_far). Keys are unique, so a heap pops the
+  // same sequence whatever its layout: compaction cannot reorder events.
 
   static constexpr SimTime kFarThreshold = 1 * kMillisecond;
+  static constexpr std::size_t kCompactMin = 1024;
+
+  /// Sift `e` down from hole `i` to its place.
+  static void sift_down(std::vector<Entry>& h, std::size_t i, Entry e) {
+    const std::size_t n = h.size();
+    while (true) {
+      const std::size_t first = 4 * i + 1;
+      if (first >= n) break;
+      std::size_t best;
+      if (first + 4 <= n) {  // full node: a two-round tournament
+        const std::size_t a = earlier(h[first + 1], h[first]) ? first + 1
+                                                              : first;
+        const std::size_t b =
+            earlier(h[first + 3], h[first + 2]) ? first + 3 : first + 2;
+        best = earlier(h[b], h[a]) ? b : a;
+      } else {
+        best = first;
+        for (std::size_t c = first + 1; c < n; ++c) {
+          best = earlier(h[c], h[best]) ? c : best;
+        }
+      }
+      if (!earlier(h[best], e)) break;
+      h[i] = h[best];
+      i = best;
+    }
+    h[i] = e;
+  }
 
   static void heap_push(std::vector<Entry>& h, Entry e) {
     h.push_back(e);  // grow; e sifts into place below
@@ -290,41 +346,58 @@ class EventQueue {
   static void heap_pop(std::vector<Entry>& h) {
     const Entry last = h.back();
     h.pop_back();
-    const std::size_t n = h.size();
-    if (n == 0) return;
-    std::size_t i = 0;
-    while (true) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t end = first + 4 < n ? first + 4 : n;
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (earlier(h[c], h[best])) best = c;
-      }
-      if (!earlier(h[best], last)) break;
-      h[i] = h[best];
-      i = best;
-    }
-    h[i] = last;
+    if (!h.empty()) sift_down(h, 0, last);
   }
 
-  /// Pop stale/cancelled entries off the top of `h` so front() (if any) is
-  /// a live event — the precondition for the try_advance order check.
+  /// Run the popped live event `e` in its slot: disarm it (its handle stops
+  /// reporting pending(), cancel() becomes a no-op), call the callable in
+  /// place, destroy it, and only then free the slot — so events the
+  /// callback schedules can never land in the slot it is running from.
+  void fire(const Entry& e, Slot& slot) {
+    slot.armed = false;
+    ++slot.gen;
+    --slots_->live;
+    ++executed_;
+    now_ = e.time;
+    slot.fn();
+    slot.fn.reset();
+    slots_->free.push_back(e.slot());
+  }
+
+  /// Recycle the slot of a cancelled entry that just left its heap.
+  void drop_cancelled(std::uint32_t idx, const Slot& slot) {
+    if (slot.far) --slots_->cancelled_far;
+    slots_->free.push_back(idx);
+  }
+
+  /// Drop every cancelled entry from the far heap, free their slots and
+  /// rebuild the heap over the live ones.
+  void compact_far() {
+    detail::EventSlots& slots = *slots_;
+    std::size_t kept = 0;
+    for (const Entry& e : far_) {
+      if (slots[e.slot()].armed) {
+        far_[kept++] = e;
+      } else {
+        slots.free.push_back(e.slot());
+      }
+    }
+    far_.resize(kept);
+    slots.cancelled_far = 0;
+    for (std::size_t i = kept < 2 ? 0 : (kept - 2) / 4 + 1; i-- > 0;) {
+      sift_down(far_, i, far_[i]);
+    }
+  }
+
+  /// Pop cancelled entries off the top of `h` so front() (if any) is a live
+  /// event — the precondition for the try_advance order check.
   void prune_dead_top(std::vector<Entry>& h) {
     while (!h.empty()) {
-      const Entry e = h.front();
-      auto& slot = slots_->slots[e.slot];
-      if (slot.gen != e.gen) {  // slot already recycled (stale)
-        heap_pop(h);
-        continue;
-      }
-      if (!slot.armed) {  // cancelled: recycle silently
-        heap_pop(h);
-        slots_->release(e.slot);
-        --live_;
-        continue;
-      }
-      break;
+      const std::uint32_t idx = h.front().slot();
+      const Slot& slot = (*slots_)[idx];
+      if (slot.armed) break;
+      heap_pop(h);
+      drop_cancelled(idx, slot);
     }
   }
 
@@ -335,12 +408,29 @@ class EventQueue {
     return earlier(near_.front(), far_.front()) ? &near_ : &far_;
   }
 
-  std::uint32_t push(SimTime at, SmallFn fn) {
+  template <typename F>
+  std::uint32_t push(SimTime at, F&& fn) {
     if (at < now_) at = now_;
-    const std::uint32_t idx = slots_->acquire(std::move(fn));
-    const Entry e{at, seq_++, idx, slots_->slots[idx].gen};
-    heap_push(at - now_ >= kFarThreshold ? far_ : near_, e);
-    ++live_;
+    if (seq_ >> kSeqBits != 0) [[unlikely]] {
+      // A wrapped seq would silently reorder same-time events.
+      throw std::length_error("EventQueue: more than 2^40 events scheduled");
+    }
+    detail::EventSlots& slots = *slots_;
+    const std::uint32_t idx = slots.acquire();
+    Slot& slot = slots[idx];
+    slot.fn.emplace(std::forward<F>(fn));
+    slot.armed = true;
+    slot.far = at - now_ >= kFarThreshold;
+    ++slots.live;
+    const Entry e{at, seq_++ << kSlotBits | idx};
+    if (slot.far) {
+      if (far_.size() >= kCompactMin && slots.cancelled_far * 2 > far_.size()) {
+        compact_far();
+      }
+      heap_push(far_, e);
+    } else {
+      heap_push(near_, e);
+    }
     return idx;
   }
 
@@ -352,7 +442,6 @@ class EventQueue {
   /// drive the queue to exhaustion, so fusion can never overrun them).
   SimTime deadline_{~SimTime{0}};
   std::uint64_t seq_{0};
-  std::size_t live_{0};
   std::uint64_t executed_{0};
   std::uint64_t fused_{0};
 };

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/small_fn.hpp"
@@ -90,11 +91,24 @@ class HwThread {
     return pinned_procs_.size();
   }
 
-  /// Queue a job: `cost` cycles of work on behalf of `proc`, then `fn`.
+  /// Queue a job: `cost` cycles of work on behalf of `proc` (queued in
+  /// process epoch `epoch`), then `fn`, built directly in its ring slot.
   /// `kernel_cost` extends the occupancy (wake/resume overhead) without
   /// counting as useful processing.
-  void submit(Process& proc, Cycles cost, SmallFn&& fn,
-              Cycles kernel_cost = 0);
+  template <typename F>
+  void submit(Process& proc, std::uint64_t epoch, Cycles cost, F&& fn,
+              Cycles kernel_cost = 0) {
+    if (count_ == capacity_) grow();
+    Job& job = ring_[(head_ + count_) & (capacity_ - 1)];
+    job.proc = &proc;
+    job.cost = cost;
+    job.kernel_cost = kernel_cost;
+    job.epoch = epoch;
+    job.fn.emplace(std::forward<F>(fn));
+    ++count_;
+    if (state_ == State::kPolling) preempt_poll();
+    if (state_ == State::kIdle) start_next();
+  }
 
  private:
   friend class Machine;
@@ -103,12 +117,12 @@ class HwThread {
   enum class State { kIdle, kExecuting, kPolling };
 
   struct Job {
-    Process* proc;
-    Cycles cost;            // useful work -> "processing" bucket
+    Process* proc{nullptr};
+    Cycles cost{0};         // useful work -> "processing" bucket
     Cycles kernel_cost{0};  // resume/wake overhead -> occupies time only
                             // (already accounted to the kernel bucket)
+    std::uint64_t epoch{0};  // process epoch when the job was queued
     SmallFn fn;
-    std::uint64_t epoch;  // process epoch when the job was queued
   };
 
   void add_pinned(Process& p) { pinned_procs_.push_back(&p); }
@@ -126,12 +140,20 @@ class HwThread {
   void begin_poll(Process& proc);
 
   void start_next();
-  /// Dequeue the next runnable job into current_ (skipping work queued to
-  /// dead or restarted processes) and compute its duration. Returns false
-  /// after transitioning to idle — no runnable work left.
+  /// Bring the next runnable job to head_ (dropping work queued to dead or
+  /// restarted processes) and compute its duration. Returns false after
+  /// transitioning to idle — no runnable work left.
   [[nodiscard]] bool pick_next(SimTime& dur);
-  /// Account + run the finished job in current_; leaves state_ = kIdle.
+  /// Account + run the finished job at head_, then pop it; leaves
+  /// state_ = kIdle.
   void finish_current();
+  /// Double the ring. While the head job's callable runs it stays where it
+  /// is: the other jobs move and the old buffer is parked until it returns.
+  void grow();
+  void pop_front() {
+    head_ = (head_ + 1) & (capacity_ - 1);
+    --count_;
+  }
   /// Completion event: finish the in-flight job, then run as many queued
   /// jobs as the event queue will fuse (EventQueue::try_advance) before
   /// falling back to a scheduled completion for the remainder.
@@ -144,11 +166,17 @@ class HwThread {
   int thread_id_;
   HwThread* sibling_{nullptr};  // wired by Machine
   State state_{State::kIdle};
-  std::vector<Job> queue_;  // FIFO via queue_head_
-  std::size_t queue_head_{0};
-  /// The single in-flight job (state_ == kExecuting). Held here, not in the
-  /// completion closure, so the completion event captures only `this`.
-  Job current_{};
+  /// FIFO of queued jobs: a power-of-two ring that only grows, so its size
+  /// is bounded by the deepest backlog the thread ever held. The in-flight
+  /// job (state_ == kExecuting) stays at head_ until it finishes, so the
+  /// completion event captures only `this`.
+  std::unique_ptr<Job[]> ring_;
+  std::size_t capacity_{0};
+  std::size_t head_{0};
+  std::size_t count_{0};
+  /// The buffer the running callable lives in, when grow() ran under it.
+  std::unique_ptr<Job[]> parked_;
+  bool in_callable_{false};
   std::vector<Process*> pinned_procs_;
   Process* polling_proc_{nullptr};
   SimTime poll_started_{0};

@@ -15,17 +15,19 @@
 //    fire (epoch guard), which is what makes stateless recovery safe.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/machine.hpp"
 #include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 
 namespace neat::sim {
 
-class HwThread;
 class Simulator;
 
 /// Cumulative per-process accounting, in cycles of the owning thread.
@@ -64,7 +66,22 @@ class Process {
   /// thread, run `fn`. If the process is suspended this first pays the
   /// wake-up penalty. Work posted to a crashed process is silently dropped
   /// (messages to a dead process are lost, exactly as in the real system).
-  void post(Cycles cost, SmallFn fn);
+  /// `fn` is any void() callable; it is built directly in the thread's job
+  /// ring (or, during a wake, in the wake FIFO — one move later).
+  template <typename F>
+  void post(Cycles cost, F&& fn) {
+    assert(thread_ != nullptr &&
+           "process must be pinned before receiving work");
+    if (crashed_) return;
+    ++backlog_;
+    if (run_state_ == RunState::kSuspended ||
+        run_state_ == RunState::kWaking) {
+      post_waking(cost).emplace(std::forward<F>(fn));
+      return;
+    }
+    run_state_ = RunState::kAwake;
+    thread_->submit(*this, epoch_, cost, std::forward<F>(fn));
+  }
 
   /// Schedule work `delay` ns in the future (timers). The job is dropped if
   /// the process crashes or restarts in the meantime — a restarted replica
@@ -76,7 +93,7 @@ class Process {
   template <typename F>
   EventHandle after(SimTime delay, Cycles cost, F fn) {
     const auto epoch = epoch_;
-    return schedule_raw(
+    return queue_.schedule(
         delay, [this, epoch, cost, fn = std::move(fn)]() mutable {
           if (crashed_ || epoch_ != epoch) return;
           post(cost, std::move(fn));
@@ -112,8 +129,10 @@ class Process {
 
   enum class RunState { kAwake, kPolling, kSuspended, kWaking };
 
-  /// Out-of-line bridge to the event queue (Simulator is incomplete here).
-  EventHandle schedule_raw(SimTime delay, SmallFn fn);
+  /// The wake half of post(): pays or joins the wake, queues the event
+  /// that submits the job at the wake deadline, and returns the empty
+  /// callable slot of the job's wake-FIFO entry for post() to fill.
+  SmallFn& post_waking(Cycles cost);
 
   void account_processing(Cycles c) {
     stats_.processing += c;
@@ -127,6 +146,7 @@ class Process {
   void suspend();
 
   Simulator& sim_;
+  EventQueue& queue_;  // sim_.queue(), reachable here where sim_ is not
   std::string name_;
   HwThread* thread_{nullptr};
   ProcStats stats_;

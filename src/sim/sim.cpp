@@ -23,11 +23,21 @@ double HwThread::speed_factor() const {
   return 1.0;
 }
 
-void HwThread::submit(Process& proc, Cycles cost, SmallFn&& fn,
-                      Cycles kernel_cost) {
-  queue_.push_back(Job{&proc, cost, kernel_cost, std::move(fn), proc.epoch()});
-  if (state_ == State::kPolling) preempt_poll();
-  if (state_ == State::kIdle) start_next();
+void HwThread::grow() {
+  constexpr std::size_t kInitialJobs = 16;
+  const std::size_t capacity = capacity_ == 0 ? kInitialJobs : 2 * capacity_;
+  auto next = std::make_unique<Job[]>(capacity);
+  // A running callable cannot be moved out from under itself: leave it in
+  // the old buffer (an empty placeholder holds its place at the new head)
+  // and keep that buffer alive until finish_current() is done with it.
+  const std::size_t first = in_callable_ ? 1 : 0;
+  for (std::size_t i = first; i < count_; ++i) {
+    next[i] = std::move(ring_[(head_ + i) & (capacity_ - 1)]);
+  }
+  if (in_callable_ && !parked_) parked_ = std::move(ring_);
+  ring_ = std::move(next);
+  capacity_ = capacity;
+  head_ = 0;
 }
 
 void HwThread::preempt_poll() {
@@ -58,21 +68,20 @@ void HwThread::begin_poll(Process& proc) {
 
 bool HwThread::pick_next(SimTime& dur) {
   while (true) {
-    if (queue_head_ >= queue_.size()) {
-      queue_.clear();
-      queue_head_ = 0;
+    if (count_ == 0) {
       state_ = State::kIdle;
       // Everyone pinned here is out of work: poll (sole pollable process)
       // or suspend (colocated processes use blocking channels).
       for (auto* thread_proc : pinned_procs_) thread_proc->became_idle();
       return false;
     }
-    Job& job = queue_[queue_head_++];
+    Job& job = ring_[head_];
     Process& p = *job.proc;
     if (p.crashed() || p.epoch() != job.epoch) {
       // Work queued to a dead (or since-restarted) process evaporates.
       job.fn.reset();
       p.backlog_ = p.backlog_ > 0 ? p.backlog_ - 1 : 0;
+      pop_front();
       continue;
     }
     state_ = State::kExecuting;
@@ -80,9 +89,6 @@ bool HwThread::pick_next(SimTime& dur) {
     const auto scaled = static_cast<Cycles>(
         static_cast<double>(job.cost + job.kernel_cost) * params_.work_scale);
     dur = params_.freq.duration(scaled, factor);
-    // At most one job executes at a time, so it can live in current_ and the
-    // completion event only needs to capture `this` (fits SmallFn inline).
-    current_ = std::move(job);
     return true;
   }
 }
@@ -95,15 +101,24 @@ void HwThread::start_next() {
 }
 
 void HwThread::finish_current() {
-  Job job = std::move(current_);
+  // `job` stays valid across its callable even if the callable grows the
+  // ring: grow() leaves it in place and parks its buffer.
+  Job& job = ring_[head_];
   Process& p = *job.proc;
   if (!p.crashed() && p.epoch() == job.epoch) {
     p.account_processing(job.cost);
     if (p.backlog_ > 0) --p.backlog_;
-    if (job.fn) job.fn();
+    if (job.fn) {
+      in_callable_ = true;
+      job.fn();
+      in_callable_ = false;
+    }
   } else if (p.backlog_ > 0) {
     --p.backlog_;
   }
+  job.fn.reset();
+  parked_.reset();
+  pop_front();
   state_ = State::kIdle;
 }
 
@@ -176,7 +191,7 @@ MachineParams intel_xeon_e5520() {
 // ---------------------------------------------------------------------------
 
 Process::Process(Simulator& sim, std::string name)
-    : sim_(sim), name_(std::move(name)) {}
+    : sim_(sim), queue_(sim.queue()), name_(std::move(name)) {}
 
 Process::~Process() {
   if (thread_ != nullptr) thread_->remove_pinned(*this);
@@ -194,52 +209,41 @@ bool Process::can_poll() const {
   return can_poll_ && thread_ != nullptr && thread_->pinned_count() == 1;
 }
 
-void Process::post(Cycles cost, SmallFn fn) {
-  assert(thread_ != nullptr && "process must be pinned before receiving work");
-  if (crashed_) return;
-  ++backlog_;
+SmallFn& Process::post_waking(Cycles cost) {
+  // Wake path. MWAIT wake when alone on the hardware thread, otherwise a
+  // kernel-assisted wake (IPI + context switch), which is both slower and
+  // burns destination-side kernel cycles. Messages arriving while the wake
+  // is still in flight are delivered at the same deadline so that
+  // per-process FIFO order is preserved (the event queue breaks ties in
+  // schedule order).
   const MachineParams& mp = thread_->params();
-  if (run_state_ == RunState::kSuspended || run_state_ == RunState::kWaking) {
-    // Wake path. MWAIT wake when alone on the hardware thread, otherwise a
-    // kernel-assisted wake (IPI + context switch), which is both slower and
-    // burns destination-side kernel cycles. Messages arriving while the
-    // wake is still in flight are delivered at the same deadline so that
-    // per-process FIFO order is preserved (the event queue breaks ties in
-    // schedule order).
-    Cycles kernel_cost = 0;
-    if (run_state_ == RunState::kSuspended) {
-      ++stats_.wakeups;
-      const bool alone = thread_->pinned_count() == 1;
-      const SimTime latency =
-          alone ? mp.wake_fast_latency : mp.wake_kernel_latency;
-      kernel_cost = mp.resume_cycles + (alone ? 0 : mp.wake_kernel_cycles);
-      account_kernel(kernel_cost);
-      wake_deadline_ = sim_.now() + latency;
-      run_state_ = RunState::kWaking;
-    }
-    woken_.push_back(WokenJob{cost, kernel_cost, std::move(fn)});
-    const auto epoch = epoch_;
-    sim_.queue().post_at(wake_deadline_, [this, epoch] {
-      // A crash empties woken_, and this epoch's events fire in post
-      // order, so the oldest entry is this event's own job.
-      if (crashed_ || epoch_ != epoch) return;
-      assert(woken_head_ < woken_.size());
-      WokenJob job = std::move(woken_[woken_head_]);
-      if (++woken_head_ == woken_.size()) {
-        woken_.clear();
-        woken_head_ = 0;
-      }
-      run_state_ = RunState::kAwake;
-      thread_->submit(*this, job.cost, std::move(job.fn), job.kernel_cost);
-    });
-    return;
+  Cycles kernel_cost = 0;
+  if (run_state_ == RunState::kSuspended) {
+    ++stats_.wakeups;
+    const bool alone = thread_->pinned_count() == 1;
+    const SimTime latency =
+        alone ? mp.wake_fast_latency : mp.wake_kernel_latency;
+    kernel_cost = mp.resume_cycles + (alone ? 0 : mp.wake_kernel_cycles);
+    account_kernel(kernel_cost);
+    wake_deadline_ = sim_.now() + latency;
+    run_state_ = RunState::kWaking;
   }
-  run_state_ = RunState::kAwake;
-  thread_->submit(*this, cost, std::move(fn));
-}
-
-EventHandle Process::schedule_raw(SimTime delay, SmallFn fn) {
-  return sim_.queue().schedule(delay, std::move(fn));
+  const auto epoch = epoch_;
+  queue_.post_at(wake_deadline_, [this, epoch] {
+    // A crash empties woken_, and this epoch's events fire in post order,
+    // so the oldest entry is this event's own job.
+    if (crashed_ || epoch_ != epoch) return;
+    assert(woken_head_ < woken_.size());
+    WokenJob& job = woken_[woken_head_++];
+    run_state_ = RunState::kAwake;
+    thread_->submit(*this, epoch_, job.cost, std::move(job.fn),
+                    job.kernel_cost);
+    if (woken_head_ == woken_.size()) {
+      woken_.clear();
+      woken_head_ = 0;
+    }
+  });
+  return woken_.emplace_back(WokenJob{cost, kernel_cost, {}}).fn;
 }
 
 void Process::became_idle() {

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -29,12 +30,16 @@ class Simulator {
 
   /// Schedule a raw event (not tied to any process; use Process::after for
   /// component timers so they die with the component).
-  EventHandle schedule(SimTime delay, SmallFn fn) {
-    return queue_.schedule(delay, std::move(fn));
+  template <typename F>
+  EventHandle schedule(SimTime delay, F&& fn) {
+    return queue_.schedule(delay, std::forward<F>(fn));
   }
 
   /// Fire-and-forget raw event: no handle, no cancellation (the fast path).
-  void post(SimTime delay, SmallFn fn) { queue_.post(delay, std::move(fn)); }
+  template <typename F>
+  void post(SimTime delay, F&& fn) {
+    queue_.post(delay, std::forward<F>(fn));
+  }
 
   /// Create a machine owned by the simulator.
   Machine& add_machine(MachineParams params) {

@@ -19,8 +19,9 @@
 // (TcpSocket::Callbacks, socklib::ConnCallbacks, the ipc::Doorbell
 // handler) are sim::Callback<Sig>, N = 16: one `this` or one weak_ptr,
 // which is all any of them captures, for 32 bytes per callback instead of
-// 96. sim::SmallFn stays the void() alias every schedule()/post() call
-// site uses.
+// 96. sim::SmallFn stays the void() alias every event slot and job holds;
+// schedule()/post()/submit() build the caller's callable straight into
+// one with emplace().
 //
 // SmallFnOfs of different budgets are distinct types and never convert
 // into each other (wrapping one in another would hide a heap allocation):
@@ -58,16 +59,7 @@ class SmallFnOf<R(Args...), N> {
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   SmallFnOf(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for
                       // std::function at every call site
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &inline_ops<Fn>;
-    } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &heap_ops<Fn>;
-    }
+    construct(std::forward<F>(f));
   }
 
   SmallFnOf(SmallFnOf&& other) noexcept { steal(other); }
@@ -90,6 +82,23 @@ class SmallFnOf<R(Args...), N> {
   }
 
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
+
+  /// Replace the held callable by `f`, built directly in this object's
+  /// storage: the event queue and the job ring construct each callable
+  /// where it will run instead of moving a temporary in. A SmallFnOf of
+  /// the same type is moved (its callable relocated), not wrapped.
+  template <typename F>
+  void emplace(F&& f) {
+    reset();
+    if constexpr (std::is_same_v<std::decay_t<F>, SmallFnOf>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "SmallFnOf is move-only");
+      steal(f);
+    } else {
+      static_assert(!is_small_fn_v<std::decay_t<F>>,
+                    "budgets never convert: move the callable instead");
+      construct(std::forward<F>(f));
+    }
+  }
 
   /// Destroy the held callable (releases captured resources immediately —
   /// cancellation paths use this so dead closures don't pin packets).
@@ -133,6 +142,20 @@ class SmallFnOf<R(Args...), N> {
         Fn** s = std::launder(reinterpret_cast<Fn**>(src));
         ::new (static_cast<void*>(dst)) Fn*(*s);
       }};
+
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= kInlineSize &&
+                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &inline_ops<Fn>;
+    } else {
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
+      ops_ = &heap_ops<Fn>;
+    }
+  }
 
   void steal(SmallFnOf& other) noexcept {
     ops_ = other.ops_;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
@@ -40,6 +41,15 @@ TEST(Maglev, TableIsAFunctionOfTheBackendSetNotJoinOrder) {
   for (int id : {0, 1, 2, 3}) a.add_backend(id);
   for (int id : {3, 1, 0, 2}) b.add_backend(id);
   EXPECT_EQ(a.entries(), b.entries());
+}
+
+TEST(Maglev, NonPrimeTableSizeIsRejectedInEveryBuild) {
+  // The permutation skip must be coprime with the table size; a composite
+  // size would leave entries unreachable, so the constructor refuses it
+  // whether or not asserts are compiled in.
+  EXPECT_THROW(MaglevTable(100), std::invalid_argument);
+  EXPECT_THROW(MaglevTable(1), std::invalid_argument);
+  EXPECT_NO_THROW(MaglevTable(101));
 }
 
 TEST(Maglev, EveryEntryAssignedAndNearBalanced) {

@@ -190,7 +190,9 @@ TEST(FlowTracer, RingOverflowKeepsNewestInOrder) {
   ASSERT_EQ(evs.size(), 8u);
   for (std::size_t i = 0; i < evs.size(); ++i) {
     EXPECT_EQ(evs[i].ts_ns, (12 + i) * 100);  // oldest 12 were overwritten
-    if (i > 0) EXPECT_GE(evs[i].ts_ns, evs[i - 1].ts_ns);
+    if (i > 0) {
+      EXPECT_GE(evs[i].ts_ns, evs[i - 1].ts_ns);
+    }
   }
 }
 

@@ -4,8 +4,11 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -99,6 +102,160 @@ TEST(EventQueue, PastTimesClampToNow) {
   q.run();
   EXPECT_TRUE(fired);
   EXPECT_EQ(q.now(), 100u);
+}
+
+/// Counts its own moves: a capture that tells whether the callable holding
+/// it was relocated (a check that needs no sanitizer to see a moved-out
+/// callable keep running from freed storage).
+struct MoveSpy {
+  int* moves;
+  explicit MoveSpy(int* m) : moves(m) {}
+  MoveSpy(MoveSpy&& o) noexcept : moves(o.moves) { ++*moves; }
+};
+
+TEST(EventQueue, SizeAndEmptyCountOnlyArmedEvents) {
+  // Near and far delays land in different heaps; both must count the same.
+  for (const SimTime delay : {SimTime{10}, 5 * kMillisecond}) {
+    EventQueue q;
+    int fired = 0;
+    auto a = q.schedule(delay, [&] { ++fired; });
+    auto b = q.schedule(delay, [&] { ++fired; });
+    auto c = q.schedule(delay, [&] { ++fired; });
+    EXPECT_EQ(q.size(), 3u);
+    b.cancel();
+    b.cancel();  // idempotent
+    EXPECT_EQ(q.size(), 2u) << "delay " << delay;
+    a.cancel();
+    c.cancel();
+    EXPECT_EQ(q.size(), 0u) << "delay " << delay;
+    EXPECT_TRUE(q.empty()) << "only cancelled events are left";
+
+    q.schedule(delay, [&] { ++fired; });
+    auto d = q.schedule(delay, [&] { ++fired; });
+    q.post(delay, [&] { ++fired; });
+    d.cancel();
+    EXPECT_EQ(q.size(), 2u);
+    q.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.executed(), 2u);
+  }
+}
+
+TEST(EventQueue, EntriesAreSixteenBytes) {
+  static_assert(sizeof(EventQueue::Entry) == 16,
+                "{time, seq << 24 | slot}: four entries per cache line");
+  SUCCEED();
+}
+
+TEST(EventQueue, CallbackGrowingTheSlotTableKeepsRunningInItsOwnSlot) {
+  // A callback that schedules more events than one slot chunk holds makes
+  // the table grow while the callback runs from one of its slots. Its own
+  // captures must survive, cancelling its own (already firing) handle must
+  // be a no-op, and every event must fire exactly once.
+  EventQueue q;
+  constexpr int kSpawned = 3000;  // ~3 chunks of 1024 slots
+  std::vector<int> fires(kSpawned, 0);
+  EventHandle self;
+  bool pending_inside = true;
+  std::size_t size_inside = 0;
+  int moves = 0;
+  int moves_while_running = -1;
+  self = q.schedule(10, [&, spy = MoveSpy(&moves)] {
+    const int before = *spy.moves;
+    for (int i = 0; i < kSpawned; ++i) {
+      q.post(static_cast<SimTime>(1 + i % 5),
+             [&fires, i] { ++fires[static_cast<std::size_t>(i)]; });
+    }
+    pending_inside = self.pending();
+    self.cancel();
+    size_inside = q.size();
+    moves_while_running = *spy.moves - before;
+  });
+  q.run();
+  EXPECT_EQ(moves_while_running, 0) << "the running callable must not move";
+  EXPECT_FALSE(pending_inside);
+  EXPECT_EQ(size_inside, static_cast<std::size_t>(kSpawned))
+      << "cancelling a firing event must not touch the live count";
+  for (int i = 0; i < kSpawned; ++i) {
+    ASSERT_EQ(fires[static_cast<std::size_t>(i)], 1) << "event " << i;
+  }
+  EXPECT_EQ(q.executed(), static_cast<std::uint64_t>(kSpawned + 1));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, MatchesTimeSeqReferenceUnderHeavyFarCancellation) {
+  // Property test: the queue fires exactly the (time, seq) order of a
+  // std::map reference model, over 50k schedules mixing near and far
+  // delays (many same-time ties), callbacks that schedule follow-ups, and
+  // ~90% of far timers cancelled before they fire — enough to compact the
+  // far heap many times over.
+  EventQueue q;
+  Rng rng(2024);
+  std::map<std::pair<SimTime, std::uint64_t>, std::uint64_t> ref;
+  std::vector<std::uint64_t> fired;
+  std::vector<std::uint64_t> expected;
+  std::vector<std::pair<EventHandle, std::pair<SimTime, std::uint64_t>>>
+      doomed;
+  std::uint64_t next_id = 0;
+  std::size_t far_scheduled = 0;
+  std::size_t far_cancelled = 0;
+
+  std::function<void(SimTime)> add = [&](SimTime delay) {
+    const std::uint64_t id = next_id++;
+    const std::pair<SimTime, std::uint64_t> key{q.now() + delay, id};
+    ref.emplace(key, id);
+    auto fire = [&, id] {
+      fired.push_back(id);
+      if (rng.chance(0.05)) add(rng.below(4) * kMicrosecond);
+    };
+    if (delay >= kMillisecond) {
+      ++far_scheduled;
+      EventHandle h = q.schedule(delay, fire);
+      if (rng.chance(0.9)) doomed.emplace_back(std::move(h), key);
+    } else {
+      q.post(delay, fire);
+    }
+  };
+
+  constexpr std::uint64_t kSchedules = 50'000;
+  while (next_id < kSchedules) {
+    for (int i = 0; i < 40 && next_id < kSchedules; ++i) {
+      const bool far = rng.chance(0.6);
+      add(far ? kMillisecond + rng.below(80) * kMillisecond / 4
+              : rng.below(50) * kMicrosecond);
+    }
+    // Cancel a random share of the doomed far timers still pending.
+    for (std::size_t i = 0; i < doomed.size();) {
+      if (!rng.chance(0.3)) {
+        ++i;
+        continue;
+      }
+      if (doomed[i].first.pending()) {
+        doomed[i].first.cancel();
+        ref.erase(doomed[i].second);
+        ++far_cancelled;
+      }
+      doomed[i] = std::move(doomed.back());
+      doomed.pop_back();
+    }
+    const SimTime until = q.now() + 100 * kMicrosecond;
+    q.run_until(until);
+    while (!ref.empty() && ref.begin()->first.first <= until) {
+      expected.push_back(ref.begin()->second);
+      ref.erase(ref.begin());
+    }
+    ASSERT_EQ(fired.size(), expected.size()) << "at t=" << until;
+    ASSERT_EQ(q.size(), ref.size()) << "at t=" << until;
+  }
+  q.run();
+  for (const auto& [key, id] : ref) expected.push_back(id);
+  EXPECT_GT(far_cancelled, far_scheduled * 8 / 10);
+  ASSERT_EQ(fired.size(), expected.size());
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    ASSERT_EQ(fired[i], expected[i]) << "firing #" << i;
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -335,6 +492,44 @@ TEST(ProcessModel, RestartAcceptsNewWorkButNotStaleTimers) {
   sim.run();
   EXPECT_FALSE(stale_fired) << "timers from before the crash must not fire";
   EXPECT_TRUE(fresh_fired);
+}
+
+TEST(ProcessModel, JobOverflowingTheRingFromInsideRunsEveryJobOnceInOrder) {
+  // A running job posts more jobs to its own thread than the job ring
+  // holds, so the ring grows under it (several times). The running
+  // callable must stay put, and the new jobs run once each, FIFO, with the
+  // backlog counting exactly them.
+  Simulator sim;
+  MachineParams mp;
+  mp.cores = 1;
+  mp.freq = Frequency{1.0};
+  Machine& m = sim.add_machine(mp);
+  TestProc p(sim, "p");
+  p.pin(m.thread(0));
+
+  constexpr int kJobs = 200;
+  std::vector<int> order;
+  std::uint64_t backlog_inside = 0;
+  int moves = 0;
+  int moves_while_running = -1;
+  p.post(10, [&, spy = MoveSpy(&moves)] {
+    const int before = *spy.moves;
+    for (int i = 0; i < kJobs; ++i) {
+      p.post(10, [&order, i] { order.push_back(i); });
+    }
+    backlog_inside = p.backlog();
+    moves_while_running = *spy.moves - before;
+  });
+  sim.run();
+  EXPECT_EQ(moves_while_running, 0)
+      << "the running job's callable must not move";
+  EXPECT_EQ(backlog_inside, static_cast<std::uint64_t>(kJobs));
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kJobs));
+  for (int i = 0; i < kJobs; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  }
+  EXPECT_EQ(p.backlog(), 0u);
+  EXPECT_EQ(p.stats().jobs, static_cast<std::uint64_t>(kJobs + 1));
 }
 
 TEST(ProcessModel, SuspendAndWakeAreAccounted) {
