@@ -7,6 +7,7 @@
 //
 //   $ ./examples/quickstart
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include "harness/testbed.hpp"
@@ -20,11 +21,14 @@ using socklib::kBadFd;
 
 namespace {
 
-/// Applications are ordinary event-driven processes holding a SockLib.
+/// Applications are ordinary event-driven processes holding a SockLib and
+/// one callback table that all their connections share (declared first, so
+/// it outlives the sockets).
 class App : public sim::Process {
  public:
   App(sim::Simulator& sim, std::string name)
       : sim::Process(sim, std::move(name)) {}
+  ConnCallbacks cb;
   std::unique_ptr<socklib::SockLib> lib;
 };
 
@@ -60,51 +64,55 @@ int main() {
 
   // --- 4. An echo server: listen, accept, echo back whatever arrives. -----
   Fd listen_fd = kBadFd;
+  // Every call names its fd, so one table serves every connection.
+  server_app.cb.on_readable = [&](Fd fd) {
+    std::uint8_t buf[512];
+    std::size_t n;
+    while ((n = server_app.lib->recv(fd, buf)) > 0) {
+      server_app.lib->send(fd, {buf, n});
+    }
+    if (server_app.lib->eof(fd)) server_app.lib->close(fd);
+  };
   listen_fd = server_app.lib->listen(7777, 64, [&] {
-    // Callbacks are move-only: build a fresh set per accepted connection.
-    auto make_cb = [&] {
-      ConnCallbacks cb;
-      cb.on_readable = [&](Fd fd) {
-        std::uint8_t buf[512];
-        std::size_t n;
-        while ((n = server_app.lib->recv(fd, buf)) > 0) {
-          server_app.lib->send(fd, {buf, n});
-        }
-        if (server_app.lib->eof(fd)) server_app.lib->close(fd);
-      };
-      return cb;
-    };
-    while (server_app.lib->accept(listen_fd, make_cb()) != kBadFd) {
+    while (server_app.lib->accept(listen_fd, &server_app.cb) != kBadFd) {
     }
   });
 
   // --- 5. Four clients, each sending one message. ---------------------------
+  // Per-connection state lives in the app, keyed by fd.
+  struct Echo {
+    int id;
+    std::string msg;
+    std::string reply;
+  };
+  std::map<Fd, Echo> echoes;
   int done = 0;
+  client_app.cb.on_connected = [&](Fd fd) {
+    const Echo& e = echoes.at(fd);
+    std::printf("[%6.2f ms] client %d connected\n",
+                sim::to_millis(tb.sim.now()), e.id);
+    client_app.lib->send(
+        fd, {reinterpret_cast<const std::uint8_t*>(e.msg.data()),
+             e.msg.size()});
+  };
+  client_app.cb.on_readable = [&](Fd fd) {
+    Echo& e = echoes.at(fd);
+    std::uint8_t buf[512];
+    std::size_t n;
+    while ((n = client_app.lib->recv(fd, buf)) > 0) {
+      e.reply.append(reinterpret_cast<char*>(buf), n);
+    }
+    if (e.reply == e.msg) {
+      std::printf("[%6.2f ms] client %d got its echo back: \"%s\"\n",
+                  sim::to_millis(tb.sim.now()), e.id, e.reply.c_str());
+      client_app.lib->close(fd);
+      ++done;
+    }
+  };
   for (int i = 0; i < 4; ++i) {
-    const std::string msg = "hello #" + std::to_string(i);
-    auto reply = std::make_shared<std::string>();
-    ConnCallbacks cb;
-    cb.on_connected = [&, msg, i](Fd fd) {
-      std::printf("[%6.2f ms] client %d connected\n",
-                  sim::to_millis(tb.sim.now()), i);
-      client_app.lib->send(fd, {reinterpret_cast<const std::uint8_t*>(
-                                    msg.data()),
-                                msg.size()});
-    };
-    cb.on_readable = [&, i, msg, reply](Fd fd) {
-      std::uint8_t buf[512];
-      std::size_t n;
-      while ((n = client_app.lib->recv(fd, buf)) > 0) {
-        reply->append(reinterpret_cast<char*>(buf), n);
-      }
-      if (*reply == msg) {
-        std::printf("[%6.2f ms] client %d got its echo back: \"%s\"\n",
-                    sim::to_millis(tb.sim.now()), i, reply->c_str());
-        client_app.lib->close(fd);
-        ++done;
-      }
-    };
-    client_app.lib->connect(net::SockAddr{kServerIp, 7777}, std::move(cb));
+    const Fd fd = client_app.lib->connect(net::SockAddr{kServerIp, 7777},
+                                          &client_app.cb);
+    echoes[fd] = Echo{i, "hello #" + std::to_string(i), {}};
   }
 
   // --- 6. Run the world. ----------------------------------------------------

@@ -8,7 +8,6 @@
 namespace neat::apps {
 
 using socklib::CloseReason;
-using socklib::ConnCallbacks;
 using socklib::Fd;
 using socklib::kBadFd;
 
@@ -18,7 +17,14 @@ HttpServer::HttpServer(sim::Simulator& sim, std::string name,
     : sim::Process(sim, std::move(name)),
       files_(files),
       port_(port),
-      costs_(costs) {}
+      costs_(costs) {
+  conn_cb_.on_readable = [this](Fd fd) { on_readable(fd); };
+  conn_cb_.on_writable = [this](Fd fd) { continue_write(fd); };
+  conn_cb_.on_closed = [this](Fd fd, CloseReason r) {
+    if (r != CloseReason::kNormal) ++stats_.conn_errors;
+    finish(fd);
+  };
+}
 
 void HttpServer::attach_api(std::unique_ptr<socklib::SocketApi> api) {
   api_ = std::move(api);
@@ -35,14 +41,7 @@ void HttpServer::accept_loop() {
   // One accept per job so each new connection pays its cost; chain while
   // more are pending.
   post(costs_.accept, [this] {
-    ConnCallbacks cb;
-    cb.on_readable = [this](Fd fd) { on_readable(fd); };
-    cb.on_writable = [this](Fd fd) { continue_write(fd); };
-    cb.on_closed = [this](Fd fd, CloseReason r) {
-      if (r != CloseReason::kNormal) ++stats_.conn_errors;
-      finish(fd);
-    };
-    const Fd fd = api_->accept(listen_fd_, std::move(cb));
+    const Fd fd = api_->accept(listen_fd_, &conn_cb_);
     if (fd == kBadFd) return;
     ++stats_.conns_accepted;
     Conn c;

@@ -98,6 +98,9 @@ class HttpServer : public sim::Process {
   std::uint16_t port_;
   Costs costs_;
   Stats stats_;
+  /// Every connection's callbacks (declared before api_: it outlives the
+  /// sockets).
+  socklib::ConnCallbacks conn_cb_;
   std::unique_ptr<socklib::SocketApi> api_;
   socklib::Fd listen_fd_{socklib::kBadFd};
   std::unordered_map<socklib::Fd, Conn> conns_;

@@ -272,47 +272,46 @@ void LinuxHost::handle_frame_in_softirq(SoftirqProcess& ctx,
 // LinuxSockets
 // ---------------------------------------------------------------------------
 
-/// Kernel socket glue: TCP callbacks run in softirq context and wake the
-/// app through its epoll doorbell.
-struct LinuxSockets::LinuxSocket
-    : public std::enable_shared_from_this<LinuxSockets::LinuxSocket> {
+/// Kernel socket glue: the socket owns its TCB, whose events arrive in
+/// softirq context and wake the app through its epoll doorbell.
+struct LinuxSockets::LinuxSocket final
+    : public std::enable_shared_from_this<LinuxSockets::LinuxSocket>,
+      private net::TcpSocket::Owner {
   // The bell's handler may capture a bare `this`: a ring's delivery holds
   // this socket (its owner) for the handler's duration.
   LinuxSocket(sim::Process& app, LinuxHost& host, net::TcpSocketPtr t,
-              socklib::Fd fd)
+              socklib::Fd fd, bool notify_connect)
       : tcp(std::move(t)),
         events(app, host.config().costs.epoll_wake,
                [this] {
                  if (events.run_pending()) events.deliver_close();
                },
-               fd) {}
+               fd, notify_connect) {
+    tcp->set_owner(this);
+  }
 
-  void init(socklib::ConnCallbacks callbacks, bool notify_connect) {
+  // The TCB may outlive the socket (TIME_WAIT).
+  ~LinuxSocket() { tcp->set_owner(nullptr); }
+
+  /// Point at the app's table, then deliver the edges that fired before
+  /// it was installed: data (or a close) may have raced ahead of accept().
+  void init(const socklib::ConnCallbacks* callbacks) {
     using socklib::ConnEvents;
-    events.set_callbacks(std::move(callbacks));
-    std::weak_ptr<LinuxSocket> wp = weak_from_this();
-    net::TcpSocket::Callbacks tcb;
-    if (notify_connect) {
-      tcb.on_established = [wp] {
-        if (auto s = wp.lock()) s->raise(ConnEvents::kConnected);
-      };
-    }
-    tcb.on_readable = [wp] {
-      if (auto s = wp.lock()) s->raise(ConnEvents::kReadable);
-    };
-    tcb.on_writable = [wp] {
-      if (auto s = wp.lock()) s->raise(ConnEvents::kWritable);
-    };
-    tcb.on_closed = [wp](net::TcpCloseReason r) {
-      if (auto s = wp.lock()) {
-        s->events.raise_closed(socklib::to_close_reason(r), s);
-      }
-    };
-    tcp->set_callbacks(std::move(tcb));
-    // Data (or a close) may have raced ahead of accept(): deliver the edge
-    // that fired before callbacks were installed.
+    events.set_callbacks(callbacks);
     if (tcp->readable() > 0 || tcp->eof()) raise(ConnEvents::kReadable);
     if (tcp->state() == net::TcpState::kClosed) raise(ConnEvents::kClosed);
+  }
+
+  void on_tcp_event(net::TcpEvent ev, net::TcpCloseReason r) override {
+    using socklib::ConnEvents;
+    switch (ev) {
+      case net::TcpEvent::kEstablished: raise(ConnEvents::kConnected); return;
+      case net::TcpEvent::kReadable: raise(ConnEvents::kReadable); return;
+      case net::TcpEvent::kWritable: raise(ConnEvents::kWritable); return;
+      case net::TcpEvent::kClosed:
+        events.raise_closed(socklib::to_close_reason(r), weak_from_this());
+        return;
+    }
   }
 
   void raise(std::uint8_t bits) { events.raise(bits, weak_from_this()); }
@@ -347,7 +346,7 @@ socklib::Fd LinuxSockets::listen(std::uint16_t port, std::size_t backlog,
 }
 
 socklib::Fd LinuxSockets::accept(socklib::Fd listen_fd,
-                                 socklib::ConnCallbacks cb) {
+                                 const socklib::ConnCallbacks* cb) {
   auto it = listeners_.find(listen_fd);
   if (it == listeners_.end()) return socklib::kBadFd;
   net::TcpListener* l = host_.tcp().listener(it->second.port);
@@ -360,25 +359,26 @@ socklib::Fd LinuxSockets::accept(socklib::Fd listen_fd,
   net::TcpSocketPtr tcp = l->accept();
   charge(host_.config().costs.sys_accept + lock_extra, 2);
   if (!tcp) return socklib::kBadFd;
-  return wire(std::move(tcp), std::move(cb), false);
+  return wire(std::move(tcp), cb, false);
 }
 
 socklib::Fd LinuxSockets::connect(net::SockAddr remote,
-                                  socklib::ConnCallbacks cb) {
+                                  const socklib::ConnCallbacks* cb) {
   charge(host_.config().costs.sys_connect, 3);
   host_.set_current(&app_);
   net::TcpSocketPtr tcp = host_.tcp().connect(remote);
   host_.set_current(nullptr);
   if (!tcp) return socklib::kBadFd;
-  return wire(std::move(tcp), std::move(cb), true);
+  return wire(std::move(tcp), cb, true);
 }
 
 socklib::Fd LinuxSockets::wire(net::TcpSocketPtr tcp,
-                               socklib::ConnCallbacks cb,
+                               const socklib::ConnCallbacks* cb,
                                bool notify_connect) {
   const socklib::Fd fd = next_fd_++;
-  auto sock = std::make_shared<LinuxSocket>(app_, host_, std::move(tcp), fd);
-  sock->init(std::move(cb), notify_connect);
+  auto sock = std::make_shared<LinuxSocket>(app_, host_, std::move(tcp), fd,
+                                            notify_connect);
+  sock->init(cb);
   conns_.emplace(fd, std::move(sock));
   return fd;
 }
@@ -429,7 +429,7 @@ bool LinuxSockets::eof(socklib::Fd fd) const {
 void LinuxSockets::close(socklib::Fd fd) {
   if (auto it = conns_.find(fd); it != conns_.end()) {
     charge(host_.config().costs.sys_close, 2);
-    it->second->events.set_callbacks({});
+    it->second->events.set_callbacks(nullptr);
     host_.set_current(&app_);
     it->second->tcp->close();
     host_.set_current(nullptr);

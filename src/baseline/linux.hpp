@@ -218,9 +218,9 @@ class LinuxSockets final : public socklib::SocketApi {
   socklib::Fd listen(std::uint16_t port, std::size_t backlog,
                      std::function<void()> on_acceptable) override;
   socklib::Fd accept(socklib::Fd listen_fd,
-                     socklib::ConnCallbacks cb) override;
+                     const socklib::ConnCallbacks* cb) override;
   socklib::Fd connect(net::SockAddr remote,
-                      socklib::ConnCallbacks cb) override;
+                      const socklib::ConnCallbacks* cb) override;
   std::size_t send(socklib::Fd fd,
                    std::span<const std::uint8_t> data) override;
   std::size_t recv(socklib::Fd fd, std::span<std::uint8_t> dst) override;
@@ -233,7 +233,7 @@ class LinuxSockets final : public socklib::SocketApi {
 
   [[nodiscard]] int core() const;
   void charge(sim::Cycles base, int lines);
-  socklib::Fd wire(net::TcpSocketPtr tcp, socklib::ConnCallbacks cb,
+  socklib::Fd wire(net::TcpSocketPtr tcp, const socklib::ConnCallbacks* cb,
                    bool notify_connect);
 
   sim::Process& app_;

@@ -44,6 +44,13 @@ void read_frame(socklib::SockLib& lib, socklib::Fd fd,
 PingServer::PingServer(sim::Simulator& sim, std::string name, NeatHost& host,
                        int host_id)
     : sim::Process(sim, std::move(name)), host_id_(host_id) {
+  conn_cb_.on_readable = [this](socklib::Fd fd) { service(fd); };
+  conn_cb_.on_closed = [this](socklib::Fd fd, socklib::CloseReason r) {
+    if (r == socklib::CloseReason::kMigratedAway) ++stats_.migrated_away;
+    ++stats_.closed;
+    lib_->close(fd);
+    conns_.erase(fd);
+  };
   lib_ = std::make_unique<socklib::SockLib>(*this, host);
 }
 
@@ -58,21 +65,9 @@ void PingServer::start(const std::vector<std::uint16_t>& ports,
   }
 }
 
-socklib::ConnCallbacks PingServer::callbacks() {
-  socklib::ConnCallbacks cb;
-  cb.on_readable = [this](socklib::Fd fd) { service(fd); };
-  cb.on_closed = [this](socklib::Fd fd, socklib::CloseReason r) {
-    if (r == socklib::CloseReason::kMigratedAway) ++stats_.migrated_away;
-    ++stats_.closed;
-    lib_->close(fd);
-    conns_.erase(fd);
-  };
-  return cb;
-}
-
 void PingServer::on_acceptable(socklib::Fd listen_fd) {
   for (;;) {
-    const socklib::Fd fd = lib_->accept(listen_fd, callbacks());
+    const socklib::Fd fd = lib_->accept(listen_fd, &conn_cb_);
     if (fd == socklib::kBadFd) return;
     conns_.try_emplace(fd);
     ++stats_.accepted;
@@ -94,7 +89,7 @@ void PingServer::service(socklib::Fd fd) {
 void PingServer::adopt(StackReplica& replica,
                        const std::vector<net::TcpSocketPtr>& sockets) {
   for (const auto& s : sockets) {
-    const socklib::Fd fd = lib_->adopt_socket(replica, s, callbacks());
+    const socklib::Fd fd = lib_->adopt_socket(replica, s, &conn_cb_);
     if (fd == socklib::kBadFd) continue;
     conns_.try_emplace(fd);
     ++stats_.adopted;
@@ -114,6 +109,14 @@ FleetClient::FleetClient(sim::Simulator& sim, std::string name,
     : sim::Process(sim, std::move(name)), host_(host), cfg_(std::move(cfg)) {
   assert(!cfg_.ports.empty());
   assert(cfg_.ramp_batch < 4096 && "batch must fit the SYSCALL channel");
+  pinger_cb_.on_connected = [this](socklib::Fd fd) { on_connected(fd, true); };
+  plain_cb_.on_connected = [this](socklib::Fd fd) { on_connected(fd, false); };
+  for (auto* cb : {&pinger_cb_, &plain_cb_}) {
+    cb->on_readable = [this](socklib::Fd fd) { on_readable(fd); };
+    cb->on_closed = [this](socklib::Fd fd, socklib::CloseReason r) {
+      on_closed(fd, r);
+    };
+  }
   lib_ = std::make_unique<socklib::SockLib>(*this, host_);
 }
 
@@ -152,39 +155,40 @@ void FleetClient::open_one() {
   const std::uint16_t port =
       cfg_.ports[next_port_++ % cfg_.ports.size()];
 
-  socklib::ConnCallbacks cb;
-  cb.on_connected = [this, pinger](socklib::Fd fd) {
-    ++stats_.connected;
-    ++live_conns_;
-    if (pinger) {
-      pingers_.try_emplace(fd);
-      ping_tick(fd);
-    }
-  };
-  cb.on_readable = [this](socklib::Fd fd) { on_readable(fd); };
-  cb.on_closed = [this](socklib::Fd fd, socklib::CloseReason r) {
-    switch (r) {
-      case socklib::CloseReason::kRefused:
-        ++stats_.connect_failures;
-        break;
-      case socklib::CloseReason::kReset:
-      case socklib::CloseReason::kStackFailure:
-        ++stats_.closed_reset;
-        if (live_conns_ > 0) --live_conns_;
-        break;
-      case socklib::CloseReason::kMigratedAway:
-        ++stats_.closed_migrated;
-        if (live_conns_ > 0) --live_conns_;
-        break;
-      default:
-        ++stats_.closed_other;
-        if (live_conns_ > 0) --live_conns_;
-        break;
-    }
-    lib_->close(fd);
-    pingers_.erase(fd);
-  };
-  lib_->connect(net::SockAddr{cfg_.vip, port}, std::move(cb));
+  lib_->connect(net::SockAddr{cfg_.vip, port},
+                pinger ? &pinger_cb_ : &plain_cb_);
+}
+
+void FleetClient::on_connected(socklib::Fd fd, bool pinger) {
+  ++stats_.connected;
+  ++live_conns_;
+  if (pinger) {
+    pingers_.try_emplace(fd);
+    ping_tick(fd);
+  }
+}
+
+void FleetClient::on_closed(socklib::Fd fd, socklib::CloseReason r) {
+  switch (r) {
+    case socklib::CloseReason::kRefused:
+      ++stats_.connect_failures;
+      break;
+    case socklib::CloseReason::kReset:
+    case socklib::CloseReason::kStackFailure:
+      ++stats_.closed_reset;
+      if (live_conns_ > 0) --live_conns_;
+      break;
+    case socklib::CloseReason::kMigratedAway:
+      ++stats_.closed_migrated;
+      if (live_conns_ > 0) --live_conns_;
+      break;
+    default:
+      ++stats_.closed_other;
+      if (live_conns_ > 0) --live_conns_;
+      break;
+  }
+  lib_->close(fd);
+  pingers_.erase(fd);
 }
 
 void FleetClient::send_ping(socklib::Fd fd, Pinger& p) {

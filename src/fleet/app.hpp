@@ -65,12 +65,14 @@ class PingServer : public sim::Process {
   [[nodiscard]] std::size_t open_connections() const { return conns_.size(); }
 
  private:
-  [[nodiscard]] socklib::ConnCallbacks callbacks();
   void on_acceptable(socklib::Fd listen_fd);
   /// Serve every complete frame currently buffered on `fd`.
   void service(socklib::Fd fd);
 
   int host_id_;
+  /// Every connection's callbacks (declared before lib_: it outlives the
+  /// sockets).
+  socklib::ConnCallbacks conn_cb_;
   std::unique_ptr<socklib::SockLib> lib_;
   /// Open fds (a set: the value is unused). Never iterated.
   sim::FlatMap<socklib::Fd, bool, sim::IntHash> conns_;
@@ -140,6 +142,8 @@ class FleetClient : public sim::Process {
 
   void ramp_tick();
   void open_one();
+  void on_connected(socklib::Fd fd, bool pinger);
+  void on_closed(socklib::Fd fd, socklib::CloseReason r);
   void ping_tick(socklib::Fd fd);
   void send_ping(socklib::Fd fd, Pinger& p);
   void on_readable(socklib::Fd fd);
@@ -147,6 +151,10 @@ class FleetClient : public sim::Process {
 
   NeatHost& host_;
   Config cfg_;
+  /// Connection callbacks: every sample_every-th connection is a pinger.
+  /// Declared before lib_: they outlive the sockets.
+  socklib::ConnCallbacks pinger_cb_;
+  socklib::ConnCallbacks plain_cb_;
   std::unique_ptr<socklib::SockLib> lib_;
   /// Never iterated; no reference into it is held across an insert/erase.
   sim::FlatMap<socklib::Fd, Pinger, sim::IntHash> pingers_;

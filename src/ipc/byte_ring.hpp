@@ -22,11 +22,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
+#include <stdexcept>
 
 namespace neat::ipc {
 
@@ -34,13 +34,17 @@ class ByteRing {
  public:
   /// Physical size of the first allocation (clamped to the capacity).
   static constexpr std::size_t kInitialBytes = 2048;
+  /// Largest capacity: offsets, size and allocation are 32-bit fields, so a
+  /// ring is 32 B (DESIGN.md §5m). Index sums are formed in std::size_t.
+  static constexpr std::size_t kMaxCapacity = UINT32_MAX;
 
   /// Backing memory is allocated lazily on first write and can be released
   /// with release() — connection teardown states (TIME_WAIT) must not pin
-  /// buffer memory, or high connection churn exhausts RAM.
-  explicit ByteRing(std::size_t capacity) : capacity_(capacity) {
-    assert(capacity > 0);
-  }
+  /// buffer memory, or high connection churn exhausts RAM. Throws
+  /// std::length_error for a capacity of 0 or above kMaxCapacity, in every
+  /// build.
+  explicit ByteRing(std::size_t capacity)
+      : capacity_(checked_capacity(capacity)) {}
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t readable() const { return size_; }
@@ -55,14 +59,13 @@ class ByteRing {
   std::size_t write(std::span<const std::uint8_t> src) {
     const std::size_t n = std::min(src.size(), writable());
     if (n == 0) return 0;
-    if (alloc_ < capacity_) make_room(size_ + n);
-    const std::size_t tail = wrap(off_ + size_);
-    const std::size_t first = std::min(n, alloc_ - tail);
+    if (alloc_ < capacity_) make_room(std::size_t{size_} + n);
+    const std::size_t tail = wrap(std::size_t{off_} + size_);
+    const std::size_t first = std::min<std::size_t>(n, alloc_ - tail);
     std::memcpy(buf_.get() + tail, src.data(), first);
     if (n > first) std::memcpy(buf_.get(), src.data() + first, n - first);
-    size_ += n;
+    size_ += static_cast<std::uint32_t>(n);
     high_water_ = std::max(high_water_, size_);
-    total_in_ += n;
     return n;
   }
 
@@ -100,7 +103,8 @@ class ByteRing {
   [[nodiscard]] std::array<std::span<const std::uint8_t>, 2> readable_spans()
       const {
     if (size_ == 0) return {};
-    const std::size_t first = std::min(size_, capacity_ - logical_head_);
+    const std::size_t first =
+        std::min<std::size_t>(size_, capacity_ - logical_head_);
     return {std::span<const std::uint8_t>{buf_.get() + off_, first},
             std::span<const std::uint8_t>{buf_.get() + wrap(off_ + first),
                                           size_ - first}};
@@ -119,12 +123,17 @@ class ByteRing {
     size_ = 0;
   }
 
-  [[nodiscard]] std::uint64_t total_in() const { return total_in_; }
-  [[nodiscard]] std::uint64_t total_out() const { return total_out_; }
   /// Largest occupancy ever reached (queue-pressure diagnostics).
   [[nodiscard]] std::size_t high_water() const { return high_water_; }
 
  private:
+  [[nodiscard]] static std::uint32_t checked_capacity(std::size_t capacity) {
+    if (capacity == 0 || capacity > kMaxCapacity) {
+      throw std::length_error("ByteRing capacity must be in [1, 2^32)");
+    }
+    return static_cast<std::uint32_t>(capacity);
+  }
+
   /// Physical index of position `i` < 2 * alloc_ in the buffer.
   [[nodiscard]] std::size_t wrap(std::size_t i) const {
     return i >= alloc_ ? i - alloc_ : i;
@@ -149,14 +158,14 @@ class ByteRing {
   /// drained ring restarts at offset 0, so the next write needs no
   /// compaction; at the capacity the physical head is the logical one.
   std::size_t consume(std::size_t n) {
-    logical_head_ = (logical_head_ + n) % capacity_;
-    size_ -= n;
+    logical_head_ =
+        static_cast<std::uint32_t>((logical_head_ + n) % capacity_);
+    size_ -= static_cast<std::uint32_t>(n);
     if (alloc_ == capacity_) {
       off_ = logical_head_;
     } else {
-      off_ = size_ == 0 ? 0 : off_ + n;
+      off_ = size_ == 0 ? 0 : off_ + static_cast<std::uint32_t>(n);
     }
-    total_out_ += n;
     return n;
   }
 
@@ -172,30 +181,29 @@ class ByteRing {
       off_ = 0;
       return;
     }
-    std::size_t grown = alloc_ == 0 ? std::min(kInitialBytes, capacity_)
-                                    : alloc_;
-    while (grown < need) grown = std::min(grown * 2, capacity_);
+    const std::size_t cap = capacity_;
+    std::size_t grown = alloc_ == 0 ? std::min(kInitialBytes, cap) : alloc_;
+    while (grown < need) grown = std::min(grown * 2, cap);
     auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(grown);
-    const std::size_t at = grown == capacity_ ? logical_head_ : 0;
-    const std::size_t first = std::min(size_, grown - at);
+    const std::size_t at = grown == cap ? logical_head_ : 0;
+    const std::size_t first = std::min<std::size_t>(size_, grown - at);
     if (first > 0) std::memcpy(bigger.get() + at, buf_.get() + off_, first);
     if (size_ > first) {
       std::memcpy(bigger.get(), buf_.get() + off_ + first, size_ - first);
     }
     buf_ = std::move(bigger);
-    alloc_ = grown;
-    off_ = at;
+    alloc_ = static_cast<std::uint32_t>(grown);
+    off_ = static_cast<std::uint32_t>(at);
   }
 
-  std::size_t capacity_;
+  // All 32-bit (capacity < 2^32) around the one pointer: 32 B per ring.
   std::unique_ptr<std::uint8_t[]> buf_;  // null until first write
-  std::size_t alloc_{0};                 // physical bytes behind buf_
-  std::size_t off_{0};                   // physical index of the head
-  std::size_t logical_head_{0};          // head in a fixed ring of capacity_
-  std::size_t size_{0};
-  std::size_t high_water_{0};
-  std::uint64_t total_in_{0};
-  std::uint64_t total_out_{0};
+  std::uint32_t capacity_;
+  std::uint32_t alloc_{0};               // physical bytes behind buf_
+  std::uint32_t off_{0};                 // physical index of the head
+  std::uint32_t logical_head_{0};        // head in a fixed ring of capacity_
+  std::uint32_t size_{0};
+  std::uint32_t high_water_{0};
 };
 
 }  // namespace neat::ipc

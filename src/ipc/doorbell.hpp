@@ -38,11 +38,9 @@ class Doorbell {
   /// owner dies is a no-op — the owner's own control block is the liveness
   /// check, and the doorbell carries no flag of its own.
   void ring(std::weak_ptr<const void> owner) {
-    ++rings_;
     if (pending_) return;
     if (consumer_->crashed()) return;
     pending_ = true;
-    ++deliveries_;
     consumer_->post(cost_, [this, owner = std::move(owner)] {
       const auto alive = owner.lock();
       if (!alive) return;  // the doorbell's owner was destroyed
@@ -62,16 +60,12 @@ class Doorbell {
   void reset() { pending_ = false; }
 
   [[nodiscard]] bool pending() const { return pending_; }
-  [[nodiscard]] std::uint64_t rings() const { return rings_; }
-  [[nodiscard]] std::uint64_t deliveries() const { return deliveries_; }
 
  private:
   sim::Process* consumer_;
   sim::Cycles cost_;
   Handler handler_;
   bool pending_{false};
-  std::uint64_t rings_{0};
-  std::uint64_t deliveries_{0};
 };
 
 }  // namespace neat::ipc

@@ -38,8 +38,7 @@ class SyscallServer : public sim::Process {
 
   /// Submit a system call; `op` runs in server context after the channel
   /// hop and the server-side handling cost. Move-only sim::SmallFn: syscall
-  /// closures own their callbacks (ConnCallbacks are move-only) and never
-  /// need copying.
+  /// closures never need copying.
   void submit(sim::SmallFn op) { ch_.send(std::move(op)); }
 
   [[nodiscard]] std::uint64_t calls_handled() const { return calls_; }

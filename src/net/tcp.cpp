@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <string>
+#include <utility>
 
 #include "net/checksum.hpp"
 #include "net/ipv4.hpp"
@@ -199,6 +200,57 @@ TcpSocket::~TcpSocket() {
   rto_timer_.cancel();
   ack_timer_.cancel();
   time_wait_timer_.cancel();
+  drop_callback_owner();
+}
+
+namespace {
+
+/// set_callbacks()'s owner: the closures, in their own heap block so a
+/// socket with an owner object carries none of their bytes.
+struct CallbackOwner final : TcpSocket::Owner {
+  explicit CallbackOwner(TcpSocket::Callbacks c) : cb(std::move(c)) {}
+
+  void on_tcp_event(TcpEvent ev, TcpCloseReason reason) override {
+    switch (ev) {
+      case TcpEvent::kEstablished: cb.on_established(); return;
+      case TcpEvent::kReadable: cb.on_readable(); return;
+      case TcpEvent::kWritable: cb.on_writable(); return;
+      case TcpEvent::kClosed: cb.on_closed(reason); return;
+    }
+  }
+
+  TcpSocket::Callbacks cb;
+};
+
+}  // namespace
+
+void TcpSocket::set_owner(Owner* owner) {
+  drop_callback_owner();
+  owner_ = owner;
+  wants_ = owner == nullptr ? 0 : kAllEvents;
+}
+
+void TcpSocket::set_callbacks(Callbacks cb) {
+  // An unset closure is an event the socket does not want.
+  wants_ = static_cast<std::uint8_t>(
+      (cb.on_established ? event_bit(TcpEvent::kEstablished) : 0) |
+      (cb.on_readable ? event_bit(TcpEvent::kReadable) : 0) |
+      (cb.on_writable ? event_bit(TcpEvent::kWritable) : 0) |
+      (cb.on_closed ? event_bit(TcpEvent::kClosed) : 0));
+  if (owner_is_callbacks_) {
+    static_cast<CallbackOwner*>(owner_)->cb = std::move(cb);
+  } else {
+    owner_ = new CallbackOwner(std::move(cb));
+    owner_is_callbacks_ = true;
+  }
+}
+
+void TcpSocket::drop_callback_owner() {
+  if (!owner_is_callbacks_) return;
+  delete static_cast<CallbackOwner*>(owner_);
+  owner_ = nullptr;
+  wants_ = 0;
+  owner_is_callbacks_ = false;
 }
 
 std::size_t TcpSocket::send_space() const { return send_ring_.writable(); }
@@ -304,7 +356,7 @@ void TcpSocket::abort() {
 void TcpSocket::on_segment(const TcpHeader& h, PacketPtr payload) {
   if (state_ == TcpState::kClosed) return;
 
-  snd_wnd_ = h.window;
+  const std::uint32_t prev_wnd = std::exchange(snd_wnd_, h.window);
 
   if (h.rst) {
     // Minimal validation: the RST must be inside the receive window (or be
@@ -327,7 +379,7 @@ void TcpSocket::on_segment(const TcpHeader& h, PacketPtr payload) {
       retries_ = 0;
       disarm_rto();
       send_ack_now();
-      if (cb_.on_established) cb_.on_established();
+      if (wants(TcpEvent::kEstablished)) emit(TcpEvent::kEstablished);
       try_output();
     } else if (h.syn && !h.ack_flag) {
       // Simultaneous open.
@@ -352,7 +404,7 @@ void TcpSocket::on_segment(const TcpHeader& h, PacketPtr payload) {
       retries_ = 0;
       disarm_rto();
       stack_.handshake_complete(*this);
-      if (cb_.on_established) cb_.on_established();
+      if (wants(TcpEvent::kEstablished)) emit(TcpEvent::kEstablished);
       // Fall through: the ACK may carry data.
     } else if (!h.ack_flag) {
       return;
@@ -367,7 +419,7 @@ void TcpSocket::on_segment(const TcpHeader& h, PacketPtr payload) {
     return;
   }
 
-  if (h.ack_flag) on_ack(h);
+  if (h.ack_flag) on_ack(h, prev_wnd);
   if (state_ == TcpState::kClosed) return;  // on_ack may have finished us
 
   if (payload && payload->size() > 0) accept_data(h, payload);
@@ -402,7 +454,7 @@ void TcpSocket::on_segment(const TcpHeader& h, PacketPtr payload) {
   }
 }
 
-void TcpSocket::on_ack(const TcpHeader& h) {
+void TcpSocket::on_ack(const TcpHeader& h, std::uint32_t prev_wnd) {
   if (seq_gt(h.ack, snd_nxt_)) {  // acks data we never sent
     send_ack_now();
     return;
@@ -435,6 +487,9 @@ void TcpSocket::on_ack(const TcpHeader& h) {
         try_output();
       }
     }
+    // A window update (the receiver's app drained a closed window) must
+    // restart a stalled sender: no new data will be acked to do it.
+    if (snd_wnd_ > prev_wnd) try_output();
     return;
   }
 
@@ -747,16 +802,16 @@ void TcpSocket::on_rto() {
     ++stack_.stats_.retransmits;
     stack_.count_retransmit();
     emit_segment(snd_una_, len, false, false, true);
+    // Bytes past snd_nxt_ (with nothing in flight: a zero-window probe)
+    // now count as sent, or the ACK of a receiver whose window has reopened
+    // would look like it acks data never sent, and be dropped.
+    const std::uint32_t end = snd_una_ + static_cast<std::uint32_t>(len);
+    if (seq_lt(snd_nxt_, end)) snd_nxt_ = end;
   } else if (fin_sent_ && seq_le(fin_seq_, snd_una_)) {
     ++retransmit_count_;
     ++stack_.stats_.retransmits;
     stack_.count_retransmit();
     emit_segment(fin_seq_, 0, true, false, true);
-  } else if (send_ring_.readable() > 0) {
-    // Zero-window probe: push one byte past the window.
-    ++retransmit_count_;
-    emit_segment(snd_una_, 1, false, false, true);
-    snd_nxt_ = std::max(snd_nxt_, snd_una_ + 1);
   }
   rto_ = std::min(rto_ * 2, cfg_.rto_max);
   arm_rto();
@@ -803,7 +858,7 @@ void TcpSocket::enter_closed(TcpCloseReason reason) {
   // Deliver any deferred readable/writable first: the application must see
   // the final bytes (and the EOF edge) before it learns the socket is gone.
   flush_notifications();
-  if (cb_.on_closed) cb_.on_closed(reason);
+  if (wants(TcpEvent::kClosed)) emit(TcpEvent::kClosed, reason);
   stack_.socket_closed(*this);
   send_ring_.release();
   recv_ring_.release();
@@ -819,7 +874,7 @@ void TcpSocket::fail(TcpCloseReason reason) {
 }
 
 void TcpSocket::notify_readable() {
-  if (!cb_.on_readable) return;
+  if (!wants(TcpEvent::kReadable)) return;
   if (stack_.defer_notifications()) {
     if ((pending_notify_ & kNotifyReadable) != 0) {
       stack_.count_wakeup_coalesced();  // merged into the pending edge
@@ -830,11 +885,11 @@ void TcpSocket::notify_readable() {
     stack_.mark_dirty(*this, first_bit);
     return;
   }
-  cb_.on_readable();
+  emit(TcpEvent::kReadable);
 }
 
 void TcpSocket::notify_writable() {
-  if (!cb_.on_writable || send_space() == 0) return;
+  if (!wants(TcpEvent::kWritable) || send_space() == 0) return;
   if (stack_.defer_notifications()) {
     if ((pending_notify_ & kNotifyWritable) != 0) {
       stack_.count_wakeup_coalesced();  // merged into the pending edge
@@ -845,18 +900,22 @@ void TcpSocket::notify_writable() {
     stack_.mark_dirty(*this, first_bit);
     return;
   }
-  cb_.on_writable();
+  emit(TcpEvent::kWritable);
 }
 
 void TcpSocket::flush_notifications() {
   const std::uint8_t bits = pending_notify_;
   pending_notify_ = 0;
   if (bits == 0) return;
-  if ((bits & kNotifyReadable) != 0 && cb_.on_readable) cb_.on_readable();
-  // Re-check the space gate at flush time: the readable callback above may
-  // have triggered an application send that filled the ring again.
-  if ((bits & kNotifyWritable) != 0 && cb_.on_writable && send_space() > 0) {
-    cb_.on_writable();
+  if ((bits & kNotifyReadable) != 0 && wants(TcpEvent::kReadable)) {
+    emit(TcpEvent::kReadable);
+  }
+  // Re-check the owner and the space gate at flush time: the readable
+  // event above may have detached the owner or triggered an application
+  // send that filled the ring again.
+  if ((bits & kNotifyWritable) != 0 && wants(TcpEvent::kWritable) &&
+      send_space() > 0) {
+    emit(TcpEvent::kWritable);
   }
 }
 

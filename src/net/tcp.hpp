@@ -207,17 +207,40 @@ enum class TcpCloseReason {
   kStackFailure  ///< replica crashed; set by recovery logic
 };
 
+/// What a connection reports to its owner.
+enum class TcpEvent : std::uint8_t {
+  kEstablished,  ///< the handshake completed
+  kReadable,     ///< data or EOF available
+  kWritable,     ///< send space freed
+  kClosed,       ///< the connection is gone; the reason comes with it
+};
+
 class TcpStack;
 
 /// One TCP connection. Obtain via TcpStack::connect() or a listener's
 /// accept queue. All app-facing calls are non-blocking.
 class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
  public:
-  /// Per-connection event callbacks. SmallFnOf, not std::function: these
-  /// fire on the hottest per-segment paths and must not pay type-erased
-  /// heap dispatch (move-only is fine — a connection's callbacks have
-  /// exactly one owner). A capture beyond sim::Callback's 16-B budget
-  /// costs one heap allocation when it is set.
+  /// The one object a connection notifies: the socket library's socket
+  /// (DESIGN.md §5n), or the Callbacks adapter below. A TCB holds a bare
+  /// pointer to it, not four closures, so the owner must detach
+  /// (set_owner(nullptr)) before it dies — the TCB may outlive it
+  /// (TIME_WAIT, a closing socket the stack still drains). Events arrive
+  /// in the stack's context; an owner whose last reference can drop inside
+  /// on_tcp_event must keep itself alive to the end of that call.
+  class Owner {
+   public:
+    /// `reason` is meaningful for TcpEvent::kClosed only.
+    virtual void on_tcp_event(TcpEvent ev, TcpCloseReason reason) = 0;
+
+   protected:
+    ~Owner() = default;
+  };
+
+  /// Per-connection event closures, for code that has no owner object
+  /// (tests, benchmarks). set_callbacks() stores them in a heap-allocated
+  /// Owner, so only a socket that uses them pays for them; an empty
+  /// callback is an event the socket does not want.
   struct Callbacks {
     sim::Callback<void()> on_established;
     sim::Callback<void()> on_readable;  ///< data or EOF available
@@ -233,7 +256,14 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
 
   [[nodiscard]] TcpState state() const { return state_; }
   [[nodiscard]] const FlowKey& flow() const { return flow_; }
-  void set_callbacks(Callbacks cb) { cb_ = std::move(cb); }
+
+  /// Notify `owner` of every event; nullptr detaches. Replaces (and
+  /// frees) any set_callbacks() adapter.
+  void set_owner(Owner* owner);
+  [[nodiscard]] Owner* owner() const { return owner_; }
+  /// Notify closures instead of an owner object. Called again, it swaps
+  /// the closures in place.
+  void set_callbacks(Callbacks cb);
 
   /// Queue bytes for transmission; returns how many were accepted
   /// (bounded by send-buffer space).
@@ -270,7 +300,8 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   /// the state being left into the per-state histograms.
   void set_state(TcpState next);
   void on_segment(const TcpHeader& h, PacketPtr payload);
-  void on_ack(const TcpHeader& h);
+  /// `prev_wnd` is the send window before this segment's update.
+  void on_ack(const TcpHeader& h, std::uint32_t prev_wnd);
   void accept_data(const TcpHeader& h, const PacketPtr& payload);
   void deliver_in_order();
   void try_output();
@@ -293,6 +324,19 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   /// Fire the deferred notification bits. Also called by enter_closed so
   /// a batched EOF still delivers readable before closed.
   void flush_notifications();
+  [[nodiscard]] static constexpr std::uint8_t event_bit(TcpEvent ev) {
+    return static_cast<std::uint8_t>(1u << static_cast<unsigned>(ev));
+  }
+  static constexpr std::uint8_t kAllEvents = 0xf;
+  [[nodiscard]] bool wants(TcpEvent ev) const {
+    return (wants_ & event_bit(ev)) != 0;
+  }
+  /// Tell the owner; callers check wants() first.
+  void emit(TcpEvent ev, TcpCloseReason reason = TcpCloseReason::kNormal) {
+    owner_->on_tcp_event(ev, reason);
+  }
+  /// Free the set_callbacks() adapter, if the owner is one.
+  void drop_callback_owner();
   [[nodiscard]] std::uint16_t advertised_window() const;
   [[nodiscard]] std::size_t effective_mss() const;
 
@@ -301,7 +345,7 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   const TcpConfig& cfg_;
   TcpState state_{TcpState::kClosed};
   sim::SimTime state_entered_{0};
-  Callbacks cb_;
+  Owner* owner_{nullptr};
 
   // Send side. send_ring_ holds [snd_una_, snd_una_ + size) of the stream.
   ipc::ByteRing send_ring_;
@@ -364,6 +408,8 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   static constexpr std::uint8_t kNotifyReadable = 1;
   static constexpr std::uint8_t kNotifyWritable = 2;
   std::uint8_t pending_notify_{0};
+  std::uint8_t wants_{0};              // event_bit()s the owner takes
+  bool owner_is_callbacks_{false};     // owner_ is set_callbacks()'s adapter
 };
 
 using TcpSocketPtr = std::shared_ptr<TcpSocket>;

@@ -5,8 +5,11 @@
 // placement without any software coordination.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "net/addr.hpp"
@@ -22,31 +25,23 @@ inline constexpr std::array<std::uint8_t, 40> kDefaultRssKey = {
 
 class ToeplitzHasher {
  public:
-  explicit ToeplitzHasher(std::span<const std::uint8_t> key = kDefaultRssKey) {
-    for (std::size_t i = 0; i < key_.size() && i < key.size(); ++i) {
-      key_[i] = key[i];
-    }
-  }
+  /// Key length in bytes; a shorter key is zero-padded, a longer one cut.
+  static constexpr std::size_t kKeyBytes = 40;
+
+  /// Hashing is table-driven: one 256-entry table per input byte position
+  /// (the key is cyclic, so byte p uses table p mod kKeyBytes), then one
+  /// lookup and one XOR per input byte. The default key's tables (40 KiB)
+  /// are built once per process and shared by every hasher.
+  explicit ToeplitzHasher(std::span<const std::uint8_t> key = kDefaultRssKey)
+      : tables_(tables_for(key)) {}
 
   /// Hash an arbitrary input byte string.
   [[nodiscard]] std::uint32_t hash(std::span<const std::uint8_t> input) const {
     std::uint32_t result = 0;
-    // Sliding 32-bit window over the key, advanced one bit per input bit.
-    std::uint32_t window = static_cast<std::uint32_t>(key_[0]) << 24 |
-                           static_cast<std::uint32_t>(key_[1]) << 16 |
-                           static_cast<std::uint32_t>(key_[2]) << 8 |
-                           static_cast<std::uint32_t>(key_[3]);
-    std::size_t next_byte = 4;
+    std::size_t pos = 0;
     for (const std::uint8_t byte : input) {
-      for (int bit = 7; bit >= 0; --bit) {
-        if (byte >> bit & 1) result ^= window;
-        window <<= 1;
-        const std::size_t bit_index =
-            next_byte * 8 + static_cast<std::size_t>(7 - bit);
-        const std::size_t key_bit = bit_index % (key_.size() * 8);
-        if (key_[key_bit / 8] >> (7 - key_bit % 8) & 1) window |= 1;
-      }
-      ++next_byte;
+      result ^= (*tables_)[pos][byte];
+      if (++pos == kKeyBytes) pos = 0;
     }
     return result;
   }
@@ -89,7 +84,45 @@ class ToeplitzHasher {
   }
 
  private:
-  std::array<std::uint8_t, 40> key_{};
+  using Tables = std::array<std::array<std::uint32_t, 256>, kKeyBytes>;
+
+  [[nodiscard]] static std::shared_ptr<const Tables> tables_for(
+      std::span<const std::uint8_t> key) {
+    if (std::ranges::equal(key, kDefaultRssKey)) {
+      static const std::shared_ptr<const Tables> shared = build(key);
+      return shared;
+    }
+    return build(key);
+  }
+
+  [[nodiscard]] static std::shared_ptr<const Tables> build(
+      std::span<const std::uint8_t> key) {
+    std::array<std::uint8_t, kKeyBytes> k{};
+    for (std::size_t i = 0; i < k.size() && i < key.size(); ++i) k[i] = key[i];
+    auto tables = std::make_shared<Tables>();
+    for (std::size_t pos = 0; pos < kKeyBytes; ++pos) {
+      // window[j]: the 32 key bits from bit 8 * pos + j on, XORed in when
+      // bit j (0 = MSB) of the input byte at `pos` is set.
+      std::array<std::uint32_t, 8> window{};
+      window[0] = static_cast<std::uint32_t>(k[pos]) << 24 |
+                  static_cast<std::uint32_t>(k[(pos + 1) % kKeyBytes]) << 16 |
+                  static_cast<std::uint32_t>(k[(pos + 2) % kKeyBytes]) << 8 |
+                  static_cast<std::uint32_t>(k[(pos + 3) % kKeyBytes]);
+      const std::uint8_t next = k[(pos + 4) % kKeyBytes];
+      for (std::size_t j = 1; j < 8; ++j) {
+        window[j] = window[j - 1] << 1 | (next >> (8 - j) & 1u);
+      }
+      // Each value is a smaller one plus its lowest set bit.
+      auto& row = (*tables)[pos];
+      row[0] = 0;
+      for (unsigned v = 1; v < 256; ++v) {
+        row[v] = row[v & (v - 1)] ^ window[7 - std::countr_zero(v)];
+      }
+    }
+    return tables;
+  }
+
+  std::shared_ptr<const Tables> tables_;
 };
 
 }  // namespace neat::nic

@@ -15,11 +15,10 @@
 //
 // SmallFnOf<Sig, N> generalizes the same storage scheme to any signature
 // and any inline budget N. A stored callback pays for its budget whether
-// it uses it or not, so long-lived per-connection callbacks
-// (TcpSocket::Callbacks, socklib::ConnCallbacks, the ipc::Doorbell
-// handler) are sim::Callback<Sig>, N = 16: one `this` or one weak_ptr,
-// which is all any of them captures, for 32 bytes per callback instead of
-// 96. sim::SmallFn stays the void() alias every event slot and job holds;
+// it uses it or not, so long-lived callbacks (TcpSocket::Callbacks, an
+// app's socklib::ConnCallbacks table, the ipc::Doorbell handler) are
+// sim::Callback<Sig>, N = 16: one `this` or one weak_ptr, which is all any
+// of them captures, for 24 bytes per callback instead of 96. sim::SmallFn stays the void() alias every event slot and job holds;
 // schedule()/post()/submit() build the caller's callable straight into
 // one with emplace().
 //
@@ -50,6 +49,11 @@ class SmallFnOf<R(Args...), N> {
   /// Inline capture budget in bytes; larger captures go to the heap.
   static constexpr std::size_t kInlineSize = N;
   static_assert(N >= sizeof(void*), "the heap fallback stores a pointer");
+  /// Storage alignment. A 16-B budget holds one `this` or one weak_ptr;
+  /// aligning it for long double would pad every stored callback from 24
+  /// to 32 B, and with it every object that embeds one (ipc::Doorbell).
+  static constexpr std::size_t kAlign =
+      N <= 16 ? alignof(void*) : alignof(std::max_align_t);
 
   SmallFnOf() = default;
 
@@ -79,6 +83,14 @@ class SmallFnOf<R(Args...), N> {
 
   R operator()(Args... args) {
     return ops_->invoke(buf_, std::forward<Args>(args)...);
+  }
+
+  /// Callable through a const reference, as std::function is: a shared,
+  /// immutable table of callbacks (socklib::ConnCallbacks) is read through
+  /// a const pointer. The held callable itself is not const.
+  R operator()(Args... args) const {
+    return ops_->invoke(const_cast<unsigned char*>(buf_),
+                        std::forward<Args>(args)...);
   }
 
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
@@ -147,7 +159,7 @@ class SmallFnOf<R(Args...), N> {
   void construct(F&& f) {
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineSize &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  alignof(Fn) <= kAlign &&
                   std::is_nothrow_move_constructible_v<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &inline_ops<Fn>;
@@ -165,7 +177,7 @@ class SmallFnOf<R(Args...), N> {
     }
   }
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineSize];
+  alignas(kAlign) unsigned char buf_[kInlineSize];
   const Ops* ops_{nullptr};
 };
 

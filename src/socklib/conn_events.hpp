@@ -3,11 +3,11 @@
 //
 // Stack-side code raises event bits in any context; the app doorbell
 // coalesces them into one delivery in the app's context, which runs the
-// application's ConnCallbacks for every pending bit. A callback may replace
-// the callbacks mid-run (SockLib::close() clears them from inside one), so
-// each callable runs from local storage and is put back only if the
-// callbacks were not swapped while it ran. The close is delivered at most
-// once.
+// application's ConnCallbacks for every pending bit. The socket points at
+// the app's one immutable table; a callback may re-point or clear it
+// mid-run (SockLib::close() clears it from inside one), so the pointer is
+// re-read before each bit and a swap stops the old table's remaining
+// calls. The close is delivered at most once.
 #pragma once
 
 #include <cstdint>
@@ -45,10 +45,13 @@ class ConnEvents {
   /// `bell_cost` is the app-side cycles to take a notification; `on_bell`
   /// runs in the app's context and calls run_pending(). It may capture a
   /// bare owner `this` (see ipc::Doorbell::ring). `fd` is passed to every
-  /// callback.
+  /// callback. With `notify_connect` false (accepted and adopted fds),
+  /// on_connected never runs.
   ConnEvents(sim::Process& app, sim::Cycles bell_cost,
-             ipc::Doorbell::Handler on_bell, Fd fd)
-      : bell_(app, bell_cost, std::move(on_bell)), fd_(fd) {}
+             ipc::Doorbell::Handler on_bell, Fd fd, bool notify_connect)
+      : bell_(app, bell_cost, std::move(on_bell)),
+        fd_(fd),
+        notify_connect_(notify_connect) {}
 
   /// Mark `bits` pending and ring the app on behalf of `owner`, the
   /// object these events are a member of.
@@ -62,55 +65,45 @@ class ConnEvents {
     raise(kClosed, std::move(owner));
   }
 
-  /// Install the application's callbacks (empty ones stop all further
-  /// calls). Raises nothing: what raced ahead is the owner's call.
-  void set_callbacks(ConnCallbacks cb) {
-    ++gen_;  // tells a mid-callback run_pending() not to restore old ones
-    cb_ = std::move(cb);
-  }
-  [[nodiscard]] const ConnCallbacks& callbacks() const { return cb_; }
+  /// Point at the application's callback table (nullptr stops all further
+  /// calls; see ConnCallbacks for its lifetime). Raises nothing: what
+  /// raced ahead is the owner's call.
+  void set_callbacks(const ConnCallbacks* cb) { cb_ = cb; }
 
   /// App context: run the callbacks of every pending bit. Returns true when
   /// the close is due (and marks it delivered); the owner then releases
   /// what it holds and calls deliver_close().
   [[nodiscard]] bool run_pending() {
     const std::uint8_t ev = std::exchange(pending_, std::uint8_t{0});
-    if (ev & kConnected) run(cb_.on_connected);
-    if (ev & kReadable) run(cb_.on_readable);
-    if (ev & kWritable) run(cb_.on_writable);
+    if ((ev & kConnected) && notify_connect_) run(&ConnCallbacks::on_connected);
+    if (ev & kReadable) run(&ConnCallbacks::on_readable);
+    if (ev & kWritable) run(&ConnCallbacks::on_writable);
     if (!(ev & kClosed) || closed_delivered_) return false;
     closed_delivered_ = true;
     return true;
   }
 
+  /// The final event: the table is dropped before on_closed runs.
   void deliver_close() {
-    if (!cb_.on_closed) return;
-    auto on_closed = std::move(cb_.on_closed);  // final event: no restore
-    on_closed(fd_, reason_);
+    const ConnCallbacks* cb = std::exchange(cb_, nullptr);
+    if (cb != nullptr && cb->on_closed) cb->on_closed(fd_, reason_);
   }
 
   [[nodiscard]] bool closed_delivered() const { return closed_delivered_; }
 
  private:
-  void run(sim::Callback<void(Fd)>& slot) {
-    if (!slot) return;
-    const std::uint32_t gen = gen_;
-    auto fn = std::move(slot);
-    fn(fd_);
-    if (gen_ == gen) slot = std::move(fn);
+  /// Reads cb_ afresh: an earlier callback may have swapped or cleared it.
+  void run(sim::Callback<void(Fd)> ConnCallbacks::*slot) const {
+    if (cb_ != nullptr && cb_->*slot) (cb_->*slot)(fd_);
   }
 
   ipc::Doorbell bell_;
-  ConnCallbacks cb_;
-  /// Bumped by set_callbacks(); only a swap during one callback has to be
-  /// told apart. 32 bits (and a one-byte pending mask) keep NeatSocket
-  /// within its byte budget (DESIGN.md §5n): 64 bits cost it 16 B of
-  /// padding.
-  std::uint32_t gen_{0};
+  const ConnCallbacks* cb_{nullptr};
   Fd fd_;
   CloseReason reason_{CloseReason::kNormal};
   std::uint8_t pending_{0};
   bool closed_delivered_{false};
+  bool notify_connect_;
 };
 
 }  // namespace neat::socklib

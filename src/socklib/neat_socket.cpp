@@ -18,7 +18,8 @@ const char* to_string(CloseReason r) {
 }
 
 NeatSocket::NeatSocket(sim::Process& app, StackReplica& replica,
-                       const StackCosts& costs, net::TcpSocketPtr tcp, Fd fd)
+                       const StackCosts& costs, net::TcpSocketPtr tcp, Fd fd,
+                       bool notify_connect)
     : replica_(&replica),
       costs_(costs),
       tcp_(std::move(tcp)),
@@ -28,36 +29,39 @@ NeatSocket::NeatSocket(sim::Process& app, StackReplica& replica,
       // this socket (its owner) for the handler's duration.
       to_stack_(replica.tcp_process(), costs.doorbell_take,
                 [this] { pump(); }),
-      events_(app, costs.app_notify, [this] { dispatch(); }, fd) {}
+      events_(app, costs.app_notify, [this] { dispatch(); }, fd,
+              notify_connect) {
+  tcp_->set_owner(this);
+}
 
-void NeatSocket::init() {
-  // The TCP socket may outlive this one (TIME_WAIT, a closing socket the
-  // stack still drains), so its callbacks hold weak ownership — a strong
-  // capture would also form a reference cycle and leak a socket per
-  // connection.
-  std::weak_ptr<NeatSocket> wp = weak_from_this();
+// The TCB may outlive this socket (TIME_WAIT, a closing socket the stack
+// still drains): it must not keep pointing here.
+NeatSocket::~NeatSocket() { tcp_->set_owner(nullptr); }
 
-  net::TcpSocket::Callbacks cb;
-  cb.on_established = [wp] {
-    if (auto s = wp.lock()) s->raise(ConnEvents::kConnected);
-  };
-  cb.on_readable = [wp] {
-    if (auto s = wp.lock()) s->raise(ConnEvents::kReadable);
-  };
-  cb.on_writable = [wp] {
-    auto s = wp.lock();
-    if (!s) return;
-    // Replica context: more TCP send space — keep draining the ring.
-    s->pump();
-    if (s->want_write_ && s->tx_ring_.writable() > 0) {
-      s->want_write_ = false;
-      s->raise(ConnEvents::kWritable);
+void NeatSocket::on_tcp_event(net::TcpEvent ev, net::TcpCloseReason reason) {
+  switch (ev) {
+    case net::TcpEvent::kEstablished:
+      raise(ConnEvents::kConnected);
+      return;
+    case net::TcpEvent::kReadable:
+      raise(ConnEvents::kReadable);
+      return;
+    case net::TcpEvent::kWritable: {
+      // More TCP send space: keep draining the ring. A socket the app has
+      // closed may live on self_keepalive_ alone, which pump() can drop:
+      // hold it to the end of this call.
+      const auto keep = self_keepalive_;
+      pump();
+      if (want_write_ && tx_ring_.writable() > 0) {
+        want_write_ = false;
+        raise(ConnEvents::kWritable);
+      }
+      return;
     }
-  };
-  cb.on_closed = [wp](net::TcpCloseReason r) {
-    if (auto s = wp.lock()) s->events_.raise_closed(to_close_reason(r), s);
-  };
-  tcp_->set_callbacks(std::move(cb));
+    case net::TcpEvent::kClosed:
+      events_.raise_closed(to_close_reason(reason), weak_from_this());
+      return;
+  }
 }
 
 std::size_t NeatSocket::write(std::span<const std::uint8_t> data) {
@@ -84,10 +88,10 @@ void NeatSocket::close() {
   replica_->tcp_process().post(costs_.doorbell_take, [self] { self->pump(); });
 }
 
-void NeatSocket::set_callbacks(ConnCallbacks cb) {
-  events_.set_callbacks(std::move(cb));
+void NeatSocket::set_callbacks(const ConnCallbacks* cb) {
+  events_.set_callbacks(cb);
   // Anything already pending (data that raced ahead of accept())?
-  if (events_.callbacks().on_readable &&
+  if (cb != nullptr && cb->on_readable &&
       (tcp_->readable() > 0 || tcp_->eof())) {
     raise(ConnEvents::kReadable);
   }
@@ -99,9 +103,10 @@ void NeatSocket::set_callbacks(ConnCallbacks cb) {
 
 void NeatSocket::reattach(net::TcpSocketPtr tcp) {
   if (failed_ || events_.closed_delivered()) return;
+  tcp_->set_owner(nullptr);  // the old TCB must not point here either
   tcp_ = std::move(tcp);
+  tcp_->set_owner(this);
   pump_scheduled_ = false;
-  init();  // rewire the TCP callbacks to the new socket
   // Anything buffered pre-crash is readable again; resume sending too.
   if (tcp_->readable() > 0) raise(ConnEvents::kReadable);
   to_stack_.ring(weak_from_this());

@@ -24,17 +24,18 @@
 
 namespace neat::socklib {
 
-class NeatSocket : public std::enable_shared_from_this<NeatSocket> {
+/// The socket is its TCB's owner (net::TcpSocket::Owner): the TCB holds a
+/// bare pointer to it, which the destructor and every TCB swap detach.
+class NeatSocket final : public std::enable_shared_from_this<NeatSocket>,
+                         private net::TcpSocket::Owner {
  public:
   /// `costs` is the host's own (NeatHost::costs()) and must outlive the
   /// socket; `fd` is the number the application knows the socket by and
-  /// is passed to every ConnCallbacks call.
+  /// is passed to every ConnCallbacks call. `notify_connect` is false for
+  /// accepted and adopted connections, which never report on_connected.
   NeatSocket(sim::Process& app, StackReplica& replica, const StackCosts& costs,
-             net::TcpSocketPtr tcp, Fd fd);
-
-  /// Wire the TCP callbacks (requires shared ownership; call right after
-  /// make_shared).
-  void init();
+             net::TcpSocketPtr tcp, Fd fd, bool notify_connect);
+  ~NeatSocket();
 
   NeatSocket(const NeatSocket&) = delete;
   NeatSocket& operator=(const NeatSocket&) = delete;
@@ -49,9 +50,10 @@ class NeatSocket : public std::enable_shared_from_this<NeatSocket> {
   }
   void close();
 
-  /// Install the application's callbacks (empty ones stop all further
-  /// calls). Events that raced ahead of the install are delivered.
-  void set_callbacks(ConnCallbacks cb);
+  /// Point at the application's callback table (nullptr stops all further
+  /// calls; see ConnCallbacks for its lifetime). Events that raced ahead
+  /// of the install are delivered.
+  void set_callbacks(const ConnCallbacks* cb);
 
   /// Replica died with this socket's state: deliver kStackFailure upward.
   void fail();
@@ -63,11 +65,11 @@ class NeatSocket : public std::enable_shared_from_this<NeatSocket> {
   void migrated_away();
 
   /// Stateful recovery: swap in the restored TCP socket (same flow) and
-  /// rewire callbacks — the application never notices the crash.
+  /// own it instead — the application never notices the crash.
   void reattach(net::TcpSocketPtr tcp);
 
   /// Live migration: this connection now lives on `replica` as `tcp`.
-  /// Re-targets the stack-side doorbell and rewires callbacks; pending
+  /// Re-targets the stack-side doorbell and owns the new TCB; pending
   /// tx-ring bytes drain into the new replica's send buffer.
   void rehome(StackReplica& replica, net::TcpSocketPtr tcp);
 
@@ -75,6 +77,8 @@ class NeatSocket : public std::enable_shared_from_this<NeatSocket> {
   [[nodiscard]] net::TcpSocket& tcp() const { return *tcp_; }
 
  private:
+  /// Replica context: the TCB's events.
+  void on_tcp_event(net::TcpEvent ev, net::TcpCloseReason reason) override;
   void pump();      // replica context
   void dispatch();  // app context
   void raise(std::uint8_t bits) {  // any context

@@ -20,7 +20,7 @@ namespace neat::socklib {
 using Fd = int;
 inline constexpr Fd kBadFd = -1;
 
-enum class CloseReason {
+enum class CloseReason : std::uint8_t {
   kNormal,
   kReset,
   kTimeout,
@@ -36,13 +36,14 @@ enum class CloseReason {
 using DatagramRx =
     std::function<void(net::SockAddr from, std::span<const std::uint8_t>)>;
 
-/// Per-connection event callbacks (edge-style notifications). Move-only
-/// (sim::SmallFnOf): these fire on the per-segment data path, so they must
-/// not heap-allocate or touch a std::function vtable — and a connection's
-/// callbacks have exactly one owner anyway. The socket stores them as given
-/// and passes its fd to each call, so an app callback captures no more than
-/// its own `this`, well within sim::Callback's 16-B budget (a larger
-/// capture costs one heap allocation per connection).
+/// Connection event callbacks (edge-style notifications): one table per
+/// application, not a copy per connection. Every socket of the app points
+/// at the same table and passes its own fd to each call, so a callback
+/// captures no more than the app's own `this`. The table must outlive every
+/// socket it was given to and must not change while any of them can call
+/// it — the lifetime an app's `[this]` captures already assume — so it is
+/// a member of the app, built once. An empty callback is an event the app
+/// does not take.
 struct ConnCallbacks {
   sim::Callback<void(Fd)> on_connected;
   sim::Callback<void(Fd)> on_readable;  ///< data or EOF became available
@@ -59,11 +60,14 @@ class SocketApi {
   virtual Fd listen(std::uint16_t port, std::size_t backlog,
                     std::function<void()> on_acceptable) = 0;
 
-  /// Pop one established connection; kBadFd if none is ready.
-  virtual Fd accept(Fd listen_fd, ConnCallbacks cb) = 0;
+  /// Pop one established connection; kBadFd if none is ready. `cb` is
+  /// the app's callback table (see ConnCallbacks for its lifetime), or
+  /// nullptr for none; an accepted fd never gets on_connected.
+  virtual Fd accept(Fd listen_fd, const ConnCallbacks* cb) = 0;
 
-  /// Begin an active connect; completion via cb.on_connected / on_closed.
-  virtual Fd connect(net::SockAddr remote, ConnCallbacks cb) = 0;
+  /// Begin an active connect; completion via cb->on_connected / on_closed.
+  /// `cb` as for accept().
+  virtual Fd connect(net::SockAddr remote, const ConnCallbacks* cb) = 0;
 
   /// Non-blocking write; returns bytes accepted.
   virtual std::size_t send(Fd fd, std::span<const std::uint8_t> data) = 0;

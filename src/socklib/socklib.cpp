@@ -46,7 +46,7 @@ Fd SockLib::listen(std::uint16_t port, std::size_t backlog,
   return fd;
 }
 
-Fd SockLib::accept(Fd listen_fd, ConnCallbacks cb) {
+Fd SockLib::accept(Fd listen_fd, const ConnCallbacks* cb) {
   auto it = listeners_.find(listen_fd);
   if (it == listeners_.end()) return kBadFd;
   ListenEntry& entry = it->second;
@@ -64,15 +64,14 @@ Fd SockLib::accept(Fd listen_fd, ConnCallbacks cb) {
       entry.rr_next = (entry.rr_next + i + 1) % n;
       const Fd fd = next_fd_++;
       host_.note_first_service(rep);
-      wire_connection(fd, rep, std::move(tcp), std::move(cb),
-                      /*notify_connect=*/false);
+      wire_connection(fd, rep, std::move(tcp), cb, /*notify_connect=*/false);
       return fd;
     }
   }
   return kBadFd;
 }
 
-Fd SockLib::connect(net::SockAddr remote, ConnCallbacks cb) {
+Fd SockLib::connect(net::SockAddr remote, const ConnCallbacks* cb) {
   const Fd fd = next_fd_++;
   NeatHost* host = &host_;
   sim::Process* app = &app_;
@@ -81,19 +80,20 @@ Fd SockLib::connect(net::SockAddr remote, ConnCallbacks cb) {
   const auto steering = host_.config().steering;
   const std::uint64_t seed = rng_();
 
-  host_.syscall().submit([host, app, self, fd, remote, cb = std::move(cb),
-                          costs, steering, seed]() mutable {
+  host_.syscall().submit([host, app, self, fd, remote, cb, costs, steering,
+                          seed] {
     StackReplica* rep = host->pick_replica();
     if (rep == nullptr) {
-      app->post(costs.app_notify, [cb = std::move(cb), fd]() mutable {
-        if (cb.on_closed) cb.on_closed(fd, CloseReason::kStackFailure);
+      app->post(costs.app_notify, [cb, fd] {
+        if (cb != nullptr && cb->on_closed) {
+          cb->on_closed(fd, CloseReason::kStackFailure);
+        }
       });
       return;
     }
     rep->tcp_process().post(costs.replica_control, [host, self, fd, remote,
-                                                    cb = std::move(cb), costs,
-                                                    steering, seed,
-                                                    rep]() mutable {
+                                                    cb, costs, steering, seed,
+                                                    rep] {
       // Pick the local port. Under RSS steering the library chooses a port
       // whose Toeplitz hash lands on this replica's queue, so the SYN|ACK
       // comes straight back to us with zero NIC reconfiguration. Ports
@@ -117,13 +117,14 @@ Fd SockLib::connect(net::SockAddr remote, ConnCallbacks cb) {
         tcp = rep->tcp().connect(remote, 0, defer);
       }
       if (!tcp) {
-        self->app_.post(costs.app_notify, [cb = std::move(cb), fd]() mutable {
-          if (cb.on_closed) cb.on_closed(fd, CloseReason::kRefused);
+        self->app_.post(costs.app_notify, [cb, fd] {
+          if (cb != nullptr && cb->on_closed) {
+            cb->on_closed(fd, CloseReason::kRefused);
+          }
         });
         return;
       }
-      self->wire_connection(fd, *rep, tcp, std::move(cb),
-                            /*notify_connect=*/true);
+      self->wire_connection(fd, *rep, tcp, cb, /*notify_connect=*/true);
       if (defer) {
         // Install the exact-match filter first so the reply cannot race to
         // the wrong replica, then fire the SYN from the replica's context.
@@ -141,14 +142,12 @@ Fd SockLib::connect(net::SockAddr remote, ConnCallbacks cb) {
 }
 
 void SockLib::wire_connection(Fd fd, StackReplica& replica,
-                              net::TcpSocketPtr tcp, ConnCallbacks cb,
+                              net::TcpSocketPtr tcp, const ConnCallbacks* cb,
                               bool notify_connect) {
   auto sock = std::make_shared<NeatSocket>(app_, replica, host_.costs(),
-                                           std::move(tcp), fd);
-  sock->init();
-  if (!notify_connect) cb.on_connected = {};  // accepted/adopted: no connect
+                                           std::move(tcp), fd, notify_connect);
   conns_.try_emplace(fd, sock);
-  sock->set_callbacks(std::move(cb));
+  sock->set_callbacks(cb);
 }
 
 std::size_t SockLib::send(Fd fd, std::span<const std::uint8_t> data) {
@@ -177,7 +176,7 @@ void SockLib::close(Fd fd) {
   if (auto it = conns_.find(fd); it != conns_.end()) {
     const NeatSocketPtr sock = it->second;
     conns_.erase(it);
-    sock->set_callbacks({});  // no callbacks after close()
+    sock->set_callbacks(nullptr);  // no callbacks after close()
     sock->close();
     return;
   }
@@ -303,12 +302,11 @@ std::vector<NeatSocketPtr> SockLib::sockets_on(
 }
 
 Fd SockLib::adopt_socket(StackReplica& replica, net::TcpSocketPtr tcp,
-                         ConnCallbacks cb) {
+                         const ConnCallbacks* cb) {
   if (!tcp) return kBadFd;
   const Fd fd = next_fd_++;
   host_.note_first_service(replica);
-  wire_connection(fd, replica, std::move(tcp), std::move(cb),
-                  /*notify_connect=*/false);
+  wire_connection(fd, replica, std::move(tcp), cb, /*notify_connect=*/false);
   return fd;
 }
 

@@ -31,8 +31,8 @@ class SockLib final : public SocketApi, public ReplicaFailureListener {
   // SocketApi
   Fd listen(std::uint16_t port, std::size_t backlog,
             std::function<void()> on_acceptable) override;
-  Fd accept(Fd listen_fd, ConnCallbacks cb) override;
-  Fd connect(net::SockAddr remote, ConnCallbacks cb) override;
+  Fd accept(Fd listen_fd, const ConnCallbacks* cb) override;
+  Fd connect(net::SockAddr remote, const ConnCallbacks* cb) override;
   std::size_t send(Fd fd, std::span<const std::uint8_t> data) override;
   std::size_t recv(Fd fd, std::span<std::uint8_t> dst) override;
   [[nodiscard]] std::size_t readable(Fd fd) const override;
@@ -55,9 +55,9 @@ class SockLib final : public SocketApi, public ReplicaFailureListener {
   /// Fleet-layer adoption: wrap a TCP socket that `replica` just adopted
   /// from another HOST in a fresh fd. The counterpart of
   /// on_connections_departed on the receiving machine — data already
-  /// buffered in the adopted socket is delivered via cb.on_readable.
+  /// buffered in the adopted socket is delivered via cb->on_readable.
   Fd adopt_socket(StackReplica& replica, net::TcpSocketPtr tcp,
-                  ConnCallbacks cb);
+                  const ConnCallbacks* cb);
 
   [[nodiscard]] NeatHost& host() { return host_; }
   [[nodiscard]] std::size_t open_sockets() const { return conns_.size(); }
@@ -73,7 +73,7 @@ class SockLib final : public SocketApi, public ReplicaFailureListener {
   };
 
   void wire_connection(Fd fd, StackReplica& replica, net::TcpSocketPtr tcp,
-                       ConnCallbacks cb, bool notify_connect);
+                       const ConnCallbacks* cb, bool notify_connect);
 
   struct UdpEntry {
     std::uint16_t port{0};

@@ -8,7 +8,6 @@
 namespace neat::wl {
 
 using socklib::CloseReason;
-using socklib::ConnCallbacks;
 using socklib::Fd;
 using socklib::kBadFd;
 
@@ -70,7 +69,42 @@ void SynFlood::fire() {
 // ---------------------------------------------------------------------------
 
 Slowloris::Slowloris(sim::Simulator& sim, std::string name, Config config)
-    : sim::Process(sim, std::move(name)), config_(std::move(config)) {}
+    : sim::Process(sim, std::move(name)), config_(std::move(config)) {
+  conn_cb_.on_connected = [this](Fd fd) {
+    if (!held_.contains(fd)) return;
+    // A request line that never ends: the server's parser buffers it
+    // forever, waiting for the blank line that never comes.
+    static constexpr char kStub[] = "GET /file20 HTTP/1.1\r\nX-A: ";
+    post(config_.send_cost, [this, fd] {
+      if (!held_.contains(fd)) return;
+      const auto* p = reinterpret_cast<const std::uint8_t*>(kStub);
+      api_->send(fd, {p, sizeof(kStub) - 1});
+      trickle(fd);
+    });
+  };
+  conn_cb_.on_readable = [this](Fd fd) {
+    if (!held_.contains(fd)) return;
+    std::uint8_t buf[256];
+    while (api_->recv(fd, buf) > 0) {
+    }
+    if (api_->eof(fd)) {
+      // The server shed us with an orderly close; reconnect to keep the
+      // pressure constant (what a real attack tool's event loop does).
+      // The close runs from a fresh job, after this delivery is done.
+      held_.erase(fd);
+      ++stats_.conns_lost;
+      post(0, [this, fd] {
+        api_->close(fd);
+        open_one();
+      });
+    }
+  };
+  conn_cb_.on_closed = [this](Fd fd, CloseReason) {
+    if (held_.erase(fd) == 0) return;
+    ++stats_.conns_lost;
+    open_one();  // keep the pressure constant
+  };
+}
 
 void Slowloris::attach_api(std::unique_ptr<socklib::SocketApi> api) {
   api_ = std::move(api);
@@ -92,43 +126,7 @@ void Slowloris::open_one() {
   if (!running_) return;
   post(config_.connect_cost, [this] {
     if (!running_) return;
-    ConnCallbacks cb;
-    cb.on_connected = [this](Fd fd) {
-      if (!held_.contains(fd)) return;
-      // A request line that never ends: the server's parser buffers it
-      // forever, waiting for the blank line that never comes.
-      static constexpr char kStub[] = "GET /file20 HTTP/1.1\r\nX-A: ";
-      post(config_.send_cost, [this, fd] {
-        if (!held_.contains(fd)) return;
-        const auto* p = reinterpret_cast<const std::uint8_t*>(kStub);
-        api_->send(fd, {p, sizeof(kStub) - 1});
-        trickle(fd);
-      });
-    };
-    cb.on_readable = [this](Fd fd) {
-      if (!held_.contains(fd)) return;
-      std::uint8_t buf[256];
-      while (api_->recv(fd, buf) > 0) {
-      }
-      if (api_->eof(fd)) {
-        // The server shed us with an orderly close; reconnect to keep the
-        // pressure constant (what a real attack tool's event loop does).
-        // close() frees the connection record that owns this very callback,
-        // so it must run from a fresh job, not from inside the closure.
-        held_.erase(fd);
-        ++stats_.conns_lost;
-        post(0, [this, fd] {
-          api_->close(fd);
-          open_one();
-        });
-      }
-    };
-    cb.on_closed = [this](Fd fd, CloseReason) {
-      if (held_.erase(fd) == 0) return;
-      ++stats_.conns_lost;
-      open_one();  // keep the pressure constant
-    };
-    const Fd fd = api_->connect(config_.server, std::move(cb));
+    const Fd fd = api_->connect(config_.server, &conn_cb_);
     if (fd == kBadFd) {
       ++stats_.conns_lost;
       return;
@@ -155,7 +153,44 @@ void Slowloris::trickle(Fd fd) {
 ChurnStorm::ChurnStorm(sim::Simulator& sim, std::string name, Config config)
     : sim::Process(sim, std::move(name)),
       config_(std::move(config)),
-      rng_(sim.rng().split(0xc472)) {}
+      rng_(sim.rng().split(0xc472)) {
+  conn_cb_.on_connected = [this](Fd fd) {
+    if (!live_.contains(fd)) return;
+    if (!config_.request_before_close) {
+      finish(fd, /*ok=*/true);
+      return;
+    }
+    post(config_.send_cost, [this, fd] {
+      if (!live_.contains(fd)) return;
+      const auto req = apps::build_request(config_.path);
+      if (api_->send(fd, req) != req.size()) finish(fd, /*ok=*/false);
+    });
+  };
+  conn_cb_.on_readable = [this](Fd fd) {
+    if (!live_.contains(fd)) return;
+    post(config_.recv_cost, [this, fd] {
+      if (!live_.contains(fd)) return;
+      // One response is all we want; drain and hang up.
+      std::uint8_t buf[2048];
+      std::size_t got = 0;
+      while (true) {
+        const std::size_t n = api_->recv(fd, buf);
+        if (n == 0) break;
+        got += n;
+      }
+      if (got > 0) {
+        ++stats_.requests_ok;
+        finish(fd, /*ok=*/true);
+      } else if (api_->eof(fd)) {
+        finish(fd, /*ok=*/false);
+      }
+    });
+  };
+  conn_cb_.on_closed = [this](Fd fd, CloseReason) {
+    if (live_.erase(fd) == 0) return;
+    ++stats_.failed;
+  };
+}
 
 void ChurnStorm::attach_api(std::unique_ptr<socklib::SocketApi> api) {
   api_ = std::move(api);
@@ -180,44 +215,7 @@ void ChurnStorm::fire() {
       if (live_.size() >= config_.max_in_flight) {
         ++stats_.shed;
       } else {
-        ConnCallbacks cb;
-        cb.on_connected = [this](Fd fd) {
-          if (!live_.contains(fd)) return;
-          if (!config_.request_before_close) {
-            finish(fd, /*ok=*/true);
-            return;
-          }
-          post(config_.send_cost, [this, fd] {
-            if (!live_.contains(fd)) return;
-            const auto req = apps::build_request(config_.path);
-            if (api_->send(fd, req) != req.size()) finish(fd, /*ok=*/false);
-          });
-        };
-        cb.on_readable = [this](Fd fd) {
-          if (!live_.contains(fd)) return;
-          post(config_.recv_cost, [this, fd] {
-            if (!live_.contains(fd)) return;
-            // One response is all we want; drain and hang up.
-            std::uint8_t buf[2048];
-            std::size_t got = 0;
-            while (true) {
-              const std::size_t n = api_->recv(fd, buf);
-              if (n == 0) break;
-              got += n;
-            }
-            if (got > 0) {
-              ++stats_.requests_ok;
-              finish(fd, /*ok=*/true);
-            } else if (api_->eof(fd)) {
-              finish(fd, /*ok=*/false);
-            }
-          });
-        };
-        cb.on_closed = [this](Fd fd, CloseReason) {
-          if (live_.erase(fd) == 0) return;
-          ++stats_.failed;
-        };
-        const Fd fd = api_->connect(config_.server, std::move(cb));
+        const Fd fd = api_->connect(config_.server, &conn_cb_);
         if (fd == kBadFd) {
           ++stats_.failed;
         } else {

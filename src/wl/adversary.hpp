@@ -108,6 +108,9 @@ class Slowloris : public sim::Process {
 
   Config config_;
   Stats stats_;
+  /// Every connection's callbacks (declared before api_: it outlives the
+  /// sockets).
+  socklib::ConnCallbacks conn_cb_;
   std::unique_ptr<socklib::SocketApi> api_;
   std::unordered_set<socklib::Fd> held_;
   bool running_{false};
@@ -156,6 +159,9 @@ class ChurnStorm : public sim::Process {
 
   Config config_;
   Stats stats_;
+  /// Every connection's callbacks (declared before api_: it outlives the
+  /// sockets).
+  socklib::ConnCallbacks conn_cb_;
   std::unique_ptr<socklib::SocketApi> api_;
   std::unordered_set<socklib::Fd> live_;
   sim::Rng rng_;

@@ -6,7 +6,6 @@
 namespace neat::wl {
 
 using socklib::CloseReason;
-using socklib::ConnCallbacks;
 using socklib::Fd;
 using socklib::kBadFd;
 
@@ -15,6 +14,15 @@ OpenLoopClient::OpenLoopClient(sim::Simulator& sim, std::string name,
     : sim::Process(sim, std::move(name)),
       config_(std::move(config)),
       rng_(sim.rng().split(0x0917c ^ std::hash<std::string>{}(config_.tenant))) {
+  conn_cb_.on_connected = [this](Fd fd) {
+    auto it = sessions_.find(fd);
+    if (it == sessions_.end()) return;
+    // First request's CO clock starts at the arrival epoch: connect time
+    // (SYN backlog queueing included) is part of what the user waited.
+    issue_request(fd, it->second.intended_at);
+  };
+  conn_cb_.on_readable = [this](Fd fd) { on_readable(fd); };
+  conn_cb_.on_closed = [this](Fd fd, CloseReason r) { on_closed(fd, r); };
 }
 
 void OpenLoopClient::attach_api(std::unique_ptr<socklib::SocketApi> api) {
@@ -81,18 +89,7 @@ void OpenLoopClient::user_next_session() {
 void OpenLoopClient::open_session(sim::SimTime epoch) {
   ++report_.sessions_started;
 
-  ConnCallbacks cb;
-  cb.on_connected = [this](Fd fd) {
-    auto it = sessions_.find(fd);
-    if (it == sessions_.end()) return;
-    // First request's CO clock starts at the arrival epoch: connect time
-    // (SYN backlog queueing included) is part of what the user waited.
-    issue_request(fd, it->second.intended_at);
-  };
-  cb.on_readable = [this](Fd fd) { on_readable(fd); };
-  cb.on_closed = [this](Fd fd, CloseReason r) { on_closed(fd, r); };
-
-  const Fd fd = api_->connect(config_.server, std::move(cb));
+  const Fd fd = api_->connect(config_.server, &conn_cb_);
   if (fd == kBadFd) {
     count_failure();
     return;

@@ -156,6 +156,9 @@ class OpenLoopClient : public sim::Process {
 
   Config config_;
   Report report_;
+  /// Every session's callbacks (declared before api_: it outlives the
+  /// sockets).
+  socklib::ConnCallbacks conn_cb_;
   std::unique_ptr<socklib::SocketApi> api_;
   std::unique_ptr<ArrivalSampler> sampler_;
   sim::Rng rng_;

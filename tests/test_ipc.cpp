@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "ipc/byte_ring.hpp"
@@ -124,27 +125,35 @@ TEST_P(ByteRingProperty, StreamIntegrityUnderRandomChunking) {
   sim::Rng rng(GetParam());
   ByteRing ring(1 + rng.below(257));
   std::vector<std::uint8_t> sent, received;
+  // Byte totals, counted from what write() and read() return (the ring
+  // keeps none: it is 32 B).
+  std::uint64_t bytes_in = 0;
+  std::uint64_t bytes_out = 0;
   std::uint8_t next = 0;
   for (int step = 0; step < 2000; ++step) {
     if (rng.chance(0.5)) {
       std::vector<std::uint8_t> chunk(1 + rng.below(64));
       for (auto& c : chunk) c = next++;
       const std::size_t n = ring.write(chunk);
+      bytes_in += n;
       sent.insert(sent.end(), chunk.begin(), chunk.begin() + static_cast<long>(n));
       next = static_cast<std::uint8_t>(chunk[0] + n);  // rewind unwritten
     } else {
       std::vector<std::uint8_t> buf(1 + rng.below(64));
       const std::size_t n = ring.read(buf);
+      bytes_out += n;
       received.insert(received.end(), buf.begin(),
                       buf.begin() + static_cast<long>(n));
     }
+    ASSERT_EQ(ring.readable(), bytes_in - bytes_out);
   }
   std::vector<std::uint8_t> drain(ring.readable());
-  ring.read(drain);
+  bytes_out += ring.read(drain);
   received.insert(received.end(), drain.begin(), drain.end());
   ASSERT_EQ(sent, received);
-  EXPECT_EQ(ring.total_in(), sent.size());
-  EXPECT_EQ(ring.total_out(), received.size());
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(bytes_in, sent.size());
+  EXPECT_EQ(bytes_out, bytes_in);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ByteRingProperty,
@@ -531,19 +540,35 @@ TEST_F(SimFixture, ChannelBatchDiesWithCrashedConsumer) {
 // ---------------------------------------------------------------------------
 
 TEST_F(SimFixture, DoorbellCoalescesRings) {
+  // The doorbell keeps no counters (a socket carries two): count handler
+  // runs here.
   int handled = 0;
   auto bell = std::make_shared<Doorbell>(proc, 50, [&] { ++handled; });
-  bell->ring(bell);
-  bell->ring(bell);
-  bell->ring(bell);
+  for (int rings = 0; rings < 3; ++rings) {
+    bell->ring(bell);
+    EXPECT_TRUE(bell->pending());
+  }
   sim.run();
-  EXPECT_EQ(handled, 1);
-  EXPECT_EQ(bell->rings(), 3u);
-  EXPECT_EQ(bell->deliveries(), 1u);
+  EXPECT_EQ(handled, 1);  // three rings, one delivery
+  EXPECT_FALSE(bell->pending());
   // After consumption, a new ring delivers again.
   bell->ring(bell);
   sim.run();
   EXPECT_EQ(handled, 2);
+}
+
+// Every connection end carries rings and doorbells (DESIGN.md §5m, §5n):
+// 32-bit ring state around one pointer, and no test-only counters.
+static_assert(sizeof(ByteRing) == 32);
+static_assert(sizeof(Doorbell) <= 56);
+
+TEST(ByteRing, CapacityBeyondThirtyTwoBitsIsRejectedInEveryBuild) {
+  EXPECT_THROW(ByteRing(0), std::length_error);
+  EXPECT_THROW(ByteRing(std::size_t{1} << 32), std::length_error);
+  // The largest capacity is accepted; nothing is allocated until a write.
+  ByteRing r(ByteRing::kMaxCapacity);
+  EXPECT_EQ(r.capacity(), ByteRing::kMaxCapacity);
+  EXPECT_EQ(r.allocated(), 0u);
 }
 
 TEST_F(SimFixture, DoorbellToCrashedConsumerIsNoop) {

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "net/ethernet.hpp"
 #include "net/ipv4.hpp"
 #include "net/tcp.hpp"
 #include "nic/nic.hpp"
 #include "nic/toeplitz.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
 namespace neat::nic {
@@ -54,6 +56,61 @@ TEST(Toeplitz, MicrosoftVerificationVectors) {
         << "4-tuple hash for " << int{v.s0} << "." << int{v.s1};
     EXPECT_EQ(h.hash_ip_pair(src, dst), v.ip_only)
         << "2-tuple hash for " << int{v.s0} << "." << int{v.s1};
+  }
+}
+
+/// The Toeplitz hash as the RSS specification states it, one input bit at
+/// a time: a 32-bit window slides over the (cyclic, zero-padded) key and
+/// is XORed in for every set input bit. The reference the table-driven
+/// ToeplitzHasher must match.
+std::uint32_t reference_toeplitz(std::span<const std::uint8_t> key_in,
+                                 std::span<const std::uint8_t> input) {
+  std::array<std::uint8_t, ToeplitzHasher::kKeyBytes> key{};
+  for (std::size_t i = 0; i < key.size() && i < key_in.size(); ++i) {
+    key[i] = key_in[i];
+  }
+  std::uint32_t result = 0;
+  std::uint32_t window = static_cast<std::uint32_t>(key[0]) << 24 |
+                         static_cast<std::uint32_t>(key[1]) << 16 |
+                         static_cast<std::uint32_t>(key[2]) << 8 |
+                         static_cast<std::uint32_t>(key[3]);
+  std::size_t next_byte = 4;
+  for (const std::uint8_t byte : input) {
+    for (int bit = 7; bit >= 0; --bit) {
+      if (byte >> bit & 1) result ^= window;
+      window <<= 1;
+      const std::size_t bit_index =
+          next_byte * 8 + static_cast<std::size_t>(7 - bit);
+      const std::size_t key_bit = bit_index % (key.size() * 8);
+      if (key[key_bit / 8] >> (7 - key_bit % 8) & 1) window |= 1;
+    }
+    ++next_byte;
+  }
+  return result;
+}
+
+TEST(Toeplitz, TablesMatchTheBitwiseReference) {
+  // Random keys (short ones are zero-padded) and inputs up to 100 B: past
+  // 36 B the window wraps around the end of the key, past 40 B the tables
+  // are reused from the first.
+  sim::Rng rng(20261018);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::uint8_t> key(round == 0 ? 40 : 1 + rng.below(48));
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng.below(256));
+    const ToeplitzHasher h(key);
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::uint8_t> in(rng.below(101));
+      for (auto& b : in) b = static_cast<std::uint8_t>(rng.below(256));
+      ASSERT_EQ(h.hash(in), reference_toeplitz(key, in))
+          << "key " << key.size() << " B, input " << in.size() << " B";
+    }
+  }
+  // The default key, at every length across the wrap.
+  const ToeplitzHasher h;
+  std::vector<std::uint8_t> in;
+  for (int n = 0; n <= 90; ++n) {
+    ASSERT_EQ(h.hash(in), reference_toeplitz(kDefaultRssKey, in)) << n;
+    in.push_back(static_cast<std::uint8_t>(0x9e * n + 1));
   }
 }
 

@@ -670,7 +670,7 @@ struct Capture48 : HeapCounted {
 
 TEST(SmallFnOf, SixteenByteCaptureIsHeldInline) {
   using Fn16 = SmallFnOf<int(int), 16>;
-  static_assert(sizeof(Fn16) == 32, "16 B inline + ops pointer, aligned");
+  static_assert(sizeof(Fn16) == 24, "16 B inline + ops pointer, no padding");
   static_assert(sizeof(SmallFn) == 96);
   static_assert(sizeof(Capture16) == 16);
   HeapCounted::news = HeapCounted::deletes = 0;

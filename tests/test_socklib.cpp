@@ -111,8 +111,8 @@ TEST_F(SockLibFixture, ConnectAcceptEchoRoundtrip) {
       received_by_client.append(reinterpret_cast<char*>(buf), n);
     }
   };
-  const Fd cfd = client_app->lib->connect(
-      net::SockAddr{kServerIp, 8080}, std::move(ccb));
+  const Fd cfd =
+      client_app->lib->connect(net::SockAddr{kServerIp, 8080}, &ccb);
   ASSERT_NE(cfd, kBadFd);
   run();
   EXPECT_TRUE(connected);
@@ -128,7 +128,7 @@ TEST_F(SockLibFixture, ConnectAcceptEchoRoundtrip) {
       server_app->lib->send(fd, {buf, n});
     }
   };
-  sfd = server_app->lib->accept(lfd, std::move(scb));
+  sfd = server_app->lib->accept(lfd, &scb);
   ASSERT_NE(sfd, kBadFd);
 
   const std::string msg = "hello through the replicated stack";
@@ -144,7 +144,7 @@ TEST_F(SockLibFixture, ManyConnectionsSpreadOverReplicas) {
   std::vector<Fd> fds;
   for (int i = 0; i < 40; ++i) {
     fds.push_back(
-        client_app->lib->connect(net::SockAddr{kServerIp, 8080}, {}));
+        client_app->lib->connect(net::SockAddr{kServerIp, 8080}, nullptr));
   }
   run(300 * sim::kMillisecond);
   EXPECT_GT(server_host->replica(0).tcp().stats().conns_accepted, 5u);
@@ -152,7 +152,7 @@ TEST_F(SockLibFixture, ManyConnectionsSpreadOverReplicas) {
 
   // Accept drains connections from every replica's subsocket.
   int accepted = 0;
-  while (server_app->lib->accept(lfd, {}) != kBadFd) ++accepted;
+  while (server_app->lib->accept(lfd, nullptr) != kBadFd) ++accepted;
   EXPECT_EQ(accepted, 40);
 }
 
@@ -166,10 +166,10 @@ TEST_F(SockLibFixture, CloseDeliversEofAndNormalCloseToPeer) {
     client_closed = true;
     client_reason = r;
   };
-  const Fd cfd = client_app->lib->connect(
-      net::SockAddr{kServerIp, 8080}, std::move(ccb));
+  const Fd cfd =
+      client_app->lib->connect(net::SockAddr{kServerIp, 8080}, &ccb);
   run();
-  Fd sfd = server_app->lib->accept(lfd, {});
+  Fd sfd = server_app->lib->accept(lfd, nullptr);
   ASSERT_NE(sfd, kBadFd);
 
   server_app->lib->close(sfd);  // server closes first
@@ -189,18 +189,15 @@ TEST_F(SockLibFixture, ReplicaCrashFailsOnlyItsSockets) {
   const Fd lfd = server_app->lib->listen(8080, 256, [] {});
   run();
   std::map<Fd, CloseReason> closed;
-  auto make_ccb = [&] {
-    ConnCallbacks ccb;
-    ccb.on_closed = [&](Fd fd, CloseReason r) { closed[fd] = r; };
-    return ccb;
-  };
+  ConnCallbacks ccb;
+  ccb.on_closed = [&](Fd fd, CloseReason r) { closed[fd] = r; };
   std::vector<Fd> fds;
   for (int i = 0; i < 20; ++i) {
-    fds.push_back(client_app->lib->connect(net::SockAddr{kServerIp, 8080},
-                                           make_ccb()));
+    fds.push_back(
+        client_app->lib->connect(net::SockAddr{kServerIp, 8080}, &ccb));
   }
   run(200 * sim::kMillisecond);
-  while (server_app->lib->accept(lfd, {}) != kBadFd) {
+  while (server_app->lib->accept(lfd, nullptr) != kBadFd) {
   }
   ASSERT_TRUE(closed.empty());
 
@@ -223,7 +220,7 @@ TEST_F(SockLibFixture, RssPortSelectionSteersRepliesToOwningReplica) {
   server_app->lib->listen(8080, 256, [] {});
   run();
   for (int i = 0; i < 10; ++i) {
-    client_app->lib->connect(net::SockAddr{kServerIp, 8080}, {});
+    client_app->lib->connect(net::SockAddr{kServerIp, 8080}, nullptr);
   }
   run(200 * sim::kMillisecond);
   std::size_t established = 0;
@@ -251,14 +248,14 @@ TEST_F(SockLibFixture, ConnectToDeadPortReportsRefused) {
     closed = true;
     reason = r;
   };
-  client_app->lib->connect(net::SockAddr{kServerIp, 9999}, std::move(ccb));
+  client_app->lib->connect(net::SockAddr{kServerIp, 9999}, &ccb);
   run(300 * sim::kMillisecond);
   EXPECT_TRUE(closed);
   EXPECT_EQ(reason, CloseReason::kRefused);
 }
 
 // ---------------------------------------------------------------------------
-// Callback delivery: the socket stores the app's callbacks as given and
+// Callback delivery: every socket points at the app's one callback table and
 // passes its own fd to each call.
 // ---------------------------------------------------------------------------
 
@@ -266,28 +263,25 @@ TEST_F(SockLibFixture, EachCallbackReceivesItsOwnFd) {
   const Fd lfd = server_app->lib->listen(8080, 64, [] {});
   run();
 
-  // Every connection gets callbacks of the same shape, each recording the
-  // fd it is called with: a socket passing a wrong fd shows up as a
-  // missing or extra key below.
+  // Every connection shares one table whose callbacks record the fd they
+  // are called with: a socket passing a wrong fd shows up as a missing or
+  // extra key below.
   std::map<Fd, int> connected, readable, writable;
   std::map<Fd, CloseReason> closed;
-  const auto make_ccb = [&] {
-    ConnCallbacks ccb;
-    ccb.on_connected = [&](Fd fd) { ++connected[fd]; };
-    ccb.on_readable = [&](Fd fd) {
-      ++readable[fd];
-      std::uint8_t buf[256];
-      while (client_app->lib->recv(fd, buf) > 0) {
-      }
-    };
-    ccb.on_writable = [&](Fd fd) { ++writable[fd]; };
-    ccb.on_closed = [&](Fd fd, CloseReason r) { closed[fd] = r; };
-    return ccb;
+  ConnCallbacks ccb;
+  ccb.on_connected = [&](Fd fd) { ++connected[fd]; };
+  ccb.on_readable = [&](Fd fd) {
+    ++readable[fd];
+    std::uint8_t buf[256];
+    while (client_app->lib->recv(fd, buf) > 0) {
+    }
   };
+  ccb.on_writable = [&](Fd fd) { ++writable[fd]; };
+  ccb.on_closed = [&](Fd fd, CloseReason r) { closed[fd] = r; };
   std::set<Fd> cfds;
   for (int i = 0; i < 3; ++i) {
-    cfds.insert(client_app->lib->connect(net::SockAddr{kServerIp, 8080},
-                                         make_ccb()));
+    cfds.insert(
+        client_app->lib->connect(net::SockAddr{kServerIp, 8080}, &ccb));
   }
   ASSERT_EQ(cfds.size(), 3u);
   run();
@@ -295,15 +289,15 @@ TEST_F(SockLibFixture, EachCallbackReceivesItsOwnFd) {
   // The server greets every connection and drains whatever it receives.
   std::set<Fd> sfds;
   std::map<Fd, std::size_t> server_got;
+  ConnCallbacks scb;
+  scb.on_readable = [&](Fd fd) {
+    std::uint8_t buf[4096];
+    while (const std::size_t n = server_app->lib->recv(fd, buf)) {
+      server_got[fd] += n;
+    }
+  };
   for (;;) {
-    ConnCallbacks scb;
-    scb.on_readable = [&](Fd fd) {
-      std::uint8_t buf[4096];
-      while (const std::size_t n = server_app->lib->recv(fd, buf)) {
-        server_got[fd] += n;
-      }
-    };
-    const Fd sfd = server_app->lib->accept(lfd, std::move(scb));
+    const Fd sfd = server_app->lib->accept(lfd, &scb);
     if (sfd == kBadFd) break;
     sfds.insert(sfd);
     const std::uint8_t hi[] = {'h', 'i'};
@@ -344,11 +338,11 @@ TEST_F(SockLibFixture, AcceptedFdNeverSeesOnConnected) {
   const Fd lfd = server_app->lib->listen(8080, 64, [&] { ++acceptable; });
   run();
   const Fd cfd =
-      client_app->lib->connect(net::SockAddr{kServerIp, 8080}, {});
+      client_app->lib->connect(net::SockAddr{kServerIp, 8080}, nullptr);
   run();
   ASSERT_GT(acceptable, 0);
 
-  // The server passes an on_connected too (one callbacks struct for both
+  // The server passes an on_connected too (one table for both
   // directions): an accepted connection was never "connected" by this
   // side, so it must not fire — while on_readable still does.
   int server_connected = 0;
@@ -356,7 +350,7 @@ TEST_F(SockLibFixture, AcceptedFdNeverSeesOnConnected) {
   ConnCallbacks scb;
   scb.on_connected = [&](Fd) { ++server_connected; };
   scb.on_readable = [&](Fd) { ++server_readable; };
-  const Fd sfd = server_app->lib->accept(lfd, std::move(scb));
+  const Fd sfd = server_app->lib->accept(lfd, &scb);
   ASSERT_NE(sfd, kBadFd);
   const std::uint8_t ping[] = {'p'};
   client_app->lib->send(cfd, ping);
@@ -369,14 +363,14 @@ TEST_F(SockLibFixture, CloseInsideCallbackIsNotUndone) {
   const Fd lfd = server_app->lib->listen(8080, 64, [] {});
   run();
   const Fd cfd =
-      client_app->lib->connect(net::SockAddr{kServerIp, 8080}, {});
+      client_app->lib->connect(net::SockAddr{kServerIp, 8080}, nullptr);
   run();
 
   // The server streams to a client that does not read until every buffer
   // on the path is full, then closes its fd from inside on_readable. The
   // socket outlives the close, draining its tx ring like a kernel drains a
-  // closed socket, so later events still reach it: the callback it ran
-  // from local storage must not be put back when it returns.
+  // closed socket, so later events still reach it: the table it called
+  // must stay cleared when the callback returns.
   const std::vector<std::uint8_t> chunk(4096, 'r');
   int server_readable = 0;
   int server_closed = 0;
@@ -390,7 +384,7 @@ TEST_F(SockLibFixture, CloseInsideCallbackIsNotUndone) {
     server_app->lib->close(fd);
   };
   scb.on_closed = [&](Fd, CloseReason) { ++server_closed; };
-  const Fd sfd = server_app->lib->accept(lfd, std::move(scb));
+  const Fd sfd = server_app->lib->accept(lfd, &scb);
   ASSERT_NE(sfd, kBadFd);
   while (server_app->lib->send(sfd, chunk) == chunk.size()) {
   }
@@ -441,11 +435,150 @@ TEST_F(SockLibFixture, DoorbellRungAfterOwnerDiedIsNoop) {
   EXPECT_EQ(handled, 1);
 }
 
+TEST_F(SockLibFixture, TableSwappedOrClearedInsideACallbackStopsTheRest) {
+  // The delivery path of both socket libraries, driven directly: three
+  // bits pending, and the first callback re-points the events at another
+  // table. The rest of the bits run from the new table, none from the old.
+  struct EventsOwner {
+    explicit EventsOwner(sim::Process& app)
+        : events(app, 10,
+                 [this] {
+                   if (events.run_pending()) events.deliver_close();
+                 },
+                 /*fd=*/7, /*notify_connect=*/true) {}
+    socklib::ConnEvents events;
+  };
+  auto owner = std::make_shared<EventsOwner>(*server_app);
+  std::vector<std::string> calls;
+  const auto record = [&calls](const char* what) {
+    return [&calls, what](Fd fd) {
+      calls.push_back(what + std::string(" ") + std::to_string(fd));
+    };
+  };
+
+  ConnCallbacks second;
+  second.on_readable = record("second.readable");
+  second.on_writable = record("second.writable");
+  ConnCallbacks first;
+  first.on_connected = [&](Fd fd) {
+    calls.push_back("first.connected " + std::to_string(fd));
+    owner->events.set_callbacks(&second);
+  };
+  first.on_readable = record("first.readable");
+  first.on_writable = record("first.writable");
+  owner->events.set_callbacks(&first);
+  owner->events.raise(socklib::ConnEvents::kConnected |
+                          socklib::ConnEvents::kReadable |
+                          socklib::ConnEvents::kWritable,
+                      owner);
+  run();
+  EXPECT_EQ(calls, (std::vector<std::string>{
+                       "first.connected 7", "second.readable 7",
+                       "second.writable 7"}));
+
+  // Cleared from inside a callback (what SockLib::close() does): nothing
+  // else runs, not even the close that is pending with it.
+  calls.clear();
+  int closes = 0;
+  ConnCallbacks clearing;
+  clearing.on_readable = [&](Fd fd) {
+    calls.push_back("clearing.readable " + std::to_string(fd));
+    owner->events.set_callbacks(nullptr);
+  };
+  clearing.on_writable = record("clearing.writable");
+  clearing.on_closed = [&](Fd, CloseReason) { ++closes; };
+  owner->events.set_callbacks(&clearing);
+  owner->events.raise(
+      socklib::ConnEvents::kReadable | socklib::ConnEvents::kWritable, owner);
+  owner->events.raise_closed(CloseReason::kReset, owner);
+  run();
+  EXPECT_EQ(calls, std::vector<std::string>{"clearing.readable 7"});
+  EXPECT_EQ(closes, 0);
+  EXPECT_TRUE(owner->events.closed_delivered());
+}
+
+TEST_F(SockLibFixture, DrainingSocketDroppedInsideItsOwnTcpEventIsSafe) {
+  // A socket the app closed with unsent bytes lives on its own keepalive
+  // while it drains. If the peer then resets in the same receive burst as
+  // an ACK that frees send space, the deferred writable event runs after
+  // the TCB has closed, inside the reset's close path: the socket's pump
+  // drops the keepalive (its last reference) from within that event. The
+  // socket must survive to the end of the event and detach from its TCB
+  // when it dies; ASan (check.sh) reports any access after it is freed.
+  const Fd lfd = server_app->lib->listen(8080, 64, [] {});
+  run();
+  client_app->lib->connect(net::SockAddr{kServerIp, 8080}, nullptr);
+  run();
+
+  // The client never reads: the server's buffers fill, then it closes.
+  const std::vector<std::uint8_t> chunk(4096, 'z');
+  ConnCallbacks scb;
+  scb.on_writable = [&](Fd fd) {
+    while (server_app->lib->send(fd, chunk) == chunk.size()) {
+    }
+  };
+  const Fd sfd = server_app->lib->accept(lfd, &scb);
+  ASSERT_NE(sfd, kBadFd);
+  while (server_app->lib->send(sfd, chunk) == chunk.size()) {
+  }
+  run(200 * sim::kMillisecond);
+  server_app->lib->close(sfd);
+  // Long enough for a zero-window probe: then bytes are in flight.
+  run(300 * sim::kMillisecond);
+
+  StackReplica* rep = nullptr;
+  net::TcpSocketPtr tcb;
+  for (std::size_t r = 0; r < server_host->replica_count(); ++r) {
+    server_host->replica(r).tcp().for_each_connection([&](net::TcpSocket& t) {
+      rep = &server_host->replica(r);
+      tcb = t.shared_from_this();
+    });
+  }
+  ASSERT_TRUE(tcb);
+  ASSERT_EQ(tcb->state(), net::TcpState::kEstablished);
+  ASSERT_GT(tcb->inflight(), 0u);
+  ASSERT_NE(tcb->owner(), nullptr);  // the draining socket is alive
+  net::TcpConnSnapshot seq;
+  for (const auto& c : rep->tcp().snapshot().conns) {
+    if (c.flow == tcb->flow()) seq = c;
+  }
+  ASSERT_EQ(seq.flow, tcb->flow());
+
+  // One burst from the client: an ACK of everything in flight opening
+  // the window, then a RST.
+  const net::FlowKey f = tcb->flow();
+  const auto segment = [&](bool rst) {
+    net::TcpHeader h;
+    h.src_port = f.remote_port;
+    h.dst_port = f.local_port;
+    h.seq = seq.rcv_nxt;
+    h.ack = seq.snd_nxt;
+    h.ack_flag = true;
+    h.rst = rst;
+    h.window = 65535;
+    auto pkt = net::Packet::make(0);
+    h.encode(*pkt, f.remote_ip, f.local_ip);
+    return net::TcpStack::SegmentArrival{f.remote_ip, f.local_ip,
+                                         std::move(pkt)};
+  };
+  rep->tcp_process().post(0, [rep, ack = segment(false),
+                              rst = segment(true)]() mutable {
+    std::vector<net::TcpStack::SegmentArrival> burst;
+    burst.push_back(std::move(ack));
+    burst.push_back(std::move(rst));
+    rep->tcp().rx_batch(std::move(burst));
+  });
+  run();
+  EXPECT_EQ(tcb->state(), net::TcpState::kClosed);
+  EXPECT_EQ(tcb->owner(), nullptr);  // the socket died and detached
+  EXPECT_EQ(rep->tcp().connection_count(), 0u);
+}
+
 // Every connection end on a NEaT host carries one NeatSocket: DESIGN.md
-// §5n's byte budget puts it at 464 B. A new field, or padding from a
+// §5n's byte budget puts it at 224 B. A new field, or padding from a
 // reordered or embedded member, is per-connection memory at fleet scale.
 TEST(NeatSocketFootprint, StaysWithinTheByteBudget) {
-  EXPECT_LE(sizeof(socklib::NeatSocket), 464u);
+  EXPECT_LE(sizeof(socklib::NeatSocket), 224u);
 }
 
 }  // namespace

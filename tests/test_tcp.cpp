@@ -33,6 +33,8 @@ class WireEnv final : public TcpEnv {
   void set_peer(TcpStack* peer) { peer_ = peer; }
   void set_impairments(Impairments i) { imp_ = i; }
   void set_iss(std::uint32_t iss) { forced_iss_ = iss; }
+  /// Lose the next `n` segments this side sends.
+  void drop_next(int n) { drop_next_ = n; }
 
   sim::SimTime now() override { return sim_.now(); }
   sim::EventHandle start_timer(sim::SimTime delay,
@@ -47,6 +49,10 @@ class WireEnv final : public TcpEnv {
   void tx(PacketPtr segment, Ipv4Addr src, Ipv4Addr dst) override {
     ++segments_sent_;
     seg_sizes_.push_back(segment->size());
+    if (drop_next_ > 0) {
+      --drop_next_;
+      return;
+    }
     if (rng_.chance(imp_.loss)) return;
     const int copies = rng_.chance(imp_.dup) ? 2 : 1;
     for (int i = 0; i < copies; ++i) {
@@ -75,6 +81,7 @@ class WireEnv final : public TcpEnv {
   TcpStack* peer_{nullptr};
   Impairments imp_;
   std::optional<std::uint32_t> forced_iss_;
+  int drop_next_{0};
   std::uint64_t segments_sent_{0};
   std::vector<std::size_t> seg_sizes_;
 };
@@ -391,6 +398,89 @@ TEST_F(TcpPair, FlowControlStallsAndResumesOnRead) {
     run(sim::kMillisecond);
   }
   EXPECT_EQ(sink, data);
+}
+
+/// A writer that, like an event-driven app, writes only when told there
+/// is room: once the reader's window closes, nothing but TCP itself can
+/// restart the stream.
+struct WriteOnWritable {
+  WriteOnWritable(TcpSocketPtr sock, std::vector<std::uint8_t> bytes)
+      : s(std::move(sock)), data(std::move(bytes)) {
+    TcpSocket::Callbacks cb;
+    cb.on_writable = [this] { write_more(); };
+    s->set_callbacks(std::move(cb));
+    write_more();
+  }
+  void write_more() {
+    off += s->send(std::span<const std::uint8_t>(data).subspan(off));
+  }
+  TcpSocketPtr s;
+  std::vector<std::uint8_t> data;
+  std::size_t off{0};
+};
+
+/// Read everything `s` has every millisecond until `want` bytes arrived or
+/// `deadline` passed.
+std::vector<std::uint8_t> drain_polling(TcpPair& t, TcpSocket& s,
+                                        std::size_t want,
+                                        sim::SimTime deadline) {
+  std::vector<std::uint8_t> sink;
+  const sim::SimTime end = t.sim.now() + deadline;
+  while (sink.size() < want && t.sim.now() < end) {
+    std::uint8_t buf[4096];
+    while (const std::size_t n = s.recv(buf)) sink.insert(sink.end(), buf, buf + n);
+    t.run(sim::kMillisecond);
+  }
+  return sink;
+}
+
+TEST_F(TcpPair, DrainAfterWindowCloseDeliversEveryByte) {
+  TcpListener* l = nullptr;
+  auto c = connect_and_accept(&l);
+  auto s = l->accept();
+  ASSERT_TRUE(s);
+
+  // The reader sleeps until its window has closed with the writer's
+  // buffers full, but not long enough for a zero-window probe.
+  WriteOnWritable w(c, pattern(256 * 1024));
+  run(5 * sim::kMillisecond);
+  ASSERT_EQ(s->readable(), cfg().recv_buf);
+  ASSERT_LT(w.off, w.data.size());
+  ASSERT_EQ(c->retransmits(), 0u);
+
+  // Then it drains. The window update its first read sends must restart
+  // the stream by itself: no probe, no retransmission.
+  const auto sink = drain_polling(*this, *s, w.data.size(), 5 * sim::kSecond);
+  EXPECT_EQ(sink, w.data);
+  EXPECT_EQ(c->retransmits(), 0u);
+  EXPECT_EQ(c->state(), TcpState::kEstablished);
+}
+
+TEST_F(TcpPair, ZeroWindowProbeAloneRestartsTheStream) {
+  TcpListener* l = nullptr;
+  auto c = connect_and_accept(&l);
+  auto s = l->accept();
+  ASSERT_TRUE(s);
+
+  WriteOnWritable w(c, pattern(256 * 1024));
+  run(50 * sim::kMillisecond);
+  ASSERT_EQ(s->readable(), cfg().recv_buf);
+
+  // The window update the first read sends is lost: the writer learns the
+  // window reopened only from the ACK of its next zero-window probe, whose
+  // bytes the reader now accepts.
+  server_env.drop_next(1);
+  const std::uint64_t probes = c->retransmits();
+  const auto sink = drain_polling(*this, *s, w.data.size(), 5 * sim::kSecond);
+  EXPECT_EQ(sink, w.data);
+  EXPECT_GT(c->retransmits(), probes);
+}
+
+// Every connection end carries one TCB, and TIME_WAIT keeps it after the
+// socket above it is gone: DESIGN.md §5n's byte budget puts it at 416 B
+// (one owner pointer, no closures, 32-B rings).
+TEST(TcpSocketFootprint, StaysWithinTheByteBudget) {
+  EXPECT_LE(sizeof(TcpSocket), 416u);
 }
 
 TEST_F(TcpPair, BidirectionalSimultaneousTransfer) {
