@@ -55,13 +55,14 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 if [[ "$SKIP_SANITIZE" == 1 ]]; then
   echo "== sanitizer pass skipped =="
 else
-  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_workload / test_udp_e2e / test_defense / test_fleet / test_flat_map / test_tcp / test_nic / test_socklib / test_sim / test_linux / test_apps_harness / test_replica / ext_perf / ext_workloads / ext_defense / ext_fleet =="
+  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_workload / test_udp_e2e / test_defense / test_fleet / test_flat_map / test_tcp / test_nic / test_socklib / test_sim / test_linux / test_apps_harness / test_replica / test_http / test_alloc / ext_perf / ext_workloads / ext_defense / ext_fleet =="
   cmake -B build-asan -S . -DNEAT_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target test_ipc test_obs test_chaos test_fastpath test_workload \
              test_udp_e2e test_defense test_fleet test_flat_map test_tcp \
              test_nic test_socklib test_sim test_linux test_apps_harness \
-             test_replica ext_perf ext_workloads ext_defense ext_fleet
+             test_replica test_http test_alloc ext_perf ext_workloads \
+             ext_defense ext_fleet
   ./build-asan/tests/test_ipc
   ./build-asan/tests/test_obs
   ./build-asan/tests/test_chaos
@@ -97,6 +98,11 @@ else
   # captures a bare `this`; this suite crashes and restarts stagers and
   # runs both replica compositions.
   ./build-asan/tests/test_replica
+  # The HTTP codec parses through string_views into a connection's queue
+  # and serializes into reused buffers; the allocation audit drives the
+  # whole keep-alive request path (bare-pointer timer jobs, doorbells).
+  ./build-asan/tests/test_http
+  ./build-asan/tests/test_alloc
   # One short end-to-end pass over the pooled data path under ASan: buffer
   # recycling must be invisible to the sanitizer.
   (cd build-asan/bench && ./ext_perf --quick)

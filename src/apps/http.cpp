@@ -1,8 +1,9 @@
 #include "apps/http.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
+#include <cstring>
+#include <iterator>
 #include <string_view>
 
 namespace neat::apps {
@@ -11,13 +12,15 @@ namespace {
 constexpr std::size_t kMaxHeadBytes = 8192;
 
 /// Case-insensitive substring search in a header block, without copying
-/// the head (this runs once per parsed message on the data path).
+/// the head (this runs once per parsed message on the data path). `token`
+/// is lower case. The fold is ASCII's, which is what std::tolower does in
+/// the "C" locale every program here runs in.
 std::size_t ci_find(std::string_view head, std::string_view token) {
   if (token.empty() || head.size() < token.size()) {
     return std::string_view::npos;
   }
-  const auto lower = [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
+  const auto lower = [](char c) {
+    return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
   };
   for (std::size_t i = 0; i + token.size() <= head.size(); ++i) {
     std::size_t k = 0;
@@ -30,70 +33,112 @@ std::size_t ci_find(std::string_view head, std::string_view token) {
 bool contains_token(std::string_view head, std::string_view token) {
   return ci_find(head, token) != std::string_view::npos;
 }
+
+void append(std::vector<std::uint8_t>& out, std::string_view s) {
+  // resize + memcpy, not insert(): GCC 12's -Wstringop-overflow misreads
+  // the reallocating insert of a char range into a fresh vector.
+  const std::size_t at = out.size();
+  out.resize(at + s.size());
+  if (!s.empty()) std::memcpy(out.data() + at, s.data(), s.size());
+}
+
+template <typename Int>
+void append_number(std::vector<std::uint8_t>& out, Int v) {
+  char digits[24];
+  const auto res = std::to_chars(std::begin(digits), std::end(digits), v);
+  append(out, {digits, res.ptr});
+}
 }  // namespace
+
+std::size_t HttpRequestParser::feed(std::span<const std::uint8_t> data,
+                                    std::vector<HttpRequest>& out) {
+  if (error_) return 0;
+  // What was buffered before this chunk holds no complete head (every one
+  // was consumed), so the terminator search resumes 3 bytes before the
+  // chunk. Consumed heads are erased once, at the end.
+  std::size_t from = buf_.size() >= 3 ? buf_.size() - 3 : 0;
+  buf_.append(reinterpret_cast<const char*>(data.data()), data.size());
+  const std::size_t before = out.size();
+  std::size_t consumed = 0;
+  while (true) {
+    const auto end = buf_.find("\r\n\r\n", from);
+    if (end == std::string::npos) {
+      if (buf_.size() - consumed > kMaxHeadBytes) error_ = true;
+      break;
+    }
+    const std::string_view head(buf_.data() + consumed, end - consumed);
+    consumed = end + 4;
+    from = consumed;
+
+    const auto line_end = head.find("\r\n");
+    const std::string_view line =
+        line_end == std::string_view::npos ? head : head.substr(0, line_end);
+    const auto sp1 = line.find(' ');
+    const auto sp2 = line.find(' ', sp1 + 1);
+    if (sp1 == std::string_view::npos || sp2 == std::string_view::npos) {
+      error_ = true;
+      break;
+    }
+    HttpRequest& req = out.emplace_back();
+    req.method.assign(line.substr(0, sp1));
+    req.path.assign(line.substr(sp1 + 1, sp2 - sp1 - 1));
+    // HTTP/1.1 defaults to keep-alive; "Connection: close" overrides.
+    req.keep_alive = line.substr(sp2 + 1) == "HTTP/1.1"
+                         ? !contains_token(head, "connection: close")
+                         : contains_token(head, "connection: keep-alive");
+  }
+  buf_.erase(0, consumed);
+  return out.size() - before;
+}
 
 std::vector<HttpRequest> HttpRequestParser::feed(
     std::span<const std::uint8_t> data) {
   std::vector<HttpRequest> out;
-  if (error_) return out;
-  buf_.append(reinterpret_cast<const char*>(data.data()), data.size());
+  feed(data, out);
+  return out;
+}
 
-  while (true) {
-    const auto end = buf_.find("\r\n\r\n");
-    if (end == std::string::npos) {
-      if (buf_.size() > kMaxHeadBytes) error_ = true;
-      return out;
-    }
-    const std::string head = buf_.substr(0, end);
-    buf_.erase(0, end + 4);
-
-    HttpRequest req;
-    const auto line_end = head.find("\r\n");
-    const std::string line =
-        line_end == std::string::npos ? head : head.substr(0, line_end);
-    const auto sp1 = line.find(' ');
-    const auto sp2 = line.find(' ', sp1 + 1);
-    if (sp1 == std::string::npos || sp2 == std::string::npos) {
-      error_ = true;
-      return out;
-    }
-    req.method = line.substr(0, sp1);
-    req.path = line.substr(sp1 + 1, sp2 - sp1 - 1);
-    const std::string version = line.substr(sp2 + 1);
-    // HTTP/1.1 defaults to keep-alive; "Connection: close" overrides.
-    req.keep_alive = version == "HTTP/1.1"
-                         ? !contains_token(head, "connection: close")
-                         : contains_token(head, "connection: keep-alive");
-    out.push_back(std::move(req));
-  }
+void serialize_request(std::vector<std::uint8_t>& out, std::string_view path,
+                       bool keep_alive) {
+  constexpr std::size_t kMaxFixed = 64;  // every byte but the path's
+  out.clear();
+  out.reserve(kMaxFixed + path.size());
+  append(out, "GET ");
+  append(out, path);
+  append(out, " HTTP/1.1\r\nHost: sut\r\n");
+  if (!keep_alive) append(out, "Connection: close\r\n");
+  append(out, "\r\n");
 }
 
 std::vector<std::uint8_t> build_request(const std::string& path,
                                         bool keep_alive) {
-  std::string s = "GET " + path + " HTTP/1.1\r\nHost: sut\r\n";
-  if (!keep_alive) s += "Connection: close\r\n";
-  s += "\r\n";
-  return {s.begin(), s.end()};
+  std::vector<std::uint8_t> out;
+  serialize_request(out, path, keep_alive);
+  return out;
+}
+
+void serialize_response(std::vector<std::uint8_t>& out, int status,
+                        std::span<const std::uint8_t> body, bool keep_alive) {
+  constexpr std::size_t kMaxHead = 96;  // the longest head below, rounded up
+  out.clear();
+  out.reserve(kMaxHead + body.size());
+  append(out, "HTTP/1.1 ");
+  append_number(out, status);
+  append(out, status == 200 ? " OK" : " Error");
+  append(out, "\r\nContent-Length: ");
+  append_number(out, body.size());
+  append(out, "\r\n");
+  if (!keep_alive) append(out, "Connection: close\r\n");
+  append(out, "\r\n");
+  out.insert(out.end(), body.begin(), body.end());
 }
 
 std::vector<std::uint8_t> build_response(int status,
                                          std::span<const std::uint8_t> body,
                                          bool keep_alive) {
-  std::string head = "HTTP/1.1 " + std::to_string(status) +
-                     (status == 200 ? " OK" : " Error") +
-                     "\r\nContent-Length: " + std::to_string(body.size()) +
-                     "\r\n";
-  if (!keep_alive) head += "Connection: close\r\n";
-  head += "\r\n";
   std::vector<std::uint8_t> out;
-  out.reserve(head.size() + body.size());
-  out.insert(out.end(), head.begin(), head.end());
-  out.insert(out.end(), body.begin(), body.end());
+  serialize_response(out, status, body, keep_alive);
   return out;
-}
-
-std::vector<std::uint8_t> build_error_response(int status) {
-  return build_response(status, {}, true);
 }
 
 std::size_t HttpResponseParser::feed(std::span<const std::uint8_t> data) {

@@ -11,6 +11,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace neat::apps {
@@ -25,8 +26,14 @@ struct HttpRequest {
 /// requests. GET/HEAD only (no request bodies), like the benchmark.
 class HttpRequestParser {
  public:
-  /// Returns requests completed by this chunk. Sets error() on malformed
-  /// input.
+  /// Appends the requests completed by this chunk to `out` and returns
+  /// how many. Sets error() on malformed input. The request path feeds a
+  /// connection's own queue: with its capacity and the parser's buffer
+  /// warm, a chunk allocates nothing (paths up to the string's inline
+  /// size).
+  std::size_t feed(std::span<const std::uint8_t> data,
+                   std::vector<HttpRequest>& out);
+  /// The same, into a fresh vector (tools and tests).
   std::vector<HttpRequest> feed(std::span<const std::uint8_t> data);
 
   [[nodiscard]] bool error() const { return error_; }
@@ -43,15 +50,22 @@ class HttpRequestParser {
   bool error_{false};
 };
 
-/// Serialize a request.
+/// Serialize a request into `out`, replacing its contents (its capacity
+/// is reused).
+void serialize_request(std::vector<std::uint8_t>& out, std::string_view path,
+                       bool keep_alive = true);
+/// The same, into a fresh vector (tools and tests).
 [[nodiscard]] std::vector<std::uint8_t> build_request(const std::string& path,
                                                       bool keep_alive = true);
 
-/// Serialize a response head + body.
+/// Serialize a response head + body into `out`, replacing its contents
+/// (its capacity is reused).
+void serialize_response(std::vector<std::uint8_t>& out, int status,
+                        std::span<const std::uint8_t> body,
+                        bool keep_alive = true);
+/// The same, into a fresh vector (tools and tests).
 [[nodiscard]] std::vector<std::uint8_t> build_response(
     int status, std::span<const std::uint8_t> body, bool keep_alive = true);
-
-[[nodiscard]] std::vector<std::uint8_t> build_error_response(int status);
 
 /// Incremental response parser (client side): status + Content-Length
 /// framing. Call reset_for_next() between keep-alive responses.

@@ -67,12 +67,9 @@ void HttpServer::on_readable(Fd fd) {
       const std::size_t n = api_->recv(fd, buf);
       if (n == 0) break;
       got += n;
-      auto reqs = c.parser.feed({buf, n});
-      completed += reqs.size();
-      for (auto& r : reqs) {
-        c.queue.push_back(std::move(r));
-        c.queue_at.push_back(sim().now());
-      }
+      const std::size_t reqs = c.parser.feed({buf, n}, c.queue);
+      completed += reqs;
+      c.queue_at.insert(c.queue_at.end(), reqs, sim().now());
     }
     if (got > 0) {
       c.got_bytes = true;
@@ -124,7 +121,7 @@ void HttpServer::serve_next(Fd fd) {
          c.respond_pending = false;
 
          if (body != nullptr) {
-           c.out = build_response(200, *body, keep_alive);
+           serialize_response(c.out, 200, *body, keep_alive);
            ++stats_.requests;
            const sim::SimTime lat = sim().now() - arrived_at;
            if (req_latency_ == nullptr) {
@@ -134,7 +131,7 @@ void HttpServer::serve_next(Fd fd) {
            sim().tracer().emit(
                {arrived_at, lat ? lat : 1, "http", "request_served", 0, fd, ""});
          } else {
-           c.out = build_error_response(404);
+           serialize_response(c.out, 404, {});
            ++stats_.not_found;
          }
          c.out_off = 0;

@@ -73,7 +73,9 @@ class HttpServer : public sim::Process {
  private:
   struct Conn {
     HttpRequestParser parser;
-    std::vector<std::uint8_t> out;  // pending response bytes
+    /// Pending response bytes; serialized in place, so its capacity
+    /// carries from response to response.
+    std::vector<std::uint8_t> out;
     std::size_t out_off{0};
     int served{0};
     bool closing{false};

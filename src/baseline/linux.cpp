@@ -309,12 +309,12 @@ struct LinuxSockets::LinuxSocket final
       case net::TcpEvent::kReadable: raise(ConnEvents::kReadable); return;
       case net::TcpEvent::kWritable: raise(ConnEvents::kWritable); return;
       case net::TcpEvent::kClosed:
-        events.raise_closed(socklib::to_close_reason(r), weak_from_this());
+        events.raise_closed(socklib::to_close_reason(r), *this);
         return;
     }
   }
 
-  void raise(std::uint8_t bits) { events.raise(bits, weak_from_this()); }
+  void raise(std::uint8_t bits) { events.raise(bits, *this); }
 
   net::TcpSocketPtr tcp;
   socklib::ConnEvents events;

@@ -31,17 +31,20 @@ class Doorbell {
   Doorbell(const Doorbell&) = delete;
   Doorbell& operator=(const Doorbell&) = delete;
 
-  /// Ring on behalf of `owner`: the object this doorbell is a member of,
-  /// or the doorbell itself when it is shared-owned. Coalesced while a
-  /// previous ring is pending. The delivery holds `owner` weakly and keeps
-  /// it alive while the handler runs, so a ring still in flight when the
+  /// Ring on behalf of `owner`: the object this doorbell is a member of
+  /// (itself derived from enable_shared_from_this), or a shared_ptr to it
+  /// or to the doorbell itself when that is shared-owned. Coalesced while
+  /// a previous ring is pending: such a ring builds nothing. A posted ring
+  /// holds `owner` weakly, through a handle of its own type, and keeps it
+  /// alive while the handler runs, so a ring still in flight when the
   /// owner dies is a no-op — the owner's own control block is the liveness
   /// check, and the doorbell carries no flag of its own.
-  void ring(std::weak_ptr<const void> owner) {
+  template <typename Owner>
+  void ring(const Owner& owner) {
     if (pending_) return;
     if (consumer_->crashed()) return;
     pending_ = true;
-    consumer_->post(cost_, [this, owner = std::move(owner)] {
+    consumer_->post(cost_, [this, owner = weak_handle(owner)] {
       const auto alive = owner.lock();
       if (!alive) return;  // the doorbell's owner was destroyed
       pending_ = false;
@@ -62,6 +65,16 @@ class Doorbell {
   [[nodiscard]] bool pending() const { return pending_; }
 
  private:
+  template <typename T>
+  static std::weak_ptr<T> weak_handle(const std::shared_ptr<T>& owner) {
+    return owner;
+  }
+  template <typename T>
+  static std::weak_ptr<const T> weak_handle(
+      const std::enable_shared_from_this<T>& owner) {
+    return owner.weak_from_this();
+  }
+
   sim::Process* consumer_;
   sim::Cycles cost_;
   Handler handler_;

@@ -262,7 +262,9 @@ void SingleComponentReplica::handle_frame_batch(
   // rx_batch call. Non-TCP traffic (UDP/ICMP, a rarity on the data path) is
   // dispatched inline; cross-protocol ordering within one delivery job has
   // no observable effect since virtual time is frozen for the whole burst.
-  std::vector<net::TcpStack::SegmentArrival> segs;
+  // The staging vector is a member, taken for the call and put back
+  // empty, so its capacity survives from burst to burst.
+  auto segs = std::exchange(rx_segs_, {});
   segs.reserve(frames.size());
   for (auto& f : frames) {
     auto decoded = ip_.rx_frame(f);
@@ -279,6 +281,9 @@ void SingleComponentReplica::handle_frame_batch(
   tcp_stack_.rx_batch(std::move(segs), [this, ep] {
     return !crashed() && epoch() == ep;
   });
+  // rx_batch took the segments, not the vector: keep its capacity.
+  segs.clear();
+  rx_segs_ = std::move(segs);
 }
 
 void SingleComponentReplica::handle_ip(const net::Ipv4Header& hdr,

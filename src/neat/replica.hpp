@@ -259,6 +259,8 @@ class SingleComponentReplica final : public sim::Process,
   net::UdpMux udp_;
   net::PacketFilter pf_;
   TxStage tx_;  // TCP segments and UDP datagrams alike
+  /// handle_frame_batch()'s staging vector, reused across bursts.
+  std::vector<net::TcpStack::SegmentArrival> rx_segs_;
 };
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "net/checksum.hpp"
@@ -176,6 +177,64 @@ const char* to_string(TcpState s) {
 // TcpSocket
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Liveness of every TCB in the process, for the timer jobs that hold a
+/// bare TCB pointer: each TCB takes a slot at construction and bumps the
+/// slot's generation when it dies, so a job armed with (slot, generation)
+/// finds its TCB alive exactly when the weak_ptr it used to hold would
+/// have locked. Slots are reused LIFO; a generation would need 2^32 deaths
+/// in one slot to wrap. Like the rest of the simulator, single-threaded.
+class TcbLiveness {
+ public:
+  std::uint32_t acquire() {
+    if (free_.empty()) {
+      gen_.push_back(0);
+      return static_cast<std::uint32_t>(gen_.size() - 1);
+    }
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  void release(std::uint32_t slot) {
+    ++gen_[slot];
+    free_.push_back(slot);
+  }
+  [[nodiscard]] std::uint32_t generation(std::uint32_t slot) const {
+    return gen_[slot];
+  }
+
+ private:
+  std::vector<std::uint32_t> gen_;
+  std::vector<std::uint32_t> free_;
+};
+
+/// Never destroyed: a TCB that dies during static destruction still
+/// finds its slot.
+TcbLiveness& tcb_liveness() {
+  static auto* const table = new TcbLiveness;
+  return *table;
+}
+
+}  // namespace
+
+template <void (TcpSocket::*Fire)()>
+auto TcpSocket::timer_job() {
+  // A bare pointer plus the liveness token: 16 B and trivially copyable,
+  // so the std::function of TcpEnv::start_timer stores it inline — arming
+  // a timer allocates nothing. The TCB need not be kept alive for the
+  // call: no timer handler can drop its last reference before it returns
+  // (enter_closed() holds its own).
+  auto job = [sock = this, slot = live_slot_,
+              gen = tcb_liveness().generation(live_slot_)] {
+    if (tcb_liveness().generation(slot) == gen) (sock->*Fire)();
+  };
+  static_assert(sizeof(job) <= 16 &&
+                    std::is_trivially_copyable_v<decltype(job)>,
+                "a TCP timer job must fit std::function's inline buffer");
+  return job;
+}
+
 TcpSocket::TcpSocket(TcpStack& stack, FlowKey flow, const TcpConfig& cfg)
     : stack_(stack),
       flow_(flow),
@@ -183,7 +242,8 @@ TcpSocket::TcpSocket(TcpStack& stack, FlowKey flow, const TcpConfig& cfg)
       send_ring_(cfg.send_buf),
       ssthresh_(cfg.recv_buf * 64),  // effectively "infinite" until first loss
       rto_(cfg.rto_initial),
-      recv_ring_(cfg.recv_buf) {
+      recv_ring_(cfg.recv_buf),
+      live_slot_(tcb_liveness().acquire()) {
   cwnd_ = cfg_.initial_cwnd_segments * cfg_.mss;
   state_entered_ = stack_.env().now();
 }
@@ -201,6 +261,7 @@ TcpSocket::~TcpSocket() {
   ack_timer_.cancel();
   time_wait_timer_.cancel();
   drop_callback_owner();
+  tcb_liveness().release(live_slot_);
 }
 
 namespace {
@@ -461,6 +522,10 @@ void TcpSocket::on_ack(const TcpHeader& h, std::uint32_t prev_wnd) {
   }
 
   if (seq_le(h.ack, snd_una_)) {
+    // A zero-window ACK of snd_una_ is a live receiver answering a window
+    // probe: probes go on for as long as it answers (RFC 1122
+    // §4.2.2.17), so they do not count toward data_retries.
+    if (h.ack == snd_una_ && h.window == 0) retries_ = 0;
     // Not a new ack. Count duplicates for fast retransmit.
     const bool is_dup = h.ack == snd_una_ && inflight() > 0;
     if (is_dup) {
@@ -730,10 +795,8 @@ void TcpSocket::schedule_ack(std::size_t new_bytes) {
     return;
   }
   if (ack_timer_.pending()) return;
-  auto wp = weak_from_this();
-  ack_timer_ = stack_.env().start_timer(cfg_.delayed_ack, [wp] {
-    if (auto sp = wp.lock()) sp->send_ack_now();
-  });
+  ack_timer_ = stack_.env().start_timer(
+      cfg_.delayed_ack, timer_job<&TcpSocket::send_ack_now>());
 }
 
 void TcpSocket::arm_rto() {
@@ -745,10 +808,8 @@ void TcpSocket::arm_rto() {
   if (rto_timer_.pending() && rto_fire_at_ <= rto_deadline_) return;
   rto_timer_.cancel();
   rto_fire_at_ = rto_deadline_;
-  auto wp = weak_from_this();
-  rto_timer_ = stack_.env().start_timer(rto_deadline_ - now, [wp] {
-    if (auto sp = wp.lock()) sp->rto_tick();
-  });
+  rto_timer_ = stack_.env().start_timer(rto_deadline_ - now,
+                                        timer_job<&TcpSocket::rto_tick>());
 }
 
 void TcpSocket::disarm_rto() { rto_deadline_ = 0; }
@@ -759,10 +820,8 @@ void TcpSocket::rto_tick() {
   if (now < rto_deadline_) {
     // Re-armed since this event was scheduled: sleep the remainder.
     rto_fire_at_ = rto_deadline_;
-    auto wp = weak_from_this();
-    rto_timer_ = stack_.env().start_timer(rto_deadline_ - now, [wp] {
-      if (auto sp = wp.lock()) sp->rto_tick();
-    });
+    rto_timer_ = stack_.env().start_timer(rto_deadline_ - now,
+                                          timer_job<&TcpSocket::rto_tick>());
     return;
   }
   rto_deadline_ = 0;
@@ -841,10 +900,8 @@ void TcpSocket::enter_time_wait() {
   ooo_.clear();
   ooo_bytes_ = 0;
   time_wait_timer_.cancel();
-  auto wp = weak_from_this();
-  time_wait_timer_ = stack_.env().start_timer(cfg_.time_wait, [wp] {
-    if (auto sp = wp.lock()) sp->enter_closed(TcpCloseReason::kNormal);
-  });
+  time_wait_timer_ = stack_.env().start_timer(
+      cfg_.time_wait, timer_job<&TcpSocket::time_wait_expired>());
 }
 
 void TcpSocket::enter_closed(TcpCloseReason reason) {

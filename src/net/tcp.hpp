@@ -312,6 +312,11 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   void arm_rto();
   void disarm_rto();
   void rto_tick();
+  void time_wait_expired() { enter_closed(TcpCloseReason::kNormal); }
+  /// The job a timer of this TCB runs: calls `Fire` if the TCB is still
+  /// alive when the timer fires (defined in tcp.cpp).
+  template <void (TcpSocket::*Fire)()>
+  [[nodiscard]] auto timer_job();
   void on_rto();
   void update_rtt(sim::SimTime measured);
   void enter_time_wait();
@@ -399,6 +404,8 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   sim::EventHandle ack_timer_;
   sim::EventHandle time_wait_timer_;
   int retries_{0};
+  /// This TCB's entry in the liveness table its timer jobs check (tcp.cpp).
+  std::uint32_t live_slot_;
   std::size_t delack_bytes_{0};  // data bytes received since last ACK sent
   std::uint64_t retransmit_count_{0};
   std::uint16_t peer_mss_{536};

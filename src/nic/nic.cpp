@@ -409,7 +409,8 @@ sim::SimTime Link::wire_time(const net::Packet& frame) const {
 }
 
 void Link::deliver_at(Nic* to, net::PacketPtr frame, sim::SimTime arrival) {
-  sim_.queue().schedule_at(arrival, [this, to, frame = std::move(frame)] {
+  // Nothing cancels a frame on the wire: no handle.
+  sim_.queue().post_at(arrival, [this, to, frame = std::move(frame)] {
     ++delivered_;
     to->receive(frame);
   });

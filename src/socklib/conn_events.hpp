@@ -54,15 +54,17 @@ class ConnEvents {
         notify_connect_(notify_connect) {}
 
   /// Mark `bits` pending and ring the app on behalf of `owner`, the
-  /// object these events are a member of.
-  void raise(std::uint8_t bits, std::weak_ptr<const void> owner) {
+  /// object these events are a member of (see ipc::Doorbell::ring).
+  template <typename Owner>
+  void raise(std::uint8_t bits, const Owner& owner) {
     pending_ |= bits;
-    bell_.ring(std::move(owner));
+    bell_.ring(owner);
   }
 
-  void raise_closed(CloseReason r, std::weak_ptr<const void> owner) {
+  template <typename Owner>
+  void raise_closed(CloseReason r, const Owner& owner) {
     reason_ = r;
-    raise(kClosed, std::move(owner));
+    raise(kClosed, owner);
   }
 
   /// Point at the application's callback table (nullptr stops all further

@@ -59,7 +59,7 @@ void NeatSocket::on_tcp_event(net::TcpEvent ev, net::TcpCloseReason reason) {
       return;
     }
     case net::TcpEvent::kClosed:
-      events_.raise_closed(to_close_reason(reason), weak_from_this());
+      events_.raise_closed(to_close_reason(reason), *this);
       return;
   }
 }
@@ -68,7 +68,7 @@ std::size_t NeatSocket::write(std::span<const std::uint8_t> data) {
   if (failed_ || close_requested_) return 0;
   const std::size_t n = tx_ring_.write(data);
   if (n < data.size()) want_write_ = true;
-  if (n > 0) to_stack_.ring(weak_from_this());
+  if (n > 0) to_stack_.ring(*this);
   return n;
 }
 
@@ -109,7 +109,7 @@ void NeatSocket::reattach(net::TcpSocketPtr tcp) {
   pump_scheduled_ = false;
   // Anything buffered pre-crash is readable again; resume sending too.
   if (tcp_->readable() > 0) raise(ConnEvents::kReadable);
-  to_stack_.ring(weak_from_this());
+  to_stack_.ring(*this);
 }
 
 void NeatSocket::rehome(StackReplica& replica, net::TcpSocketPtr tcp) {
@@ -122,7 +122,7 @@ void NeatSocket::rehome(StackReplica& replica, net::TcpSocketPtr tcp) {
 void NeatSocket::fail() {
   if (failed_) return;
   failed_ = true;
-  events_.raise_closed(CloseReason::kStackFailure, weak_from_this());
+  events_.raise_closed(CloseReason::kStackFailure, *this);
 }
 
 void NeatSocket::migrated_away() {
@@ -130,7 +130,7 @@ void NeatSocket::migrated_away() {
   // Reuse the failure plumbing — it detaches the socket from further I/O —
   // but tell the app the truth: the connection lives on, on another host.
   failed_ = true;
-  events_.raise_closed(CloseReason::kMigratedAway, weak_from_this());
+  events_.raise_closed(CloseReason::kMigratedAway, *this);
 }
 
 void NeatSocket::pump() {

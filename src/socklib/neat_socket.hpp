@@ -82,7 +82,7 @@ class NeatSocket final : public std::enable_shared_from_this<NeatSocket>,
   void pump();      // replica context
   void dispatch();  // app context
   void raise(std::uint8_t bits) {  // any context
-    events_.raise(bits, weak_from_this());
+    events_.raise(bits, *this);
   }
 
   StackReplica* replica_;  // pointer: migration re-homes the socket

@@ -33,6 +33,10 @@ void OpenLoopClient::start() {
   assert(api_ && "attach_api() before start()");
   running_ = true;
   last_epoch_ = sim().now();
+  requests_.resize(config_.catalog.size());
+  for (std::size_t i = 0; i < requests_.size(); ++i) {
+    apps::serialize_request(requests_[i], config_.catalog[i]);
+  }
   hub_latency_ = &sim().metrics().histogram("wl." + config_.tenant +
                                             ".request_latency_ns");
   hub_requests_ =
@@ -95,7 +99,7 @@ void OpenLoopClient::open_session(sim::SimTime epoch) {
     return;
   }
   Session& s = sessions_[fd];
-  s.path = config_.catalog[rng_.below(config_.catalog.size())];
+  s.request = static_cast<std::uint32_t>(rng_.below(config_.catalog.size()));
   s.remaining = config_.session.sample_requests(rng_);
   s.intended_at = epoch;
   if (config_.expect_body != nullptr) {
@@ -136,7 +140,7 @@ void OpenLoopClient::send_request(Fd fd, sim::SimTime intended) {
   auto it = sessions_.find(fd);
   if (it == sessions_.end()) return;
   Session& s = it->second;
-  const auto req = apps::build_request(s.path);
+  const std::vector<std::uint8_t>& req = requests_[s.request];
   const std::size_t n = api_->send(fd, req);
   // Requests are tiny; a short write here means the connection is dying.
   if (n != req.size()) {

@@ -119,7 +119,8 @@ class OpenLoopClient : public sim::Process {
  private:
   struct Session {
     apps::HttpResponseParser parser;
-    std::string path;
+    /// Index into the catalog (and requests_) of the path it fetches.
+    std::uint32_t request{0};
     std::uint32_t remaining{1};
     /// Intended send time of the in-flight request (CO clock).
     sim::SimTime intended_at{0};
@@ -161,6 +162,8 @@ class OpenLoopClient : public sim::Process {
   socklib::ConnCallbacks conn_cb_;
   std::unique_ptr<socklib::SocketApi> api_;
   std::unique_ptr<ArrivalSampler> sampler_;
+  /// The request bytes of each catalog path, built once by start().
+  std::vector<std::vector<std::uint8_t>> requests_;
   sim::Rng rng_;
   std::unordered_map<socklib::Fd, Session> sessions_;
   obs::Histogram* hub_latency_{nullptr};

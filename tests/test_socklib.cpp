@@ -11,6 +11,7 @@
 
 #include "harness/testbed.hpp"
 #include "ipc/doorbell.hpp"
+#include "socklib/neat_socket.hpp"
 #include "socklib/socklib.hpp"
 
 namespace neat::harness {
@@ -433,6 +434,39 @@ TEST_F(SockLibFixture, DoorbellRungAfterOwnerDiedIsNoop) {
   owner.reset();  // the owner (and its doorbell) die with the ring in flight
   run();
   EXPECT_EQ(handled, 1);
+}
+
+TEST_F(SockLibFixture, StackDoorbellInFlightWhenItsSocketDiesIsNoop) {
+  // A NeatSocket's write rings the replica's doorbell on the socket's
+  // behalf; the socket dies before the replica takes the ring. The ring
+  // must do nothing: the socket's drain (pump) would read freed memory
+  // (ASan, in scripts/check.sh, reports it) and push its bytes into the
+  // TCB.
+  server_app->lib->listen(8080, 64, [] {});
+  run();
+  StackReplica& rep = client_host->replica(0);
+  net::TcpSocketPtr tcb = rep.tcp().connect(net::SockAddr{kServerIp, 8080});
+  auto sock = std::make_shared<socklib::NeatSocket>(
+      *client_app, rep, client_host->costs(), tcb, /*fd=*/42,
+      /*notify_connect=*/false);
+  run();
+  ASSERT_EQ(tcb->state(), net::TcpState::kEstablished);
+  const std::vector<std::uint8_t> bytes(100, 'x');
+
+  // Control: a live socket's ring drains its bytes into the TCB.
+  std::uint64_t out = rep.tcp().stats().bytes_out;
+  ASSERT_EQ(sock->write(bytes), bytes.size());
+  run();
+  EXPECT_EQ(rep.tcp().stats().bytes_out, out + bytes.size());
+
+  out = rep.tcp().stats().bytes_out;
+  ASSERT_EQ(sock->write(bytes), bytes.size());
+  const std::weak_ptr<socklib::NeatSocket> watch = sock;
+  sock.reset();  // dies with the ring in flight
+  ASSERT_TRUE(watch.expired());
+  run();
+  EXPECT_EQ(rep.tcp().stats().bytes_out, out);
+  EXPECT_EQ(tcb->owner(), nullptr);
 }
 
 TEST_F(SockLibFixture, TableSwappedOrClearedInsideACallbackStopsTheRest) {

@@ -35,11 +35,18 @@ class WireEnv final : public TcpEnv {
   void set_iss(std::uint32_t iss) { forced_iss_ = iss; }
   /// Lose the next `n` segments this side sends.
   void drop_next(int n) { drop_next_ = n; }
+  /// Fire timers the way a stack process does (sim::Process::after): the
+  /// timer event only queues the job, which runs `d` later. In between,
+  /// cancelling the timer no longer stops the job.
+  void set_timer_job_delay(sim::SimTime d) { timer_job_delay_ = d; }
 
   sim::SimTime now() override { return sim_.now(); }
   sim::EventHandle start_timer(sim::SimTime delay,
                                std::function<void()> fn) override {
-    return sim_.schedule(delay, std::move(fn));
+    if (timer_job_delay_ == 0) return sim_.schedule(delay, std::move(fn));
+    return sim_.schedule(delay, [this, fn = std::move(fn)]() mutable {
+      sim_.post(timer_job_delay_, std::move(fn));
+    });
   }
   std::uint32_t random_u32() override {
     if (forced_iss_) return *forced_iss_;
@@ -82,6 +89,7 @@ class WireEnv final : public TcpEnv {
   Impairments imp_;
   std::optional<std::uint32_t> forced_iss_;
   int drop_next_{0};
+  sim::SimTime timer_job_delay_{0};
   std::uint64_t segments_sent_{0};
   std::vector<std::size_t> seg_sizes_;
 };
@@ -474,6 +482,85 @@ TEST_F(TcpPair, ZeroWindowProbeAloneRestartsTheStream) {
   const auto sink = drain_polling(*this, *s, w.data.size(), 5 * sim::kSecond);
   EXPECT_EQ(sink, w.data);
   EXPECT_GT(c->retransmits(), probes);
+}
+
+TEST_F(TcpPair, ZeroWindowProbesNeverTimeOutAnAnsweringReceiver) {
+  // Default RTO bounds: the probe backoff reaches rto_max (8 s) after a
+  // few probes, and data_retries (8) probes take about 21 s. A receiver
+  // that answers every probe with a zero window is alive, however long
+  // its application sleeps.
+  sim::Simulator sim2;
+  WireEnv ce(sim2, 1), se(sim2, 2);
+  const TcpConfig zcfg;
+  TcpStack client2(ce, kClientIp, zcfg);
+  TcpStack server2(se, kServerIp, zcfg);
+  ce.set_peer(&server2);
+  se.set_peer(&client2);
+  server2.listen(80);
+  auto c2 = client2.connect(SockAddr{kServerIp, 80});
+  sim2.run_for(200 * sim::kMillisecond);
+  auto s2 = server2.listener(80)->accept();
+  ASSERT_TRUE(s2);
+
+  WriteOnWritable w(c2, pattern(512 * 1024));
+  sim2.run_for(60 * sim::kSecond);  // the reader's application sleeps
+  ASSERT_EQ(s2->readable(), zcfg.recv_buf);
+  EXPECT_EQ(c2->state(), TcpState::kEstablished);
+  EXPECT_GT(c2->retransmits(), static_cast<std::uint64_t>(zcfg.data_retries))
+      << "the sender must have kept probing";
+
+  std::vector<std::uint8_t> sink;
+  const sim::SimTime end = sim2.now() + 30 * sim::kSecond;
+  while (sink.size() < w.data.size() && sim2.now() < end) {
+    std::uint8_t buf[4096];
+    while (const std::size_t n = s2->recv(buf)) {
+      sink.insert(sink.end(), buf, buf + n);
+    }
+    sim2.run_for(sim::kMillisecond);
+  }
+  EXPECT_EQ(sink, w.data);
+  EXPECT_EQ(c2->state(), TcpState::kEstablished);
+}
+
+TEST_F(TcpPair, DelayedAckJobQueuedWhenItsTcbDiesDoesNothing) {
+  // A timer job holds a bare TCB pointer and a liveness token. Its timer
+  // is cancelled when the TCB dies, but a job the timer has already
+  // queued is not: it must find the TCB dead and do nothing (ASan, in
+  // scripts/check.sh, reports any access to the freed TCB).
+  sim::Simulator sim2;
+  WireEnv ce(sim2, 1), se(sim2, 2);
+  TcpConfig dcfg = cfg();
+  dcfg.delayed_ack = 40 * sim::kMillisecond;
+  TcpStack client2(ce, kClientIp, cfg());
+  TcpStack server2(se, kServerIp, dcfg);
+  ce.set_peer(&server2);
+  se.set_peer(&client2);
+  se.set_timer_job_delay(sim::kMillisecond);
+  server2.listen(80);
+  auto c2 = client2.connect(SockAddr{kServerIp, 80});
+  sim2.run_for(200 * sim::kMillisecond);
+  auto s2 = server2.listener(80)->accept();
+  ASSERT_TRUE(s2);
+  const auto data = pattern(100);
+
+  // Control: the delayed ACK's job runs 1 ms after its timer and sends.
+  ASSERT_EQ(c2->send(data), data.size());
+  sim2.run_for(40 * sim::kMillisecond + sim::kMillisecond / 2);
+  std::uint64_t sent = se.segments_sent();
+  sim2.run_for(sim::kMillisecond);
+  EXPECT_EQ(se.segments_sent(), sent + 1);
+
+  // The same, but the TCB dies (a crash, and the app's reference) while
+  // the job is queued.
+  ASSERT_EQ(c2->send(data), data.size());
+  sim2.run_for(40 * sim::kMillisecond + sim::kMillisecond / 2);
+  sent = se.segments_sent();
+  const std::weak_ptr<TcpSocket> watch = s2;
+  server2.destroy_all_state();
+  s2.reset();
+  ASSERT_TRUE(watch.expired());
+  sim2.run_for(sim::kMillisecond);
+  EXPECT_EQ(se.segments_sent(), sent);
 }
 
 // Every connection end carries one TCB, and TIME_WAIT keeps it after the
