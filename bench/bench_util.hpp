@@ -7,10 +7,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/testbed.hpp"
@@ -135,15 +141,143 @@ inline ClientRig::Aggregate run_linux(const LinuxRun& r) {
   return res;
 }
 
+/// `s` as a JSON string literal, quotes included.
+inline std::string json_quote(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out + '"';
+}
+
+/// `v` as a JSON number (null when not finite).
+inline std::string json_num(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+/// A gate's bound (or target): a number, or why there is none — a
+/// committed file or key that is missing, or a value that is not a number.
+struct Operand {
+  Operand(double v) : value(v) {}  // NOLINT: a plain number is an operand
+  Operand(double v, std::string why) : value(v), error(std::move(why)) {}
+  [[nodiscard]] Operand scaled(double k) const { return {value * k, error}; }
+
+  double value{0.0};
+  std::string error;  ///< non-empty: the operand could not be read
+};
+
+/// The number stored under `key` in a JSON object in the layout
+/// JsonWriter writes (`"key": value`).
+inline Operand json_number(const std::string& path, const std::string& key) {
+  std::ifstream f(path);
+  if (!f) return {0.0, "cannot read " + path};
+  std::stringstream ss;
+  ss << f.rdbuf();
+  const std::string text = ss.str();
+  const std::string pattern = json_quote(key) + ":";
+  const std::size_t at = text.find(pattern);
+  if (at == std::string::npos) return {0.0, "no key " + key + " in " + path};
+  const char* start = text.c_str() + at + pattern.size();
+  char* end = nullptr;
+  const double v = std::strtod(start, &end);
+  while (std::isspace(static_cast<unsigned char>(*end))) ++end;
+  if (end == start || (*end != ',' && *end != '}') || !std::isfinite(v)) {
+    return {0.0, key + " in " + path + " is not a number"};
+  }
+  return v;
+}
+
+/// The committed value of `key` in BENCH_<bench>.json at the source root,
+/// which holds the bench's full-length run at its default seed.
+inline Operand committed(const std::string& bench, const std::string& key) {
+  return json_number(std::string(NEAT_SOURCE_DIR) + "/BENCH_" + bench + ".json",
+                     key);
+}
+
+/// A bench's contracts. Each gate compares one value against a bound,
+/// prints one `GATE <name> <value> <op> <bound> PASS|FAIL` line, and lands
+/// in the bench's JSON (JsonWriter::add); exit_code() is the bench's exit
+/// status.
+class Gates {
+ public:
+  struct Gate {
+    std::string name;
+    double value;
+    std::string op;     ///< ">=", "<=", ">", "<" or "within"
+    double bound;       ///< for "within": the target
+    double tol;         ///< for "within": the allowed |value - target|
+    std::string error;  ///< why the bound could not be read
+    bool passed;
+  };
+
+  /// `value op bound`, op one of ">=", "<=", ">", "<".
+  bool check(const std::string& name, double value, std::string_view op,
+             const Operand& bound) {
+    const double b = bound.value;
+    const bool known = op == ">=" || op == "<=" || op == ">" || op == "<";
+    const bool ok = op == ">=" ? value >= b
+                    : op == "<=" ? value <= b
+                    : op == ">"  ? value > b
+                                 : op == "<" && value < b;
+    return record({name, value, std::string(op), b, 0.0,
+                   known ? bound.error : "unknown op " + std::string(op), ok});
+  }
+
+  /// |value - target| <= max(rel * max(|value|, |target|), abs): a
+  /// two-sided tolerance, relative to the larger side, with a floor.
+  bool within(const std::string& name, double value, const Operand& target,
+              double rel, double abs) {
+    const double t = target.value;
+    const double tol = std::max(rel * std::max(std::fabs(value), std::fabs(t)), abs);
+    return record({name, value, "within", t, tol, target.error,
+                   std::fabs(value - t) <= tol});
+  }
+
+  [[nodiscard]] bool passed() const {
+    return std::all_of(gates_.begin(), gates_.end(),
+                       [](const Gate& g) { return g.passed; });
+  }
+  [[nodiscard]] int exit_code() const { return passed() ? 0 : 1; }
+  [[nodiscard]] const std::vector<Gate>& all() const { return gates_; }
+
+ private:
+  bool record(Gate g) {
+    g.passed = g.passed && g.error.empty();
+    const std::string bound =
+        !g.error.empty()   ? "null"
+        : g.op == "within" ? json_num(g.bound) + "+-" + json_num(g.tol)
+                           : json_num(g.bound);
+    std::printf("GATE %s %s %s %s %s%s%s\n", g.name.c_str(),
+                json_num(g.value).c_str(), g.op.c_str(), bound.c_str(),
+                g.passed ? "PASS" : "FAIL", g.error.empty() ? "" : " : ",
+                g.error.c_str());
+    std::fflush(stdout);
+    gates_.push_back(std::move(g));
+    return gates_.back().passed;
+  }
+
+  std::vector<Gate> gates_;
+};
+
 /// Tiny machine-readable sidecar: accumulates key/value pairs and writes
 /// them as one flat JSON object to BENCH_<name>.json in the working
 /// directory, so CI can track counters without scraping stdout.
 class JsonWriter {
  public:
   void add(const std::string& key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    kv_.emplace_back(key, buf);
+    kv_.emplace_back(key, json_num(v));
   }
   void add(const std::string& key, std::uint64_t v) {
     kv_.emplace_back(key, std::to_string(v));
@@ -155,13 +289,22 @@ class JsonWriter {
     kv_.emplace_back(key, v ? "true" : "false");
   }
   void add(const std::string& key, const std::string& v) {
-    std::string quoted = "\"";
-    for (const char c : v) {
-      if (c == '"' || c == '\\') quoted += '\\';
-      quoted += c;
+    kv_.emplace_back(key, json_quote(v));
+  }
+  /// Every gate as one `gates` array entry, plus `gates_passed`.
+  void add(const Gates& gates) {
+    std::string arr;
+    for (const Gates::Gate& g : gates.all()) {
+      arr += (arr.empty() ? "[\n" : ",\n") + std::string("    {\"name\": ") +
+             json_quote(g.name) + ", \"value\": " + json_num(g.value) +
+             ", \"op\": " + json_quote(g.op) + ", \"bound\": " +
+             (g.error.empty() ? json_num(g.bound) : "null");
+      if (g.op == "within") arr += ", \"tol\": " + json_num(g.tol);
+      if (!g.error.empty()) arr += ", \"error\": " + json_quote(g.error);
+      arr += std::string(", \"passed\": ") + (g.passed ? "true}" : "false}");
     }
-    quoted += '"';
-    kv_.emplace_back(key, std::move(quoted));
+    kv_.emplace_back("gates", arr.empty() ? "[]" : arr + "\n  ]");
+    add("gates_passed", gates.passed());
   }
 
   bool write(const std::string& bench_name) const {

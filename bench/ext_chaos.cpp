@@ -120,8 +120,10 @@ int main(int argc, char** argv) {
   for (const auto& v : rep.violations) {
     std::printf("INVARIANT VIOLATION: %s\n", v.c_str());
   }
-  const bool ok = rep.passed() && mismatches == 0 && committed > 0;
-  std::printf("campaign %s\n", ok ? "PASSED" : "FAILED");
+  Gates gates;
+  gates.check("invariant_violations", rep.violations.size(), "<=", 0);
+  gates.check("payload_mismatches", mismatches, "<=", 0);
+  gates.check("committed_requests", committed, ">", 0);
 
   JsonWriter json;
   json.add("faults_injected", rep.faults_injected);
@@ -161,9 +163,9 @@ int main(int argc, char** argv) {
   json.add("latency_p999_ms",
            static_cast<double>(latency.quantile(0.999)) / 1e6);
   add_recovery(json, server.neat->recovery_log());
-  json.add("passed", ok);
+  json.add(gates);
   json.write("ext_chaos");
 
   write_trace(tb.sim, trace);
-  return ok ? 0 : 1;
+  return gates.exit_code();
 }

@@ -21,7 +21,7 @@
 //
 // Usage: ext_defense [--quick]
 //
-// Exit code is non-zero when the defense contract fails: defended SYN-flood
+// Exit code is non-zero when a defense gate fails: defended SYN-flood
 // goodput must be >= 5x the attacked-undefended goodput, slowloris deadline
 // closes must fire with the defense on, and the migration p99 blackout must
 // beat the restart-recovery p50.
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
   header("Extension: adversary defenses — SYN cookies, filter eviction, "
          "header deadlines, live migration");
   JsonWriter json;
-  bool ok = true;
+  Gates gates;
 
   // --- 1. SYN flood -------------------------------------------------------
   std::printf("\n[1/3] spoofed SYN flood, attacked vs defended\n");
@@ -256,26 +256,11 @@ int main(int argc, char** argv) {
   print_scenario(syn_def);
   const double att_goodput = std::max(tenant_goodput(syn_att), 1e-9);
   const double syn_ratio = tenant_goodput(syn_def) / att_goodput;
-  if (syn_ratio > 1000.0) {
-    std::printf(
-        "=> defended/attacked goodput ratio: >1000x (attacked collapsed; "
-        "gate: >= 5)\n");
-  } else {
-    std::printf("=> defended/attacked goodput ratio: %.1fx (gate: >= 5)\n",
-                syn_ratio);
-  }
-  if (syn_ratio < 5.0) {
-    std::printf("SYN FLOOD CONTRACT FAILED\n");
-    ok = false;
-  }
+  gates.check("syn_flood.goodput_ratio", syn_ratio, ">=", 5.0);
   // A spoofed flood must not exhaust the 8k filter table when install is
   // deferred to handshake completion.
-  if (syn_def.server_flow_filters_peak >= 8192) {
-    std::printf("FILTER TABLE EXHAUSTED UNDER DEFENSE (peak=%llu)\n",
-                static_cast<unsigned long long>(
-                    syn_def.server_flow_filters_peak));
-    ok = false;
-  }
+  gates.check("syn_flood_defended.flow_filters_peak",
+              syn_def.server_flow_filters_peak, "<", 8192);
   add_scenario_json(json, syn_att);
   add_scenario_json(json, syn_def);
   json.add("syn_flood.goodput_ratio", syn_ratio);
@@ -299,11 +284,12 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(lor_def.slowloris_shed),
       static_cast<unsigned long long>(lor_def.http_deadline_closes),
       static_cast<unsigned long long>(lor_def.slowloris_held));
-  if (lor_def.http_deadline_closes == 0 || lor_def.slowloris_shed == 0 ||
-      lor_att.slowloris_shed > 0) {
-    std::printf("SLOWLORIS CONTRACT FAILED\n");
-    ok = false;
-  }
+  gates.check("slowloris_defended.deadline_closes",
+              lor_def.http_deadline_closes, ">", 0);
+  gates.check("slowloris_defended.slowloris_shed", lor_def.slowloris_shed,
+              ">", 0);
+  gates.check("slowloris_attacked.slowloris_shed", lor_att.slowloris_shed,
+              "<=", 0);
   add_scenario_json(json, lor_att);
   add_scenario_json(json, lor_def);
 
@@ -322,12 +308,13 @@ int main(int argc, char** argv) {
               restart_p50_us);
   std::printf("=> migration p99 blackout vs restart p50: %.1fus vs %.1fus\n",
               mig.blackout_p99_us, restart_p50_us);
-  if (mig.migrations == 0 || mig.conns_moved == 0 ||
-      mig.blackout_p99_us <= 0.0 || restart_p50_us <= 0.0 ||
-      mig.blackout_p99_us >= restart_p50_us || mig.error_conns > 0) {
-    std::printf("MIGRATION CONTRACT FAILED\n");
-    ok = false;
-  }
+  gates.check("migration.count", mig.migrations, ">", 0);
+  gates.check("migration.conns_moved", mig.conns_moved, ">", 0);
+  gates.check("migration.blackout_p99_us", mig.blackout_p99_us, ">", 0);
+  gates.check("restart.first_service_p50_us", restart_p50_us, ">", 0);
+  gates.check("migration.blackout_p99_us_vs_restart_p50", mig.blackout_p99_us,
+              "<", restart_p50_us);
+  gates.check("migration.error_conns", mig.error_conns, "<=", 0);
   json.add("migration.count", mig.migrations);
   json.add("migration.conns_moved", mig.conns_moved);
   json.add("migration.blackout_p50_us", mig.blackout_p50_us);
@@ -337,9 +324,7 @@ int main(int argc, char** argv) {
   json.add("restart.first_service_p50_us", restart_p50_us);
 
   json.add("quick", quick);
-  json.add("defense_ok", ok);
+  json.add(gates);
   json.write("ext_defense");
-  std::printf("\n=> %s\n", ok ? "all defense contracts hold"
-                              : "DEFENSE CONTRACT FAILURES (see above)");
-  return ok ? 0 : 1;
+  return gates.exit_code();
 }

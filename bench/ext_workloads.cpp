@@ -20,6 +20,7 @@
 
 namespace {
 
+using neat::bench::Gates;
 using neat::bench::JsonWriter;
 using neat::wl::Scenario;
 using neat::wl::ScenarioResult;
@@ -121,8 +122,7 @@ int main(int argc, char** argv) {
   }
 
   JsonWriter json;
-  bool flash_ok = true;
-  bool ran_flash = false;
+  Gates gates;
   int ran = 0;
   for (const auto& s : neat::wl::builtin_scenarios()) {
     if (!only.empty() && s.name != only) continue;
@@ -134,19 +134,14 @@ int main(int argc, char** argv) {
     add_json(json, r);
     ++ran;
     if (s.name == "flash_crowd") {
-      ran_flash = true;
       // The autoscaling contract: the surge forces extra replicas, the
       // calm after it lazily terminates them again.
-      flash_ok = r.scale_ups > 0 && r.max_replicas > 1 &&
-                 r.lazy_terminations > 0 && r.end_replicas < r.max_replicas;
-      if (!flash_ok) {
-        std::printf("FLASH CROWD CONTRACT FAILED: ups=%llu max=%zu "
-                    "lazy=%llu end=%zu\n",
-                    static_cast<unsigned long long>(r.scale_ups),
-                    r.max_replicas,
-                    static_cast<unsigned long long>(r.lazy_terminations),
-                    r.end_replicas);
-      }
+      gates.check("flash_crowd.scale_ups", r.scale_ups, ">", 0);
+      gates.check("flash_crowd.max_replicas", r.max_replicas, ">", 1);
+      gates.check("flash_crowd.lazy_terminations", r.lazy_terminations, ">",
+                  0);
+      gates.check("flash_crowd.end_replicas", r.end_replicas, "<",
+                  r.max_replicas);
     }
   }
   if (ran == 0) {
@@ -155,6 +150,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   json.add("quick", quick);
+  json.add(gates);
   json.write("ext_workloads");
-  return ran_flash && !flash_ok ? 1 : 0;
+  return gates.exit_code();
 }

@@ -61,9 +61,11 @@ int main(int argc, char** argv) {
   std::printf("%-36s %10s %10.3f   (no observable benefit, as in paper)\n",
               "  + RFS", "-", rfs.krps);
 
-  std::printf("\nshape checks: defaults < rxAff-without-serv < +serv : %s\n",
-              (defaults.krps < rx.krps && rx.krps < serv.krps) ? "PASS"
-                                                               : "FAIL");
+  // The paper's shape: defaults < rxAff-without-serv < +serv.
+  std::printf("\n");
+  Gates gates;
+  gates.check("rx_krps", rx.krps, ">", defaults.krps);
+  gates.check("serv_krps", serv.krps, ">", rx.krps);
 
   JsonWriter json;
   add_latency(json, "defaults_", defaults);
@@ -72,6 +74,7 @@ int main(int argc, char** argv) {
   add_latency(json, "rx_", rx);
   add_latency(json, "serv_", serv);
   add_latency(json, "rfs_", rfs);
+  json.add(gates);
   json.write("table1_linux_tuning");
-  return 0;
+  return gates.exit_code();
 }
