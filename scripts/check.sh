@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Repo verification: the tier-1 build + test cycle, then a sanitizer pass
-# over the suites where lifetime bugs hide (IPC teardown, observability
-# ring/export, chaos supervision) plus a quick ext_perf pass (the packet
-# pool and event-queue fast paths recycle memory; ASan must see them).
+# Repo verification: the tier-1 build + test cycle, a compile-only build of
+# the benchmark harness (perfbench/ into build-perfbench/, never run), then a
+# sanitizer pass over the suites where lifetime bugs hide (IPC teardown,
+# observability ring/export, chaos supervision) plus a quick ext_perf pass
+# (the packet pool and event-queue fast paths recycle memory; ASan must see
+# them).
 #
 # Usage: scripts/check.sh [--skip-sanitize] [--perf]
 #
@@ -45,6 +47,13 @@ echo "== tier 1: configure + build + ctest (warnings are errors) =="
 cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+# perfbench/run.py builds the same sources into its own tree; compiling it
+# here makes an API change in src/ that breaks the benchmark harness fail
+# now rather than when the benchmark runs.
+echo "== benchmark harness: configure + build perfbench/ (compile only) =="
+cmake -B build-perfbench -S perfbench >/dev/null
+cmake --build build-perfbench -j "$JOBS" --target neatbench
 
 if [[ "$SKIP_SANITIZE" == 1 ]]; then
   echo "== sanitizer pass skipped =="

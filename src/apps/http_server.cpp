@@ -12,12 +12,8 @@ using socklib::Fd;
 using socklib::kBadFd;
 
 HttpServer::HttpServer(sim::Simulator& sim, std::string name,
-                       const FileStore& files, std::uint16_t port,
-                       Costs costs)
-    : sim::Process(sim, std::move(name)),
-      files_(files),
-      port_(port),
-      costs_(costs) {
+                       const FileStore& files, std::uint16_t port)
+    : sim::Process(sim, std::move(name)), files_(files), port_(port) {
   conn_cb_.on_readable = [this](Fd fd) { on_readable(fd); };
   conn_cb_.on_writable = [this](Fd fd) { continue_write(fd); };
   conn_cb_.on_closed = [this](Fd fd, CloseReason r) {

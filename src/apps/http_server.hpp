@@ -40,10 +40,7 @@ class HttpServer : public sim::Process {
   };
 
   HttpServer(sim::Simulator& sim, std::string name, const FileStore& files,
-             std::uint16_t port, Costs costs);
-  HttpServer(sim::Simulator& sim, std::string name, const FileStore& files,
-             std::uint16_t port)
-      : HttpServer(sim, std::move(name), files, port, Costs{}) {}
+             std::uint16_t port);
 
   /// The server owns its socket API instance (its libc, so to speak).
   void attach_api(std::unique_ptr<socklib::SocketApi> api);
@@ -98,7 +95,7 @@ class HttpServer : public sim::Process {
 
   const FileStore& files_;
   std::uint16_t port_;
-  Costs costs_;
+  const Costs costs_{};
   Stats stats_;
   /// Every connection's callbacks (declared before api_: it outlives the
   /// sockets).

@@ -165,14 +165,8 @@ class LinuxHost : public net::TcpEnv {
   void set_current(sim::Process* p) { current_ = p; }
   [[nodiscard]] sim::Process* current() const { return current_; }
 
-  [[nodiscard]] int softirq_count() const {
-    return static_cast<int>(softirqs_.size());
-  }
-  [[nodiscard]] sim::Process& softirq(int i) { return *softirqs_.at(i); }
-
   [[nodiscard]] KernelLock& accept_lock() { return accept_lock_; }
   [[nodiscard]] KernelLock& conn_lock() { return conn_lock_; }
-  [[nodiscard]] KernelLock& timer_lock() { return timer_lock_; }
 
   /// Per-request locality penalty (rx softirq core != app core), depends
   /// on tuning.

@@ -70,7 +70,6 @@ class NicDriver : public sim::Process {
   /// cycles; the driver remains only as the (idle) control plane and its
   /// core is free for an application.
   void set_hardware_offload(bool on) { hardware_offload_ = on; }
-  [[nodiscard]] bool hardware_offload() const { return hardware_offload_; }
 
   /// Asynchronous control-plane op executed in driver context (install
   /// filters, reprogram indirection, ...). Models the PCI config mailbox.

@@ -184,9 +184,8 @@ const ChaosReport& ChaosCampaign::audit() {
 
   // 1. Supervision completeness: every logged crash was watchdog-detected
   //    and resolved, within the configured detection bound.
-  const auto& sup = host_.supervisor().config();
   const sim::SimTime detect_bound =
-      sup.watchdog_timeout + 2 * sup.heartbeat_period;
+      Supervisor::kWatchdogTimeout + 2 * Supervisor::kHeartbeatPeriod;
   for (std::size_t i = 0; i < host_.recovery_log().size(); ++i) {
     const auto& ev = host_.recovery_log()[i];
     if (ev.detected_at == 0) {

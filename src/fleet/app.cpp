@@ -11,6 +11,16 @@ namespace neat::fleet {
 
 namespace {
 
+/// FleetClient ramp cap: connects awaiting their handshake, so the ramp
+/// self-paces to the stack's establishment throughput. The SYSCALL channel
+/// holds 4096 in-flight submissions and *drops silently* when full; the
+/// in-flight cap (plus ping traffic) must stay well below that.
+constexpr std::uint64_t kMaxInflightConnects = 1536;
+/// A pinger unanswered for this many ping intervals resends; the resent
+/// frame is also what flushes out a dead backend (the tier re-steers it to
+/// a survivor, whose stack answers with a RST).
+constexpr int kRetryIntervals = 3;
+
 void put_u32(std::uint8_t* dst, std::uint32_t v) {
   dst[0] = static_cast<std::uint8_t>(v >> 24);
   dst[1] = static_cast<std::uint8_t>(v >> 16);
@@ -137,11 +147,11 @@ void FleetClient::ramp_tick() {
       stats_.attempted - stats_.connected - stats_.connect_failures;
   std::uint64_t batch = std::min<std::uint64_t>(
       cfg_.ramp_batch, cfg_.total_conns - stats_.attempted);
-  if (inflight >= cfg_.max_inflight_connects) {
+  if (inflight >= kMaxInflightConnects) {
     batch = 0;
   } else {
     batch = std::min<std::uint64_t>(batch,
-                                    cfg_.max_inflight_connects - inflight);
+                                    kMaxInflightConnects - inflight);
   }
   while (batch-- > 0) open_one();
   if (stats_.attempted < cfg_.total_conns) {
@@ -208,7 +218,7 @@ void FleetClient::ping_tick(socklib::Fd fd) {
   if (!p.outstanding) {
     send_ping(fd, p);
   } else if (sim().now() - p.sent_at >=
-             cfg_.retry_intervals * cfg_.ping_interval) {
+             kRetryIntervals * cfg_.ping_interval) {
     // Unanswered for too long: the backend is likely dead. Resend — the
     // tier (its conntrack purged) re-steers the frame to a survivor whose
     // stack RSTs it, which is how this husk finally closes.

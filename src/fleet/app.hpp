@@ -62,7 +62,6 @@ class PingServer : public sim::Process {
 
   [[nodiscard]] const Stats& app_stats() const { return stats_; }
   [[nodiscard]] socklib::SockLib& lib() { return *lib_; }
-  [[nodiscard]] std::size_t open_connections() const { return conns_.size(); }
 
  private:
   void on_acceptable(socklib::Fd listen_fd);
@@ -86,21 +85,12 @@ class FleetClient : public sim::Process {
     std::vector<std::uint16_t> ports;  ///< server ports, round-robined
     std::uint64_t total_conns{1000};   ///< connections to ramp up
     /// Pacing: up to `ramp_batch` connects per `ramp_interval`, but never
-    /// more than `max_inflight_connects` awaiting their handshake — the
-    /// ramp self-paces to the stack's establishment throughput. The
-    /// SYSCALL channel holds 4096 in-flight submissions and *drops
-    /// silently* when full; the in-flight cap (plus ping traffic) must
-    /// stay well below that.
+    /// more than kMaxInflightConnects (app.cpp) awaiting their handshake.
     std::uint64_t ramp_batch{256};
     sim::SimTime ramp_interval{1 * sim::kMillisecond};
-    std::uint64_t max_inflight_connects{1536};
     /// Every sample_every-th connection becomes a pinger.
     std::uint64_t sample_every{64};
     sim::SimTime ping_interval{10 * sim::kMillisecond};
-    /// A pinger unanswered for this many intervals resends; the resent
-    /// frame is also what flushes out a dead backend (the tier re-steers
-    /// it to a survivor, whose stack answers with a RST).
-    int retry_intervals{3};
   };
 
   struct Stats {

@@ -8,6 +8,15 @@
 
 namespace neat::fleet {
 
+namespace {
+
+/// Cross-host drain: how long to let in-flight frames (already past the
+/// tier when the capture window opened) reach the source stack before
+/// freezing it. Covers link propagation + NIC + driver + replica hops.
+constexpr sim::SimTime kDrainSettle = 20 * sim::kMicrosecond;
+
+}  // namespace
+
 FleetCluster::FleetCluster(FleetConfig config)
     : cfg(std::move(config)), sim(cfg.seed) {
   pool.bind(sim.obs());
@@ -60,7 +69,7 @@ std::unique_ptr<FleetHost> FleetCluster::build_host(int id, bool is_client) {
       is_client ? cfg.replicas_per_client : cfg.replicas_per_backend;
   const int spares = is_client ? 0 : cfg.spare_replicas_per_backend;
 
-  sim::MachineParams mp = is_client ? cfg.client_machine : cfg.backend_machine;
+  sim::MachineParams mp;
   mp.name = std::string(is_client ? "client" : "backend") + std::to_string(id);
   // OS + SYSCALL + driver, one core per (current or spare) replica, and
   // the application core last (FleetHost::app_thread).
@@ -68,7 +77,7 @@ std::unique_ptr<FleetHost> FleetCluster::build_host(int id, bool is_client) {
   mp.threads_per_core = 1;
   h->machine = &sim.add_machine(mp);
 
-  nic::NicParams np = is_client ? cfg.client_nic : cfg.backend_nic;
+  nic::NicParams np;
   np.num_queues = replicas + spares;
   const net::MacAddr mac =
       net::MacAddr::local(static_cast<std::uint32_t>(is_client ? 40 + id
@@ -81,7 +90,6 @@ std::unique_ptr<FleetHost> FleetCluster::build_host(int id, bool is_client) {
   hc.host_id = is_client ? 100 + id : id;
   hc.costs = cfg.costs;
   hc.tcp = is_client ? cfg.client_tcp : cfg.backend_tcp;
-  if (is_client) hc.steering = cfg.client_steering;
   hc.hub = h->hub.get();
   h->host = std::make_unique<NeatHost>(sim, *h->machine, *h->nic, hc);
   h->host->os_process().pin(h->machine->thread(0));
@@ -196,7 +204,7 @@ void FleetCluster::drain_host(std::size_t from, std::size_t to,
   //    context (charged like an intra-host migration freeze).
   st->pending_extracts = srcs.size();
   FleetCluster* self = this;
-  sim.queue().post(cfg.drain_settle, [self, st, srcs = std::move(srcs)] {
+  sim.queue().post(kDrainSettle, [self, st, srcs = std::move(srcs)] {
     if (srcs.empty()) {
       self->maybe_finish_drain(st);
       return;

@@ -53,21 +53,10 @@ struct FleetConfig {
   StackCosts costs{};
   net::TcpConfig backend_tcp{};
   net::TcpConfig client_tcp{};
-  nic::NicParams backend_nic{};  ///< num_queues forced to replica capacity
-  nic::NicParams client_nic{};
   nic::Link::Params link{};
-  sim::MachineParams backend_machine{};  ///< cores forced to what fits
-  sim::MachineParams client_machine{};
-  NeatHost::Config::Steering client_steering{
-      NeatHost::Config::Steering::kRssPortSelection};
   /// Headroom for per-host scale-up: replicas the machine has spare cores
   /// (and the NIC has queues) for beyond replicas_per_backend.
   int spare_replicas_per_backend{0};
-
-  /// Cross-host drain: how long to let in-flight frames (already past the
-  /// tier when the capture window opened) reach the source stack before
-  /// freezing it. Covers link propagation + NIC + driver + replica hops.
-  sim::SimTime drain_settle{20 * sim::kMicrosecond};
 };
 
 /// One machine of the fleet (backend, standby, or client) and everything

@@ -14,6 +14,19 @@ namespace neat::fleet {
 
 namespace {
 
+/// One-hop forwarding latency through the tier (per direction).
+constexpr sim::SimTime kForwardLatency = 2 * sim::kMicrosecond;
+/// Tracked-flow retirement after a FIN (covers the rest of the close
+/// handshake + TIME_WAIT; an RST drops the entry immediately).
+constexpr sim::SimTime kFinLinger = 1 * sim::kSecond;
+/// Health prober cadence and the consecutive misses that declare a backend
+/// dead (3 × 50ms tolerates a replica-0 restart blip, which silences echo
+/// briefly, without false-positives).
+constexpr sim::SimTime kProbeInterval = 50 * sim::kMillisecond;
+constexpr int kProbeMissThreshold = 3;
+/// Per-port RX ring depth (frames queue here for one kForwardLatency).
+constexpr std::size_t kPortQueueDepth = 65536;
+
 /// In-place Ethernet rewrite — the tier's entire data-plane transformation.
 void rewrite_macs(net::Packet& frame, net::MacAddr dst, net::MacAddr src) {
   auto b = frame.bytes();
@@ -53,7 +66,7 @@ SteeringTier::~SteeringTier() { probe_timer_.cancel(); }
 SteeringTier::Port& SteeringTier::new_port() {
   nic::NicParams params;
   params.num_queues = 1;
-  params.queue_depth = cfg_.port_queue_depth;
+  params.queue_depth = kPortQueueDepth;
   params.tracking_filters = false;
   auto port = std::make_unique<Port>();
   const auto idx = ports_.size();
@@ -158,10 +171,10 @@ void SteeringTier::schedule_drain(std::size_t port_idx) {
   Port& p = *ports_[port_idx];
   if (p.drain_pending) return;
   p.drain_pending = true;
-  // One drain event per port per forward_latency window: frames arriving
+  // One drain event per port per kForwardLatency window: frames arriving
   // inside the window ride the same event, preserving per-port FIFO (the
   // event heap is not FIFO-stable at equal timestamps).
-  sim_.queue().post(cfg_.forward_latency,
+  sim_.queue().post(kForwardLatency,
                     [this, port_idx] { drain(port_idx); });
 }
 
@@ -222,7 +235,7 @@ void SteeringTier::note_flow_flags(const net::FlowKey& canonical, bool rst,
     // their pinned path, then retire the entry. A reused 4-tuple's SYN
     // re-installs before the linger fires; erasing then is fine — the next
     // frame re-pins via the table, which is where a fresh flow goes anyway.
-    sim_.queue().post(cfg_.fin_linger, [this, canonical] {
+    sim_.queue().post(kFinLinger, [this, canonical] {
       if (flows_.erase(canonical) > 0) ++stats_.flows_removed;
     });
   }
@@ -310,7 +323,7 @@ void SteeringTier::start_probing(std::function<void(int id)> on_down) {
   on_down_ = std::move(on_down);
   if (probing_) return;
   probing_ = true;
-  probe_timer_ = sim_.schedule(cfg_.probe_interval, [this] { probe_tick(); });
+  probe_timer_ = sim_.schedule(kProbeInterval, [this] { probe_tick(); });
 }
 
 void SteeringTier::stop_probing() {
@@ -326,7 +339,7 @@ void SteeringTier::probe_tick() {
     if (st.declared_down) continue;
     if (st.awaiting) {
       st.awaiting = false;
-      if (++st.misses >= cfg_.probe_miss_threshold) {
+      if (++st.misses >= kProbeMissThreshold) {
         st.declared_down = true;
         ++stats_.backends_declared_down;
         down.push_back(id);
@@ -363,7 +376,7 @@ void SteeringTier::probe_tick() {
     ++stats_.probes_sent;
     port.nic->transmit(std::move(pkt));
   }
-  probe_timer_ = sim_.schedule(cfg_.probe_interval, [this] { probe_tick(); });
+  probe_timer_ = sim_.schedule(kProbeInterval, [this] { probe_tick(); });
 }
 
 }  // namespace neat::fleet

@@ -55,20 +55,8 @@ struct SteeringConfig {
   /// for it; backends address their echo replies to it).
   net::Ipv4Addr prober_ip{net::Ipv4Addr::of(10, 9, 9, 9)};
   std::size_t table_size{MaglevTable::kDefaultTableSize};
-  /// One-hop forwarding latency through the tier (per direction).
-  sim::SimTime forward_latency{2 * sim::kMicrosecond};
-  /// Tracked-flow retirement after a FIN (covers the rest of the close
-  /// handshake + TIME_WAIT; an RST drops the entry immediately).
-  sim::SimTime fin_linger{1 * sim::kSecond};
   /// MAC ids for tier ports start here (MacAddr::local(mac_base + port#)).
   std::uint32_t mac_base{200};
-  /// Health prober cadence and the consecutive misses that declare a
-  /// backend dead (3 × 50ms tolerates a replica-0 restart blip, which
-  /// silences echo briefly, without false-positives).
-  sim::SimTime probe_interval{50 * sim::kMillisecond};
-  int probe_miss_threshold{3};
-  /// Per-port RX ring depth (frames queue here for one forward_latency).
-  std::size_t port_queue_depth{65536};
 };
 
 class SteeringTier {
@@ -133,8 +121,8 @@ class SteeringTier {
   void end_capture();
 
   // --- health probing ------------------------------------------------------
-  /// Probe every in-table backend each probe_interval; `on_down(id)` fires
-  /// (once) when a backend misses probe_miss_threshold probes in a row.
+  /// Probe every in-table backend each kProbeInterval; `on_down(id)` fires
+  /// (once) when a backend misses kProbeMissThreshold probes in a row.
   /// The callback typically calls remove_backend.
   void start_probing(std::function<void(int id)> on_down);
   void stop_probing();

@@ -205,7 +205,7 @@ ServerRig build_neat_server(Testbed& tb, NeatServerOptions opt) {
   for (int w = 0; w < opt.webs; ++w) {
     auto srv = std::make_unique<apps::HttpServer>(
         tb.sim, "web" + std::to_string(w + 1), *rig.files,
-        static_cast<std::uint16_t>(kBasePort + w), opt.server_costs);
+        static_cast<std::uint16_t>(kBasePort + w));
     const auto& slot = pl.webs[static_cast<std::size_t>(w)];
     srv->pin(mc.thread(slot.core, slot.thread));
     srv->first_byte_deadline = opt.http_first_byte_deadline;
@@ -235,7 +235,7 @@ ServerRig build_linux_server(Testbed& tb, LinuxServerOptions opt) {
   for (int w = 0; w < opt.webs; ++w) {
     auto srv = std::make_unique<apps::HttpServer>(
         tb.sim, "web" + std::to_string(w + 1), *rig.files,
-        static_cast<std::uint16_t>(kBasePort + w), opt.server_costs);
+        static_cast<std::uint16_t>(kBasePort + w));
     const int slot = w % (cores * tpc);
     rig.linux_host->register_app(*srv, mc.thread(slot % cores, slot / cores));
     srv->attach_api(std::make_unique<baseline::LinuxSockets>(

@@ -182,7 +182,6 @@ struct NeatServerOptions {
   int webs{1};
   Placement placement;  // empty -> amd_placement derived automatically
   NeatHost::Config host;
-  apps::HttpServer::Costs server_costs{};
   std::vector<std::pair<std::string, std::size_t>> files{{"/file20", 20}};
   bool tracking_filters{false};  // forwarded to NIC at testbed build time
   /// SYN-flood defense: no tracking filter until the handshake completes
@@ -201,7 +200,6 @@ struct LinuxServerOptions {
   baseline::LinuxCosts costs{};
   net::TcpConfig tcp{};
   int webs{1};
-  apps::HttpServer::Costs server_costs{};
   std::vector<std::pair<std::string, std::size_t>> files{{"/file20", 20}};
 };
 

@@ -87,8 +87,10 @@ inline void channel_registry_reset() { channel_registry().clear(); }
 /// A typed, bounded, unidirectional channel into `consumer`.
 ///
 /// `cost_fn(msg)` gives the CPU cycles the consumer spends handling the
-/// message; `handler(msg)` runs after that work completes. `latency` models
-/// the cache-line/interconnect transfer delay between cores.
+/// message; the consumer is built with exactly one of `handler(msg)`, run
+/// per message, or `batch_handler(batch)`, run once per delivery job; either
+/// runs after that work completes. `latency` models the
+/// cache-line/interconnect transfer delay between cores.
 ///
 /// Delivery is batched: messages deposited while a transfer is pending
 /// accumulate in the shared ring and are drained together when the consumer
@@ -104,8 +106,9 @@ template <typename T>
 class Channel : public ChannelBase {
  public:
   using Handler = std::function<void(T&&)>;
-  /// Optional whole-batch consumer: receives every message of one delivery
-  /// job at once (TcpStack-style loops hoist per-batch work this way).
+  /// Whole-batch consumer: receives every message of one delivery job at
+  /// once, a lone message as a one-element batch (TcpStack-style loops
+  /// hoist per-batch work this way).
   using BatchHandler = std::function<void(std::vector<T>&&)>;
   using CostFn = std::function<sim::Cycles(const T&)>;
 
@@ -127,8 +130,19 @@ class Channel : public ChannelBase {
       : Channel(consumer, capacity, latency,
                 [cost](const T&) { return cost; }, std::move(handler)) {}
 
-  /// Install a whole-batch handler; overrides the per-message handler.
-  void set_batch_handler(BatchHandler h) { batch_handler_ = std::move(h); }
+  /// Batch consumer: every delivery job goes to `batch_handler` whole.
+  Channel(sim::Process& consumer, std::size_t capacity, sim::SimTime latency,
+          CostFn cost_fn, BatchHandler batch_handler)
+      : consumer_(&consumer),
+        capacity_(capacity),
+        latency_(latency),
+        cost_fn_(std::move(cost_fn)),
+        batch_handler_(std::move(batch_handler)) {}
+
+  Channel(sim::Process& consumer, std::size_t capacity, sim::SimTime latency,
+          sim::Cycles cost, BatchHandler batch_handler)
+      : Channel(consumer, capacity, latency,
+                [cost](const T&) { return cost; }, std::move(batch_handler)) {}
 
   /// Deposit a message. Returns false (and drops it) if the channel is full
   /// or the consumer is dead.

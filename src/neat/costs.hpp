@@ -61,7 +61,4 @@ struct StackCosts {
   }
 };
 
-/// Default calibrated model.
-[[nodiscard]] inline StackCosts default_costs() { return StackCosts{}; }
-
 }  // namespace neat

@@ -14,16 +14,16 @@ namespace neat {
 SyscallServer::SyscallServer(sim::Simulator& sim, StackCosts costs)
     : sim::Process(sim, "syscall"),
       ch_(*this, 4096, ipc::kDefaultChannelLatency, costs.syscall_server,
-          [this](sim::SmallFn&& op) {
-            ++calls_;
-            op();
-          }) {}
+          [](sim::SmallFn&& op) { op(); }) {}
 
 // ---------------------------------------------------------------------------
 // NeatHost
 // ---------------------------------------------------------------------------
 
 namespace {
+/// Cadence of the lazy-termination garbage collector (§3.4).
+constexpr sim::SimTime kGcPeriod = 10 * sim::kMillisecond;
+
 /// Placeholder for "all remaining operating system processes" sharing the
 /// OS core (paper §6.3). It idles unless someone posts work at it.
 class OsProcess final : public sim::Process {
@@ -44,9 +44,9 @@ NeatHost::NeatHost(sim::Simulator& sim, sim::Machine& machine, nic::Nic& nic,
       rng_(sim.rng().split(0x4057)) {
   if (config_.hub != nullptr) nic_.bind_hub(config_.hub);
   if (config_.smartnic_offload) driver_->set_hardware_offload(true);
-  supervisor_ = std::make_unique<Supervisor>(*this, config_.supervision);
+  supervisor_ = std::make_unique<Supervisor>(*this);
   supervisor_->watch_driver();
-  gc_timer_ = sim_.schedule(config_.gc_period, [this] { gc_tick(); });
+  gc_timer_ = sim_.schedule(kGcPeriod, [this] { gc_tick(); });
 }
 
 NeatHost::~NeatHost() { gc_timer_.cancel(); }
@@ -323,7 +323,7 @@ void NeatHost::gc_tick() {
       note_replica_census();
     }
   }
-  gc_timer_ = sim_.schedule(config_.gc_period, [this] { gc_tick(); });
+  gc_timer_ = sim_.schedule(kGcPeriod, [this] { gc_tick(); });
 }
 
 void NeatHost::checkpoint_tick(int replica_id) {

@@ -41,11 +41,8 @@ class SyscallServer : public sim::Process {
   /// closures never need copying.
   void submit(sim::SmallFn op) { ch_.send(std::move(op)); }
 
-  [[nodiscard]] std::uint64_t calls_handled() const { return calls_; }
-
  private:
   ipc::Channel<sim::SmallFn> ch_;
-  std::uint64_t calls_{0};
 };
 
 /// Apps (their socket libraries) implement this to learn about replica
@@ -143,11 +140,6 @@ class NeatHost {
     int host_id{0};
     StackCosts costs{};
     net::TcpConfig tcp{};
-    sim::SimTime restart_delay{20 * sim::kMillisecond};
-    sim::SimTime gc_period{10 * sim::kMillisecond};
-    /// Client-side steering policy for outbound connections.
-    enum class Steering { kRssPortSelection, kExactFilter };
-    Steering steering{Steering::kRssPortSelection};
 
     /// §4 future-work mode: a programmable NIC runs the driver's data
     /// plane; the driver process carries control traffic only and its
@@ -160,10 +152,6 @@ class NeatHost {
     /// strategy). Non-zero intervals buy connection survival at a
     /// per-interval CPU cost on every replica.
     sim::SimTime checkpoint_interval{0};
-
-    /// Watchdog/restart/quarantine policy; restart_delay above is the
-    /// backoff base.
-    SupervisionConfig supervision{};
 
     /// Per-host observability hub. When set, everything this host records —
     /// replica TCP metrics, NIC steering counters, recovery latencies,

@@ -210,12 +210,17 @@ SingleComponentReplica::SingleComponentReplica(
       hub_(hub),
       driver_(&driver),
       tx_port_(driver.make_tx_port()),
+      // Burst mode: one channel delivery job hands the whole frame batch
+      // over; TCP segments are regrouped and consumed by
+      // TcpStack::rx_batch with per-burst (not per-frame) bookkeeping.
       rx_ch_(
           *this, 2048, ipc::kDefaultChannelLatency,
           [this](const net::PacketPtr& p) {
             return costs_.single_rx_base + costs_.bytes_cost(p->size());
           },
-          [this](net::PacketPtr&& p) { handle_frame(std::move(p)); }),
+          [this](std::vector<net::PacketPtr>&& frames) {
+            handle_frame_batch(std::move(frames));
+          }),
       ip_(mac, ip, [this](net::PacketPtr f) { tx_port_(std::move(f)); }),
       tcp_stack_(*this, ip, tcp_cfg),
       tx_(*this, [this](StagedTx&& s) {
@@ -227,15 +232,7 @@ SingleComponentReplica::SingleComponentReplica(
           return;
         }
         ip_.send(std::move(s.pkt), s.proto, s.src, s.dst);
-      }) {
-  // Burst mode: one channel delivery job hands the whole frame batch over;
-  // TCP segments are regrouped and consumed by TcpStack::rx_batch with
-  // per-burst (not per-frame) bookkeeping.
-  rx_ch_.set_batch_handler(
-      [this](std::vector<net::PacketPtr>&& frames) {
-        handle_frame_batch(std::move(frames));
-      });
-}
+      }) {}
 
 sim::EventHandle SingleComponentReplica::start_timer(
     sim::SimTime delay, std::function<void()> fn) {
@@ -248,12 +245,6 @@ void SingleComponentReplica::tx(net::PacketPtr segment, net::Ipv4Addr src,
   const sim::Cycles c =
       costs_.single_tx_base + costs_.bytes_cost(segment->size());
   tx_.add({std::move(segment), src, dst, net::IpProto::kTcp, 0, 0}, c);
-}
-
-void SingleComponentReplica::handle_frame(net::PacketPtr frame) {
-  auto decoded = ip_.rx_frame(frame);
-  if (!decoded) return;
-  handle_ip(decoded->hdr, decoded->payload);
 }
 
 void SingleComponentReplica::handle_frame_batch(
@@ -455,18 +446,16 @@ MultiComponentReplica::MultiComponentReplica(
       [this](const IpToTcp& m) {
         return costs_.tcp_rx_base + costs_.bytes_cost(m.seg->size());
       },
-      [this](IpToTcp&& m) {
-        tcp_proc_->stack().rx(m.src, m.dst, std::move(m.seg));
+      // Burst mode: the IP→TCP crossing delivers a whole batch per
+      // consumer job; the stack consumes it with per-burst bookkeeping. The
+      // messages already ARE SegmentArrivals, so the batch moves without
+      // repacking.
+      [this](std::vector<IpToTcp>&& batch) {
+        const auto ep = tcp_proc_->epoch();
+        tcp_proc_->stack().rx_batch(std::move(batch), [this, ep] {
+          return !tcp_proc_->crashed() && tcp_proc_->epoch() == ep;
+        });
       });
-  // Burst mode: the IP→TCP crossing delivers a whole batch per consumer
-  // job; the stack consumes it with per-burst bookkeeping. The messages
-  // already ARE SegmentArrivals, so the batch moves without repacking.
-  ip_to_tcp_->set_batch_handler([this](std::vector<IpToTcp>&& batch) {
-    const auto ep = tcp_proc_->epoch();
-    tcp_proc_->stack().rx_batch(std::move(batch), [this, ep] {
-      return !tcp_proc_->crashed() && tcp_proc_->epoch() == ep;
-    });
-  });
 
   ip_to_udp_ = std::make_unique<ipc::Channel<IpToTcp>>(
       *udp_proc_, 512, ipc::kDefaultChannelLatency,

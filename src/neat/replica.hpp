@@ -244,7 +244,6 @@ class SingleComponentReplica final : public sim::Process,
   void on_crash() override;
 
  private:
-  void handle_frame(net::PacketPtr frame);
   void handle_frame_batch(std::vector<net::PacketPtr>&& frames);
   void handle_ip(const net::Ipv4Header& hdr, net::PacketPtr payload);
 

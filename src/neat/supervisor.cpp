@@ -8,15 +8,13 @@
 
 namespace neat {
 
-Supervisor::Supervisor(NeatHost& host, SupervisionConfig cfg)
-    : host_(host), cfg_(cfg) {}
+Supervisor::Supervisor(NeatHost& host) : host_(host) {}
 
 Supervisor::~Supervisor() {
   for (auto& w : watches_) w->restart_timer.cancel();
 }
 
 void Supervisor::watch_replica(StackReplica& r) {
-  if (!cfg_.enabled) return;
   auto add = [this, &r](Component c) {
     sim::Process* p = r.component(c);
     assert(p != nullptr);
@@ -25,7 +23,7 @@ void Supervisor::watch_replica(StackReplica& r) {
     w->component = c;
     w->proc = p;
     w->dog = std::make_unique<sim::Watchdog>(
-        host_.simulator(), cfg_.heartbeat_period, cfg_.watchdog_timeout);
+        host_.simulator(), kHeartbeatPeriod, kWatchdogTimeout);
     arm(*w);
     watches_.push_back(std::move(w));
   };
@@ -50,12 +48,11 @@ void Supervisor::unwatch_replica(StackReplica& r) {
 }
 
 void Supervisor::watch_driver() {
-  if (!cfg_.enabled) return;
   auto w = std::make_unique<Watch>();
   w->replica = nullptr;
   w->proc = &host_.driver();
   w->dog = std::make_unique<sim::Watchdog>(
-      host_.simulator(), cfg_.heartbeat_period, cfg_.watchdog_timeout);
+      host_.simulator(), kHeartbeatPeriod, kWatchdogTimeout);
   arm(*w);
   watches_.push_back(std::move(w));
 }
@@ -90,13 +87,12 @@ bool Supervisor::driver_restart_pending() const {
 
 void Supervisor::arm(Watch& w) {
   sim::Process* proc = w.proc;
-  const sim::Cycles cost = cfg_.heartbeat_cost;
   Watch* wp = &w;
   w.dog->arm(
       // The probe: a heartbeat job posted into the monitored process. A
       // crashed process silently drops posts, so acks simply stop.
-      [proc, cost](std::function<void()> ack) {
-        proc->post(cost, [ack = std::move(ack)] { ack(); });
+      [proc](std::function<void()> ack) {
+        proc->post(kHeartbeatCost, [ack = std::move(ack)] { ack(); });
       },
       [this, wp](sim::SimTime silent) { on_silent(*wp, silent); });
 }
@@ -153,21 +149,20 @@ void Supervisor::handle_replica_death(Watch& w, std::size_t event_idx) {
   // the previous recovery resets the consecutive counter.
   LoopState& loop = replica_loop_[rep.id()];
   if (loop.last_recover == 0 ||
-      death_at - loop.last_recover >= cfg_.stability_window) {
+      death_at - loop.last_recover >= kStabilityWindow) {
     loop.consecutive = 1;
   } else {
     ++loop.consecutive;
   }
 
-  if (!rep.terminating && loop.consecutive >= cfg_.quarantine_after) {
+  if (!rep.terminating && loop.consecutive >= kQuarantineAfter) {
     RecoveryEvent& ev = host_.event(event_idx);
     ev.action = "quarantine";
     ev.backoff_level = loop.consecutive - 1;
     ev.recovered_at = host_.simulator().now();
     ++stats_.quarantines;
     host_.quarantine_replica(rep);  // destroys `w`
-    if (cfg_.replace_quarantined &&
-        host_.spawn_replacement(rep) != nullptr) {
+    if (host_.spawn_replacement(rep) != nullptr) {
       ++stats_.replacements;
       // The replacement's spawn is part of handling this failure.
       host_.event(event_idx).action = "replace";
@@ -209,7 +204,7 @@ void Supervisor::complete_replica_restart(Watch& w, std::size_t event_idx) {
 void Supervisor::handle_driver_death(Watch& w, std::size_t event_idx) {
   const sim::SimTime death_at = host_.event(event_idx).at;
   if (driver_loop_.last_recover == 0 ||
-      death_at - driver_loop_.last_recover >= cfg_.stability_window) {
+      death_at - driver_loop_.last_recover >= kStabilityWindow) {
     driver_loop_.consecutive = 1;
   } else {
     ++driver_loop_.consecutive;
@@ -243,9 +238,9 @@ void Supervisor::complete_driver_restart(Watch& w, std::size_t event_idx) {
 }
 
 sim::SimTime Supervisor::backoff_delay(int level) const {
-  double d = static_cast<double>(host_.config().restart_delay);
-  for (int i = 0; i < level; ++i) d *= cfg_.backoff_multiplier;
-  d = std::min(d, static_cast<double>(cfg_.backoff_cap));
+  double d = static_cast<double>(kRestartDelay);
+  for (int i = 0; i < level; ++i) d *= kBackoffMultiplier;
+  d = std::min(d, static_cast<double>(kBackoffCap));
   return std::max<sim::SimTime>(1, static_cast<sim::SimTime>(d));
 }
 

@@ -8,11 +8,11 @@
 //    heartbeat Watchdog; a crash is *detected* when the component stops
 //    acknowledging probes, never assumed;
 //  * a detected crash schedules a restart after an exponential-backoff
-//    delay (base = NeatHost::Config::restart_delay), so a component that
-//    dies immediately after every restart consumes bounded resources;
-//  * a replica that crash-loops `quarantine_after` consecutive times is
-//    quarantined — removed from steering permanently — and, policy
-//    permitting, replaced by a freshly spawned replica on the same cores;
+//    delay (base kRestartDelay), so a component that dies immediately after
+//    every restart consumes bounded resources;
+//  * a replica that crash-loops kQuarantineAfter consecutive times is
+//    quarantined — removed from steering permanently — and replaced by a
+//    freshly spawned replica on the same cores (when a NIC queue is free);
 //  * a replica that crashes while draining under lazy termination (§3.4)
 //    is either collected immediately (its TCP state is gone, nothing left
 //    to drain) or restarted to finish draining — it never rejoins the
@@ -36,30 +36,25 @@ namespace neat {
 
 class NeatHost;
 
-struct SupervisionConfig {
-  /// Master switch; off reverts to "crashes stay down until someone calls
-  /// NeatHost::recover_replica by hand" (unit tests of the crash state).
-  bool enabled{true};
-  /// Probe cadence and the silence that declares a component dead.
-  /// Detection latency is bounded by watchdog_timeout + heartbeat_period.
-  sim::SimTime heartbeat_period{5 * sim::kMillisecond};
-  sim::SimTime watchdog_timeout{15 * sim::kMillisecond};
-  /// CPU cost of handling one probe in the monitored process.
-  sim::Cycles heartbeat_cost{150};
-  /// Restart delay = restart_delay * multiplier^backoff_level, capped.
-  double backoff_multiplier{2.0};
-  sim::SimTime backoff_cap{640 * sim::kMillisecond};
-  /// Consecutive crashes (uptime below stability_window between them)
-  /// before a replica is declared crash-looping and quarantined.
-  int quarantine_after{4};
-  /// Uptime that resets the consecutive-crash counter to zero.
-  sim::SimTime stability_window{80 * sim::kMillisecond};
-  /// Spawn a replacement replica (same pins) when quarantining.
-  bool replace_quarantined{true};
-};
-
 class Supervisor {
  public:
+  /// Probe cadence and the silence that declares a component dead.
+  /// Detection latency is bounded by kWatchdogTimeout + kHeartbeatPeriod.
+  static constexpr sim::SimTime kHeartbeatPeriod = 5 * sim::kMillisecond;
+  static constexpr sim::SimTime kWatchdogTimeout = 15 * sim::kMillisecond;
+  /// CPU cost of handling one probe in the monitored process.
+  static constexpr sim::Cycles kHeartbeatCost = 150;
+  /// Restart delay = kRestartDelay * kBackoffMultiplier^backoff_level,
+  /// capped at kBackoffCap.
+  static constexpr sim::SimTime kRestartDelay = 20 * sim::kMillisecond;
+  static constexpr double kBackoffMultiplier = 2.0;
+  static constexpr sim::SimTime kBackoffCap = 640 * sim::kMillisecond;
+  /// Consecutive crashes (uptime below kStabilityWindow between them)
+  /// before a replica is declared crash-looping and quarantined.
+  static constexpr int kQuarantineAfter = 4;
+  /// Uptime that resets the consecutive-crash counter to zero.
+  static constexpr sim::SimTime kStabilityWindow = 80 * sim::kMillisecond;
+
   struct Stats {
     std::uint64_t detections{0};
     std::uint64_t restarts{0};
@@ -78,7 +73,7 @@ class Supervisor {
     }
   };
 
-  Supervisor(NeatHost& host, SupervisionConfig cfg);
+  explicit Supervisor(NeatHost& host);
   ~Supervisor();
 
   Supervisor(const Supervisor&) = delete;
@@ -101,7 +96,6 @@ class Supervisor {
   void shutdown();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const SupervisionConfig& config() const { return cfg_; }
 
   /// Consecutive-crash count feeding the backoff/quarantine policy.
   [[nodiscard]] int consecutive_crashes(const StackReplica& r) const;
@@ -135,7 +129,6 @@ class Supervisor {
   [[nodiscard]] sim::SimTime backoff_delay(int level) const;
 
   NeatHost& host_;
-  SupervisionConfig cfg_;
   std::vector<std::unique_ptr<Watch>> watches_;
   std::unordered_map<int, LoopState> replica_loop_;  // replica id -> state
   LoopState driver_loop_;

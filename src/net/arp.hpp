@@ -49,7 +49,6 @@ class ArpResolver {
   void insert(Ipv4Addr ip, MacAddr mac);
 
   [[nodiscard]] std::optional<MacAddr> lookup(Ipv4Addr ip) const;
-  [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
 
  private:
   struct IpHash {

@@ -51,15 +51,11 @@ class PacketFilter {
       ++r.hits;
       return r.action == FilterRule::Action::kAccept;
     }
-    ++default_hits_;
     return true;  // default accept
   }
 
-  [[nodiscard]] std::uint64_t default_hits() const { return default_hits_; }
-
  private:
   std::vector<FilterRule> rules_;
-  mutable std::uint64_t default_hits_{0};
 };
 
 }  // namespace neat::net

@@ -1019,15 +1019,14 @@ std::uint16_t TcpStack::ephemeral_port() {
   return 0;
 }
 
-TcpSocketPtr TcpStack::connect(SockAddr remote, std::uint16_t local_port,
-                               bool defer_syn) {
+TcpSocketPtr TcpStack::connect(SockAddr remote, std::uint16_t local_port) {
   if (local_port == 0) local_port = ephemeral_port();
   if (local_port == 0) return nullptr;
   FlowKey key{local_ip_, local_port, remote.ip, remote.port};
   if (conns_.contains(key)) return nullptr;
   auto sock = std::make_shared<TcpSocket>(*this, key, cfg_);
   insert_conn(key, sock);
-  if (!defer_syn) sock->start_active_open();
+  sock->start_active_open();
   return sock;
 }
 

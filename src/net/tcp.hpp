@@ -533,17 +533,8 @@ class TcpStack {
     return it == listeners_.end() ? nullptr : it->second.get();
   }
 
-  /// Active open. Picks an ephemeral port if local_port == 0. With
-  /// defer_syn, the connection is registered but no SYN is emitted until
-  /// begin_handshake() — NEaT installs the NIC steering filter in between
-  /// so the SYN|ACK cannot race to the wrong replica.
-  TcpSocketPtr connect(SockAddr remote, std::uint16_t local_port = 0,
-                       bool defer_syn = false);
-
-  /// Fire the SYN of a deferred connect(). No-op if already started.
-  void begin_handshake(TcpSocket& s) {
-    if (s.state() == TcpState::kClosed) s.start_active_open();
-  }
+  /// Active open. Picks an ephemeral port if local_port == 0.
+  TcpSocketPtr connect(SockAddr remote, std::uint16_t local_port = 0);
 
   /// Entry point for TCP segments from IP (pkt starts at the TCP header).
   void rx(Ipv4Addr src, Ipv4Addr dst, PacketPtr pkt);

@@ -56,7 +56,6 @@ class UdpMux {
   /// with its process; the host replays durable binds onto the restarted
   /// replica).
   void clear() { bound_.clear(); }
-  [[nodiscard]] std::size_t bound_count() const { return bound_.size(); }
 
   /// Datagrams handed to a receiver on this mux (per-replica steering
   /// visibility for tests and benches).

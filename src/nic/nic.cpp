@@ -10,6 +10,17 @@
 
 namespace neat::nic {
 
+namespace {
+
+/// RSS indirection table size (82599: 128 entries).
+constexpr std::size_t kIndirectionEntries = 128;
+/// How long after FIN-retirement a flow key is remembered as dead so
+/// straggler-driven refault is suppressed. Covers the peer's TIME_WAIT and
+/// final retransmissions.
+constexpr sim::SimTime kDeadFlowMemory = 1 * sim::kSecond;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Nic
 // ---------------------------------------------------------------------------
@@ -20,7 +31,7 @@ Nic::Nic(sim::Simulator& sim, net::MacAddr mac, net::Ipv4Addr ip,
       mac_(mac),
       ip_(ip),
       params_(params),
-      indirection_(params.indirection_entries, 0),
+      indirection_(kIndirectionEntries, 0),
       rx_queues_(static_cast<std::size_t>(params.num_queues)),
       rx_heads_(static_cast<std::size_t>(params.num_queues), 0),
       rx_irq_armed_(static_cast<std::size_t>(params.num_queues), 0) {}
@@ -116,8 +127,8 @@ void Nic::retire_flow_on_fin(const net::FlowKey& key) {
     // present when fin_retire_linger < TIME_WAIT) must not re-fault the
     // filter back in, or it leaks forever. A scheduled sweep erases the
     // memory; an earlier sweep for a refreshed entry no-ops on expiry.
-    fin_retired_[key] = sim_.now() + params_.dead_flow_memory;
-    sim_.queue().post(params_.dead_flow_memory, [this, key] {
+    fin_retired_[key] = sim_.now() + kDeadFlowMemory;
+    sim_.queue().post(kDeadFlowMemory, [this, key] {
       auto d = fin_retired_.find(key);
       if (d != fin_retired_.end() && sim_.now() >= d->second) {
         fin_retired_.erase(d);

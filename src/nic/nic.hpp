@@ -31,8 +31,6 @@ struct NicParams {
   /// Exact-match flow steering table capacity ("Intel 10G cards can hold up
   /// to 8 thousand filters").
   std::size_t flow_table_capacity{8192};
-  /// RSS indirection table size (82599: 128 entries).
-  std::size_t indirection_entries{128};
   /// Emulate the paper's proposed NIC extension: hardware-installed
   /// "tracking" filters that pin each flow to the queue its SYN was steered
   /// to, so reconfiguring the indirection table (scale up/down) never moves
@@ -47,15 +45,11 @@ struct NicParams {
   /// The filter must survive the rest of the close handshake (the peer's
   /// FIN/ACK still needs to reach the same queue) and the local TIME_WAIT,
   /// after which the entry is dead weight the hardware should reclaim.
-  /// A linger shorter than TIME_WAIT is safe: for dead_flow_memory after
-  /// retirement, close-handshake stragglers are steered by RSS without
+  /// A linger shorter than TIME_WAIT is safe: for kDeadFlowMemory (nic.cpp)
+  /// after retirement, close-handshake stragglers are steered by RSS without
   /// re-faulting the dead flow's filter back in (which would leak it —
   /// nothing ever FINs a dead flow a second time).
   sim::SimTime fin_retire_linger{1 * sim::kSecond};
-  /// How long after FIN-retirement a flow key is remembered as dead so
-  /// straggler-driven refault is suppressed. Covers the peer's TIME_WAIT
-  /// and final retransmissions.
-  sim::SimTime dead_flow_memory{1 * sim::kSecond};
   bool tso{true};
   /// RX interrupt moderation (ethtool rx-usecs): the first frame landing on
   /// a queue with no doorbell pending schedules the driver notification this
@@ -174,9 +168,6 @@ class Nic {
   /// are repointed, so no packet is processed against half-moved state.
   void begin_flow_capture(const std::vector<net::FlowKey>& keys);
   void end_flow_capture();
-  [[nodiscard]] std::size_t captured_frame_count() const {
-    return capture_buf_.size();
-  }
 
   // --- data plane -----------------------------------------------------------
 
@@ -263,8 +254,8 @@ class Nic {
   /// on insert/erase, so never hold a FlowEntry& across either.
   sim::FlatMap<net::FlowKey, FlowEntry, net::FlowKeyHash> flows_;
   /// Flows whose filter was FIN-retired, remembered until the stored
-  /// expiry time so straggler refault is suppressed (see NicParams::
-  /// dead_flow_memory). Entries are erased by a scheduled sweep event; a
+  /// expiry time so straggler refault is suppressed (see kDeadFlowMemory
+  /// in nic.cpp). Entries are erased by a scheduled sweep event; a
   /// fresh install for the key (4-tuple reuse) erases eagerly.
   sim::FlatMap<net::FlowKey, sim::SimTime, net::FlowKeyHash> fin_retired_;
   std::list<net::FlowKey> lru_;  // front = most recent

@@ -198,9 +198,6 @@ class Machine {
   [[nodiscard]] int threads_per_core() const {
     return params_.threads_per_core;
   }
-  [[nodiscard]] int hw_threads() const {
-    return params_.cores * params_.threads_per_core;
-  }
 
   [[nodiscard]] HwThread& thread(int core, int ht = 0) {
     assert(core >= 0 && core < params_.cores);

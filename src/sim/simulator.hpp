@@ -47,7 +47,6 @@ class Simulator {
     return *machines_.back();
   }
 
-  [[nodiscard]] std::size_t machine_count() const { return machines_.size(); }
   [[nodiscard]] Machine& machine(std::size_t i) { return *machines_.at(i); }
 
   /// Advance virtual time to `deadline`, executing all events on the way.

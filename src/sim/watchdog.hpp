@@ -58,7 +58,6 @@ class Watchdog {
   }
 
   [[nodiscard]] bool armed() const { return armed_; }
-  [[nodiscard]] SimTime last_ack() const { return last_ack_; }
 
  private:
   void tick() {

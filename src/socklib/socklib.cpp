@@ -77,11 +77,9 @@ Fd SockLib::connect(net::SockAddr remote, const ConnCallbacks* cb) {
   sim::Process* app = &app_;
   SockLib* self = this;
   const StackCosts costs = host_.costs();
-  const auto steering = host_.config().steering;
   const std::uint64_t seed = rng_();
 
-  host_.syscall().submit([host, app, self, fd, remote, cb, costs, steering,
-                          seed] {
+  host_.syscall().submit([host, app, self, fd, remote, cb, costs, seed] {
     StackReplica* rep = host->pick_replica();
     if (rep == nullptr) {
       app->post(costs.app_notify, [cb, fd] {
@@ -92,29 +90,22 @@ Fd SockLib::connect(net::SockAddr remote, const ConnCallbacks* cb) {
       return;
     }
     rep->tcp_process().post(costs.replica_control, [host, self, fd, remote,
-                                                    cb, costs, steering, seed,
-                                                    rep] {
-      // Pick the local port. Under RSS steering the library chooses a port
-      // whose Toeplitz hash lands on this replica's queue, so the SYN|ACK
-      // comes straight back to us with zero NIC reconfiguration. Ports
-      // still occupied (e.g. a previous connection in TIME_WAIT) make
-      // connect() fail — retry with another candidate.
+                                                    cb, costs, seed, rep] {
+      // Pick the local port: the library chooses a port whose Toeplitz hash
+      // lands on this replica's queue, so the SYN|ACK comes straight back to
+      // us with zero NIC reconfiguration. Ports still occupied (e.g. a
+      // previous connection in TIME_WAIT) make connect() fail — retry with
+      // another candidate.
       sim::Rng prng(seed);
-      const bool defer =
-          steering == NeatHost::Config::Steering::kExactFilter;
       net::TcpSocketPtr tcp;
-      if (steering == NeatHost::Config::Steering::kRssPortSelection) {
-        for (int tries = 0; tries < 8192 && !tcp; ++tries) {
-          const auto cand =
-              static_cast<std::uint16_t>(49152 + prng.below(16384));
-          if (host->nic().rss_queue(remote.ip, remote.port, host->ip(),
-                                    cand) != rep->queue()) {
-            continue;
-          }
-          tcp = rep->tcp().connect(remote, cand, defer);
+      for (int tries = 0; tries < 8192 && !tcp; ++tries) {
+        const auto cand =
+            static_cast<std::uint16_t>(49152 + prng.below(16384));
+        if (host->nic().rss_queue(remote.ip, remote.port, host->ip(), cand) !=
+            rep->queue()) {
+          continue;
         }
-      } else {
-        tcp = rep->tcp().connect(remote, 0, defer);
+        tcp = rep->tcp().connect(remote, cand);
       }
       if (!tcp) {
         self->app_.post(costs.app_notify, [cb, fd] {
@@ -125,17 +116,6 @@ Fd SockLib::connect(net::SockAddr remote, const ConnCallbacks* cb) {
         return;
       }
       self->wire_connection(fd, *rep, tcp, cb, /*notify_connect=*/true);
-      if (defer) {
-        // Install the exact-match filter first so the reply cannot race to
-        // the wrong replica, then fire the SYN from the replica's context.
-        const net::FlowKey key = tcp->flow();
-        host->driver().control([host, key, rep, tcp, costs] {
-          host->nic().add_flow_filter(key, rep->queue());
-          rep->tcp_process().post(costs.replica_control, [rep, tcp] {
-            rep->tcp().begin_handshake(*tcp);
-          });
-        });
-      }
     });
   });
   return fd;

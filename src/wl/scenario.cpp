@@ -18,6 +18,9 @@ namespace neat::wl {
 namespace {
 
 constexpr sim::SimTime kTimelineSample = 25 * sim::kMillisecond;
+/// Client-side stack replicas carrying the generated load (per client
+/// machine in the fleet topology).
+constexpr int kClientReplicas = 4;
 
 /// Client half of a scenario (token first: must die before the Testbed).
 struct ClientSide {
@@ -42,7 +45,7 @@ ScenarioResult run_fleet_scenario(const Scenario& sc) {
   fc.backends = sc.fleet_hosts;
   fc.clients = sc.fleet_clients;
   fc.replicas_per_backend = sc.fleet_replicas_per_host;
-  fc.replicas_per_client = sc.client_replicas;
+  fc.replicas_per_client = kClientReplicas;
   fleet::FleetCluster fleet(fc);
 
   std::vector<std::uint16_t> ports;
@@ -198,7 +201,7 @@ ScenarioResult run_scenario(const Scenario& sc) {
   std::unique_ptr<AutoScaler> scaler;
   if (sc.autoscale) {
     scaler = std::make_unique<AutoScaler>(*server.neat, std::move(spares),
-                                          sc.policy);
+                                          AutoScaler::Policy{});
     scaler->start();
   }
 
@@ -217,17 +220,17 @@ ScenarioResult run_scenario(const Scenario& sc) {
                                        tb.client_nic, hc);
   auto& cm = tb.client_machine;
   const int total_client_procs =
-      3 + sc.client_replicas + n_tenants +
+      3 + kClientReplicas + n_tenants +
       static_cast<int>(sc.adversaries.size());
   assert(total_client_procs <= cm.cores() && "client machine out of cores");
   (void)total_client_procs;
   cs.host->os_process().pin(cm.thread(0));
   cs.host->syscall().pin(cm.thread(1));
   cs.host->driver().pin(cm.thread(2));
-  for (int r = 0; r < sc.client_replicas; ++r) {
+  for (int r = 0; r < kClientReplicas; ++r) {
     cs.host->add_replica({&cm.thread(3 + r)});
   }
-  int client_core = 3 + sc.client_replicas;
+  int client_core = 3 + kClientReplicas;
 
   for (std::size_t i = 0; i < sc.tenants.size(); ++i) {
     const TenantSpec& t = sc.tenants[i];
@@ -248,12 +251,10 @@ ScenarioResult run_scenario(const Scenario& sc) {
   }
 
   for (const AdversarySpec& a : sc.adversaries) {
-    const auto port = static_cast<std::uint16_t>(
-        harness::kBasePort + std::clamp(a.target_tenant, 0, n_tenants - 1));
-    const net::SockAddr target{harness::kServerIp, port};
+    // Every adversary aims at the first tenant's port.
+    const net::SockAddr target{harness::kServerIp, harness::kBasePort};
     sim::Process* proc = nullptr;
     sim::SmallFn go;
-    sim::SmallFn halt;
     switch (a.kind) {
       case AdversarySpec::Kind::kSynFlood: {
         SynFlood::Config fc;
@@ -264,7 +265,6 @@ ScenarioResult run_scenario(const Scenario& sc) {
                                             tb.client_nic, fc);
         proc = f.get();
         go = [p = f.get()] { p->start(); };
-        halt = [p = f.get()] { p->stop(); };
         cs.floods.push_back(std::move(f));
         break;
       }
@@ -276,7 +276,6 @@ ScenarioResult run_scenario(const Scenario& sc) {
         l->attach_api(std::make_unique<socklib::SockLib>(*l, *cs.host));
         proc = l.get();
         go = [p = l.get()] { p->start(); };
-        halt = [p = l.get()] { p->stop(); };
         cs.loris.push_back(std::move(l));
         break;
       }
@@ -289,16 +288,12 @@ ScenarioResult run_scenario(const Scenario& sc) {
         s->attach_api(std::make_unique<socklib::SockLib>(*s, *cs.host));
         proc = s.get();
         go = [p = s.get()] { p->start(); };
-        halt = [p = s.get()] { p->stop(); };
         cs.storms.push_back(std::move(s));
         break;
       }
     }
     proc->pin(cm.thread(client_core++));
     tb.sim.queue().schedule(a.start_at, std::move(go));
-    if (a.stop_at > a.start_at) {
-      tb.sim.queue().schedule(a.stop_at, std::move(halt));
-    }
   }
 
   // Static ARP, as on a real point-to-point testbed. Replicas the

@@ -38,10 +38,9 @@ struct AdversarySpec {
   double rate{50'000.0};         ///< SYNs/s or conns/s
   std::size_t connections{128};  ///< slowloris holds this many
   bool request_before_close{true};
-  int target_tenant{0};
-  /// Window relative to scenario start (stop_at 0 = run to the end).
+  /// Start relative to scenario start; the adversary runs to the end and
+  /// aims at the first tenant's port.
   sim::SimTime start_at{100 * sim::kMillisecond};
-  sim::SimTime stop_at{0};
 };
 
 struct Scenario {
@@ -67,9 +66,6 @@ struct Scenario {
   /// Hand the AutoScaler this many spare single-core replica slots.
   bool autoscale{false};
   int spare_replica_slots{2};
-  AutoScaler::Policy policy{};
-  /// Client-side stack replicas carrying the generated load.
-  int client_replicas{4};
   std::vector<TenantSpec> tenants;
   std::vector<AdversarySpec> adversaries;
 

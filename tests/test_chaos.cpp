@@ -124,10 +124,9 @@ TEST_F(ChaosFixture, WatchdogDetectsCrashWithinBoundAndRestarts) {
   ASSERT_TRUE(run_until_recovered(victim, Component::kWhole));
   ASSERT_EQ(host().recovery_log().size(), 1u);
   const auto& ev = host().recovery_log()[0];
-  const auto& sup = host().supervisor().config();
   EXPECT_GT(ev.detected_at, ev.at) << "detection is observed, not assumed";
   EXPECT_LE(ev.detection_latency(),
-            sup.watchdog_timeout + 2 * sup.heartbeat_period);
+            Supervisor::kWatchdogTimeout + 2 * Supervisor::kHeartbeatPeriod);
   EXPECT_GT(ev.recovered_at, ev.detected_at);
   EXPECT_EQ(ev.action, "restart");
   EXPECT_EQ(ev.backoff_level, 0);
@@ -248,7 +247,7 @@ TEST_F(ChaosFixture, CrashLoopingReplicaIsQuarantinedAndReplaced) {
   build(false, 2);
   StackReplica& victim = host().replica(0);
   const auto replicas_before = host().replica_count();
-  const int quarantine_after = host().supervisor().config().quarantine_after;
+  const int quarantine_after = Supervisor::kQuarantineAfter;
 
   for (int round = 0; round < quarantine_after; ++round) {
     ASSERT_FALSE(victim.quarantined) << "round " << round;

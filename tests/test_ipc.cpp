@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -456,9 +457,9 @@ TEST_F(SimFixture, ChannelBatchHandlerReceivesWholeBurst) {
   // still charged the summed per-message cost (virtual time unchanged).
   std::vector<std::vector<int>> bursts;
   Channel<int> ch(proc, 64, kDefaultChannelLatency, 100,
-                  [&](int&&) { FAIL() << "batch handler must override"; });
-  ch.set_batch_handler(
-      [&](std::vector<int>&& b) { bursts.push_back(std::move(b)); });
+                  [&](std::vector<int>&& b) {
+                    bursts.push_back(std::move(b));
+                  });
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(ch.send(i));
   sim.run();
   ASSERT_EQ(bursts.size(), 1u);
@@ -468,17 +469,34 @@ TEST_F(SimFixture, ChannelBatchHandlerReceivesWholeBurst) {
   EXPECT_GE(proc.stats().processing, 500u);  // 5 x 100, summed into one job
 }
 
+TEST_F(SimFixture, ChannelBatchHandlerGetsALoneMessageAsAOneElementBatch) {
+  // The replicas' steady state: one frame per doorbell. A batch consumer
+  // still gets it through the batch handler, as a batch of one, charged
+  // once.
+  std::vector<std::vector<int>> bursts;
+  Channel<int> ch(proc, 64, kDefaultChannelLatency, 100,
+                  [&](std::vector<int>&& b) {
+                    bursts.push_back(std::move(b));
+                  });
+  EXPECT_TRUE(ch.send(7));
+  sim.run();
+  ASSERT_EQ(bursts.size(), 1u);
+  EXPECT_EQ(bursts[0], (std::vector<int>{7}));
+  EXPECT_EQ(ch.stats().delivered, 1u);
+  EXPECT_EQ(ch.stats().batches, 1u);
+  EXPECT_EQ(proc.stats().processing, 100u);
+}
+
 TEST_F(SimFixture, ChannelBatchRespectsBudgetAndOrder) {
   // More than kBatchBudget staged messages split into budget-sized
   // deliveries; concatenated they are exactly the sent sequence.
   std::vector<std::size_t> burst_sizes;
   std::vector<int> got;
   Channel<int> ch(proc, 128, kDefaultChannelLatency, 1,
-                  [&](int&&) { FAIL() << "batch handler must override"; });
-  ch.set_batch_handler([&](std::vector<int>&& b) {
-    burst_sizes.push_back(b.size());
-    for (int v : b) got.push_back(v);
-  });
+                  [&](std::vector<int>&& b) {
+                    burst_sizes.push_back(b.size());
+                    for (int v : b) got.push_back(v);
+                  });
   constexpr int kN = 80;  // 2 full budgets + a remainder of 16
   for (int i = 0; i < kN; ++i) EXPECT_TRUE(ch.send(i));
   sim.run();
@@ -502,16 +520,18 @@ TEST_F(SimFixture, ChannelBatchAndSingleDeliveryAreEquivalent) {
     TestProc p(s, "c");
     p.pin(m.thread(0));
     std::vector<int> got;
-    Channel<int> ch(p, 64, kDefaultChannelLatency, 100,
-                    [&](int&& v) { got.push_back(v); });
-    if (batched) {
-      ch.set_batch_handler([&](std::vector<int>&& b) {
-        for (int v : b) got.push_back(v);
-      });
-    }
-    for (int i = 0; i < 20; ++i) EXPECT_TRUE(ch.send(i));
+    auto ch = batched
+                  ? std::make_unique<Channel<int>>(
+                        p, 64, kDefaultChannelLatency, 100,
+                        [&](std::vector<int>&& b) {
+                          for (int v : b) got.push_back(v);
+                        })
+                  : std::make_unique<Channel<int>>(
+                        p, 64, kDefaultChannelLatency, 100,
+                        [&](int&& v) { got.push_back(v); });
+    for (int i = 0; i < 20; ++i) EXPECT_TRUE(ch->send(i));
     s.run();
-    return std::tuple{got, ch.stats().delivered, p.stats().processing};
+    return std::tuple{got, ch->stats().delivered, p.stats().processing};
   };
   EXPECT_EQ(run_one(false), run_one(true));
 }
@@ -521,10 +541,9 @@ TEST_F(SimFixture, ChannelBatchDiesWithCrashedConsumer) {
   // dropped_dead and the accounting invariant still balances.
   int handled = 0;
   Channel<int> ch(proc, 16, kDefaultChannelLatency, 10,
-                  [&](int&&) { ++handled; });
-  ch.set_batch_handler([&](std::vector<int>&& b) {
-    handled += static_cast<int>(b.size());
-  });
+                  [&](std::vector<int>&& b) {
+                    handled += static_cast<int>(b.size());
+                  });
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(ch.send(i));
   proc.crash();
   sim.run();

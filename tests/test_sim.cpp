@@ -16,7 +16,6 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/small_fn.hpp"
-#include "sim/stats.hpp"
 
 namespace neat::sim {
 namespace {
@@ -757,37 +756,6 @@ TEST(MachineModel, HtSpeedupWithinPhysicalBounds) {
   // Two busy siblings must deliver more than one thread but less than two.
   EXPECT_GT(2 * xeon.ht_shared_speed, 1.0);
   EXPECT_LT(2 * xeon.ht_shared_speed, 2.0);
-}
-
-// ---------------------------------------------------------------------------
-// Stats
-// ---------------------------------------------------------------------------
-
-TEST(Stats, SummaryMeanMinMax) {
-  Summary s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_EQ(s.count(), 4u);
-}
-
-TEST(Stats, HistogramQuantiles) {
-  LatencyHistogram h;
-  for (int i = 1; i <= 1000; ++i) h.add(static_cast<SimTime>(i * 1000));
-  // p50 around 500us, p99 around 990us; log buckets give ~7.5% error.
-  EXPECT_NEAR(h.quantile_ns(0.5), 500e3, 500e3 * 0.1);
-  EXPECT_NEAR(h.quantile_ns(0.99), 990e3, 990e3 * 0.1);
-  EXPECT_EQ(h.count(), 1000u);
-}
-
-TEST(Stats, RateMeterWindows) {
-  RateMeter m;
-  m.mark(0);
-  m.record(100);
-  EXPECT_DOUBLE_EQ(m.rate(kSecond), 100.0);
-  m.mark(kSecond);
-  EXPECT_DOUBLE_EQ(m.rate(2 * kSecond), 0.0);
 }
 
 }  // namespace
