@@ -58,14 +58,14 @@ cmake --build build-perfbench -j "$JOBS" --target neatbench
 if [[ "$SKIP_SANITIZE" == 1 ]]; then
   echo "== sanitizer pass skipped =="
 else
-  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_workload / test_udp_e2e / test_defense / test_fleet / test_flat_map / test_tcp / test_nic / test_socklib / test_sim / test_linux / test_apps_harness / test_replica / test_http / test_alloc / ext_perf / ext_workloads / ext_defense / ext_fleet =="
+  echo "== sanitizer pass: ASan+UBSan on test_ipc / test_obs / test_chaos / test_fastpath / test_workload / test_udp_e2e / test_defense / test_fleet / test_flat_map / test_tcp / test_nic / test_socklib / test_sim / test_linux / test_apps_harness / test_replica / test_http / test_alloc / test_extensions / ext_perf / ext_workloads / ext_defense / ext_fleet =="
   cmake -B build-asan -S . -DNEAT_SANITIZE=ON >/dev/null
   cmake --build build-asan -j "$JOBS" \
     --target test_ipc test_obs test_chaos test_fastpath test_workload \
              test_udp_e2e test_defense test_fleet test_flat_map test_tcp \
              test_nic test_socklib test_sim test_linux test_apps_harness \
-             test_replica test_http test_alloc ext_perf ext_workloads \
-             ext_defense ext_fleet
+             test_replica test_http test_alloc test_extensions ext_perf \
+             ext_workloads ext_defense ext_fleet
   ./build-asan/tests/test_ipc
   ./build-asan/tests/test_obs
   ./build-asan/tests/test_chaos
@@ -106,6 +106,10 @@ else
   # whole keep-alive request path (bare-pointer timer jobs, doorbells).
   ./build-asan/tests/test_http
   ./build-asan/tests/test_alloc
+  # Checkpoint restore through the stateful-recovery path rebuilds TCBs
+  # with the same codec live migration adopts them with; ASan must see the
+  # restored sockets and the library's re-attach.
+  ./build-asan/tests/test_extensions
   # One short end-to-end pass over the pooled data path under ASan: buffer
   # recycling must be invisible to the sanitizer.
   (cd build-asan/bench && ./ext_perf --quick)

@@ -32,26 +32,22 @@ bool NicDriver::endpoint_active(int queue) const {
   return endpoints_[static_cast<std::size_t>(queue)].active;
 }
 
-std::unique_ptr<ipc::Channel<net::PacketPtr>> NicDriver::make_tx_channel(
-    std::size_t capacity) {
-  return std::make_unique<ipc::Channel<net::PacketPtr>>(
-      *this, capacity, ipc::kDefaultChannelLatency,
-      [this](const net::PacketPtr&) { return costs_.drv_tx; },
-      [this](net::PacketPtr&& pkt) {
-        ++dstats_.tx_sent;
-        nic_.transmit(std::move(pkt));
-      });
-}
-
-NicDriver::TxPort NicDriver::make_tx_port(std::size_t capacity) {
+NicDriver::TxPort NicDriver::make_tx_port() {
   if (hardware_offload_) {
     return [this](net::PacketPtr pkt) {
       ++dstats_.tx_sent;
       nic_.transmit(std::move(pkt));  // the NIC is the driver
     };
   }
-  auto ch = std::shared_ptr<ipc::Channel<net::PacketPtr>>(
-      make_tx_channel(capacity));
+  // Packets sent into the channel are charged driver TX cost and
+  // transmitted in driver context.
+  auto ch = std::make_shared<ipc::Channel<net::PacketPtr>>(
+      *this, 1024, ipc::kDefaultChannelLatency,
+      [this](const net::PacketPtr&) { return costs_.drv_tx; },
+      [this](net::PacketPtr&& pkt) {
+        ++dstats_.tx_sent;
+        nic_.transmit(std::move(pkt));
+      });
   return [ch](net::PacketPtr pkt) { ch->send(std::move(pkt)); };
 }
 

@@ -51,18 +51,13 @@ class NicDriver : public sim::Process {
 
   [[nodiscard]] bool endpoint_active(int queue) const;
 
-  /// Create a TX channel for one replica (producer side keeps the handle).
-  /// Packets sent into it are charged driver TX cost and transmitted.
-  std::unique_ptr<ipc::Channel<net::PacketPtr>> make_tx_channel(
-      std::size_t capacity = 1024);
-
-  /// A transmit port for one replica. Normally it wraps a TX channel into
-  /// the driver process; in hardware-offload mode it feeds the NIC
-  /// directly (§4: "if the programmable NIC were to offer the same
+  /// A transmit port for one replica. Normally it wraps a 1024-deep TX
+  /// channel into the driver process; in hardware-offload mode it feeds
+  /// the NIC directly (§4: "if the programmable NIC were to offer the same
   /// interface as the network driver, there would be no need for the
   /// drivers and we could free their cores").
   using TxPort = std::function<void(net::PacketPtr)>;
-  TxPort make_tx_port(std::size_t capacity = 1024);
+  TxPort make_tx_port();
 
   /// §4 future-work mode: the NIC itself runs the driver's data plane.
   /// RX packets go straight from hardware classification into the

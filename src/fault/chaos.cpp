@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <string_view>
 
 namespace neat::fault {
 
@@ -92,7 +91,8 @@ void ChaosCampaign::do_component_crash() {
   StackReplica* r = random_active();
   if (r == nullptr) return;
   ++report_.component_crashes;
-  if (std::string_view(r->kind()) == "single") {
+  if (r->crash_loses_tcp_state(Component::kUdp)) {
+    // No component isolation (one process): every crash is a whole crash.
     host_.inject_crash(*r, Component::kWhole);
     return;
   }

@@ -1,7 +1,7 @@
 #include "fleet/cluster.hpp"
 
+#include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "net/tcp.hpp"
@@ -216,12 +216,9 @@ void FleetCluster::drain_host(std::size_t from, std::size_t to,
 void FleetCluster::extract_and_ship(const std::shared_ptr<DrainState>& st,
                                     StackReplica& rep,
                                     std::size_t flow_count) {
-  const StackCosts& costs = cfg.costs;
-  const sim::Cycles freeze =
-      costs.migrate_base +
-      costs.migrate_per_conn * static_cast<sim::Cycles>(flow_count);
   FleetCluster* self = this;
   StackReplica* src_rep = &rep;
+  const sim::Cycles freeze = cfg.costs.migrate_cost(flow_count);
   src_rep->tcp_process().post(freeze, [self, st, src_rep] {
     auto cp = src_rep->tcp().extract_for_migration();
 
@@ -229,13 +226,17 @@ void FleetCluster::extract_and_ship(const std::shared_ptr<DrainState>& st,
     auto& dep = st->departed.back().second;
 
     // 4. Split the checkpoint by the TARGET NIC's RSS verdict, so every
-    //    adopted flow's frames already steer to the replica adopting it.
-    std::unordered_map<int, StackReplica*> by_queue;
+    //    adopted flow's frames already steer to the replica adopting it
+    //    (the first active replica takes a flow whose queue has none).
+    //    Sub-images and their thaw jobs go in active_replicas() order.
+    struct Sub {
+      StackReplica* target;
+      std::shared_ptr<net::TcpCheckpoint> image;
+    };
+    std::vector<Sub> subs;
     for (auto* t : st->dst->host->active_replicas()) {
-      by_queue.emplace(t->queue(), t);
+      subs.push_back({t, nullptr});
     }
-    std::unordered_map<StackReplica*, std::shared_ptr<net::TcpCheckpoint>>
-        subs;
     for (auto& c : cp.conns) {
       dep.push_back(c.flow);
       st->moved.push_back(c.flow);
@@ -243,26 +244,22 @@ void FleetCluster::extract_and_ship(const std::shared_ptr<DrainState>& st,
                                             c.flow.remote_port,
                                             c.flow.local_ip,
                                             c.flow.local_port);
-      auto it = by_queue.find(q);
-      StackReplica* target =
-          it != by_queue.end() ? it->second : by_queue.begin()->second;
-      auto& sub = subs[target];
-      if (!sub) {
-        sub = std::make_shared<net::TcpCheckpoint>();
-        sub->taken_at = cp.taken_at;
+      auto it = std::find_if(subs.begin(), subs.end(), [q](const Sub& sub) {
+        return sub.target->queue() == q;
+      });
+      auto& image = (it != subs.end() ? *it : subs.front()).image;
+      if (!image) {
+        image = std::make_shared<net::TcpCheckpoint>();
+        image->taken_at = cp.taken_at;
       }
-      sub->conns.push_back(std::move(c));
+      image->conns.push_back(std::move(c));
     }
 
-    const StackCosts& costs = self->cfg.costs;
-    for (auto& [target, sub] : subs) {
+    for (const auto& [t, sub] : subs) {
+      if (!sub) continue;
       ++st->pending_adopts;
       const sim::Cycles thaw =
-          costs.migrate_base +
-          costs.migrate_per_conn *
-              static_cast<sim::Cycles>(sub->conns.size()) +
-          costs.bytes_cost(sub->bytes());
-      StackReplica* t = target;
+          self->cfg.costs.migrate_cost(sub->conns.size(), sub->bytes());
       t->tcp_process().post(thaw, [self, st, t, sub] {
         auto adopted = std::make_shared<std::vector<net::TcpSocketPtr>>(
             t->tcp().adopt(*sub));

@@ -2,18 +2,6 @@
 
 namespace neat::fleet {
 
-void merge_registry(obs::Registry& dst, const obs::Registry& src) {
-  for (const auto& [name, c] : src.counters()) {
-    dst.counter(name).inc(c->value());
-  }
-  for (const auto& [name, g] : src.gauges()) {
-    dst.gauge(name).add(g->value());
-  }
-  for (const auto& [name, h] : src.histograms()) {
-    dst.histogram(name).merge(*h);
-  }
-}
-
 obs::Histogram merged_histogram(const std::vector<const obs::Hub*>& hubs,
                                 std::string_view name) {
   obs::Histogram out;

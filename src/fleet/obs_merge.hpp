@@ -2,8 +2,8 @@
 //
 // Each NeatHost in a fleet records into its own obs::Hub (per-host metric
 // namespace), which kills the last-writer-wins hazard of many hosts sharing
-// one registry — but a fleet report needs fleet numbers. This helper folds
-// per-host registries into one: counters and gauges add, histograms merge
+// one registry — but a fleet report needs fleet numbers. These helpers fold
+// one named metric across the per-host hubs: counters add, histograms merge
 // bucket-wise, so a fleet p99 is computed from one combined distribution
 // (max-of-per-host-p99s is not a p99).
 #pragma once
@@ -14,12 +14,6 @@
 #include "obs/obs.hpp"
 
 namespace neat::fleet {
-
-/// Fold `src` into `dst`. Counters and gauges accumulate by name (gauge
-/// merge is a sum — right for censuses and totals; averages should be
-/// derived from counters instead). Histograms merge exactly (same fixed
-/// layout everywhere).
-void merge_registry(obs::Registry& dst, const obs::Registry& src);
 
 /// One named histogram merged across hubs (absent entries and null hubs
 /// are skipped).

@@ -255,9 +255,6 @@ ClientRig build_client(Testbed& tb, ClientOptions opt, int num_ports) {
   rig.testbed_token = tb.depend();
   NeatHost::Config hc;
   hc.kind = NeatHost::Config::Kind::kSingle;
-  // The client shares the simulator (and so the metrics registry) with the
-  // system under test: a distinct host id keeps its census gauges apart.
-  hc.host_id = 1;
   hc.costs = opt.costs;
   hc.tcp = opt.tcp;
   // Load generators churn tens of thousands of connections per second out

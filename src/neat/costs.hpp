@@ -59,6 +59,16 @@ struct StackCosts {
   [[nodiscard]] sim::Cycles bytes_cost(std::size_t n) const {
     return per_16_bytes * (static_cast<sim::Cycles>(n) / 16);
   }
+
+  /// One freeze (source side) or thaw (target side) pass of a live
+  /// migration over `conns` connections; a thaw also pays for copying in
+  /// the `image_bytes` of the shipped checkpoint.
+  [[nodiscard]] sim::Cycles migrate_cost(std::size_t conns,
+                                         std::size_t image_bytes = 0) const {
+    return migrate_base +
+           migrate_per_conn * static_cast<sim::Cycles>(conns) +
+           bytes_cost(image_bytes);
+  }
 };
 
 }  // namespace neat

@@ -94,20 +94,7 @@ StackReplica& NeatHost::add_replica(
   replay_listens(ref);
   replay_udp_binds(ref);
   supervisor_->watch_replica(ref);
-  note_replica_census();
   return ref;
-}
-
-void NeatHost::note_replica_census() {
-  auto& m = metrics();
-  const double active = static_cast<double>(active_replicas().size());
-  const double serving = static_cast<double>(serving_replicas().size());
-  // Keyed per host: two hosts sharing one simulator (server + workload
-  // client is the common pair) each get their own census series instead
-  // of last-writer-wins on a single pair of gauges.
-  const std::string prefix = "neat.host" + std::to_string(config_.host_id);
-  m.gauge(prefix + ".replicas_active").set(active);
-  m.gauge(prefix + ".replicas_serving").set(serving);
 }
 
 std::vector<StackReplica*> NeatHost::active_replicas() {
@@ -219,7 +206,6 @@ void NeatHost::begin_scale_down(StackReplica& replica) {
   // (ii) new connections bypass it; existing flows keep their path thanks
   // to the NIC's per-flow tracking filters.
   update_steering();
-  note_replica_census();
 }
 
 void NeatHost::migrate_connections(StackReplica& from, StackReplica& to,
@@ -248,20 +234,14 @@ void NeatHost::migrate_connections(StackReplica& from, StackReplica& to,
     self->nic_.begin_flow_capture(*keys);
     const sim::SimTime t0 = self->sim_.now();
     // 2. Freeze + extract in the source's TCP context, charged per conn.
-    const sim::Cycles freeze =
-        self->config_.costs.migrate_base +
-        self->config_.costs.migrate_per_conn *
-            static_cast<sim::Cycles>(keys->size());
+    const sim::Cycles freeze = self->config_.costs.migrate_cost(keys->size());
     src->tcp_process().post(freeze, [self, src, dst, t0, on_done] {
       auto cp = std::make_shared<net::TcpCheckpoint>(
           src->tcp().extract_for_migration());
       // 3. Ship the image over IPC: the adopt cost lands in the target's
       //    TCP context and scales with the serialized bytes.
       const sim::Cycles thaw =
-          self->config_.costs.migrate_base +
-          self->config_.costs.migrate_per_conn *
-              static_cast<sim::Cycles>(cp->conns.size()) +
-          self->config_.costs.bytes_cost(cp->bytes());
+          self->config_.costs.migrate_cost(cp->conns.size(), cp->bytes());
       dst->tcp_process().post(thaw, [self, src, dst, cp, t0, on_done] {
         auto adopted = std::make_shared<std::vector<net::TcpSocketPtr>>(
             dst->tcp().adopt(*cp));
@@ -320,7 +300,6 @@ void NeatHost::gc_tick() {
       retire_queue(r->queue());
       for (auto* p : r->processes()) p->crash();
       metrics().counter("neat.lazy_terminations").inc();
-      note_replica_census();
     }
   }
   gc_timer_ = sim_.schedule(kGcPeriod, [this] { gc_tick(); });
@@ -349,9 +328,7 @@ void NeatHost::inject_crash(StackReplica& replica, Component component) {
   assert(proc != nullptr);
   if (proc->crashed()) return;
 
-  const bool tcp_loss =
-      component == Component::kTcp || component == Component::kWhole ||
-      std::string_view(replica.kind()) == "single";
+  const bool tcp_loss = replica.crash_loses_tcp_state(component);
   RecoveryEvent ev;
   ev.at = sim_.now();
   ev.replica_id = replica.id();
@@ -371,8 +348,7 @@ void NeatHost::inject_crash(StackReplica& replica, Component component) {
   proc->crash();
   // The driver stops passing packets to the replica until it announces
   // itself again (§3.6) — only needed when the RX-facing component died.
-  if (component == Component::kIp || component == Component::kWhole ||
-      std::string_view(replica.kind()) == "single") {
+  if (replica.crash_loses_rx_endpoint(component)) {
     driver_->deactivate_endpoint(replica.queue());
   }
 }
@@ -395,7 +371,6 @@ void NeatHost::power_off() {
   if (!driver_->crashed()) driver_->crash();
   if (!syscall_->crashed()) syscall_->crash();
   if (!os_proc_->crashed()) os_proc_->crash();
-  note_replica_census();
 }
 
 void NeatHost::inject_driver_crash() {
@@ -419,9 +394,7 @@ std::size_t NeatHost::recover_replica(StackReplica& replica,
   proc->restart();
   replica.reset_after_restart(component);
   replica.rx_channel().rebind(replica.rx_channel().consumer());
-  const bool tcp_loss =
-      component == Component::kTcp || component == Component::kWhole ||
-      std::string_view(replica.kind()) == "single";
+  const bool tcp_loss = replica.crash_loses_tcp_state(component);
   std::size_t restored_count = 0;
   if (tcp_loss) {
     // Stateful recovery: restore whatever the last checkpoint captured
@@ -441,8 +414,7 @@ std::size_t NeatHost::recover_replica(StackReplica& replica,
   }
   // The UDP port mux died whenever its hosting process did (always, for a
   // single-component replica). Re-install the durable binds.
-  if (component == Component::kUdp ||
-      std::string_view(replica.kind()) == "single") {
+  if (replica.crash_loses_udp_mux(component)) {
     replay_udp_binds(replica);
   }
   // Replica announces itself; the driver resumes delivery.
@@ -489,7 +461,6 @@ void NeatHost::quarantine_replica(StackReplica& replica) {
   // Apps learn every socket on this replica is gone for good.
   for (auto* l : listeners_) l->on_replica_tcp_recovery(replica, {});
   update_steering();
-  note_replica_census();
 }
 
 StackReplica* NeatHost::spawn_replacement(StackReplica& failed) {
@@ -512,7 +483,6 @@ void NeatHost::collect_replica(StackReplica& replica) {
   // Unlike the clean GC path this replica still had connections; the apps
   // must learn they are gone.
   for (auto* l : listeners_) l->on_replica_tcp_recovery(replica, {});
-  note_replica_census();
 }
 
 std::size_t NeatHost::note_detection(int replica_id,

@@ -58,23 +58,15 @@ class ReplicaFailureListener {
   /// Established connections moved live from one replica to another
   /// (immediate scale-down drain). `adopted` are the target-side socket
   /// objects; libraries re-home the fd-attached sockets by flow match.
-  /// Defaulted so listeners that predate migration keep compiling.
   virtual void on_connections_migrated(
       StackReplica& from, StackReplica& to,
-      const std::vector<net::TcpSocketPtr>& adopted) {
-    (void)from;
-    (void)to;
-    (void)adopted;
-  }
+      const std::vector<net::TcpSocketPtr>& adopted) = 0;
   /// Established connections left this HOST entirely (cross-host drain in
   /// the fleet layer): there is no local target replica, the listed flows
   /// now live on another machine. Libraries deliver kMigratedAway upward
-  /// so applications drop the dead fds. Defaulted like the hook above.
-  virtual void on_connections_departed(StackReplica& from,
-                                       const std::vector<net::FlowKey>& flows) {
-    (void)from;
-    (void)flows;
-  }
+  /// so applications drop the dead fds.
+  virtual void on_connections_departed(
+      StackReplica& from, const std::vector<net::FlowKey>& flows) = 0;
 };
 
 /// One durable listen() record; replayed onto replicas after restart and
@@ -134,9 +126,8 @@ class NeatHost {
   struct Config {
     enum class Kind { kSingle, kMulti };
     Kind kind{Kind::kSingle};
-    /// Distinguishes hosts that share one simulator (and hence one metrics
-    /// registry): the replica-census gauges are keyed by this id so a
-    /// client-side host cannot clobber the server's census.
+    /// Names the host in its power_off trace event (the fleet numbers its
+    /// backends and clients by it).
     int host_id{0};
     StackCosts costs{};
     net::TcpConfig tcp{};
@@ -154,11 +145,11 @@ class NeatHost {
     sim::SimTime checkpoint_interval{0};
 
     /// Per-host observability hub. When set, everything this host records —
-    /// replica TCP metrics, NIC steering counters, recovery latencies,
-    /// census gauges — lands on this hub instead of the simulator-global
-    /// one, giving each host of a fleet its own metric namespace (the
-    /// fleet layer merges them for fleet percentiles). nullptr keeps the
-    /// single-host behaviour: everything on sim.obs().
+    /// replica TCP metrics, NIC steering counters, recovery latencies —
+    /// lands on this hub instead of the simulator-global one, giving each
+    /// host of a fleet its own metric namespace (the fleet layer merges
+    /// them for fleet percentiles). nullptr keeps the single-host
+    /// behaviour: everything on sim.obs().
     obs::Hub* hub{nullptr};
   };
 
@@ -321,9 +312,6 @@ class NeatHost {
   void retire_queue(int queue);
   void gc_tick();
   void checkpoint_tick(int replica_id);
-  /// Refresh the replica-census gauges on the metrics hub (called whenever
-  /// the active/serving sets change: spawn, scale-down, gc, quarantine).
-  void note_replica_census();
 
   sim::Simulator& sim_;
   sim::Machine& machine_;

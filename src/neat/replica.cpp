@@ -203,7 +203,7 @@ SingleComponentReplica::SingleComponentReplica(
     net::MacAddr mac, net::Ipv4Addr ip, StackCosts costs,
     net::TcpConfig tcp_cfg, obs::Hub& hub)
     : sim::Process(sim, "neat" + std::to_string(id)),
-      StackReplica(id, queue,
+      StackReplica(id, queue, /*one_process=*/true,
                    sim.rng().split(0xa5172 + static_cast<std::uint64_t>(id))()),
       costs_(costs),
       rng_(sim.rng().split(0x5e9 + static_cast<std::uint64_t>(id))),
@@ -426,7 +426,7 @@ MultiComponentReplica::MultiComponentReplica(
     sim::Simulator& sim, int id, int queue, drv::NicDriver& driver,
     net::MacAddr mac, net::Ipv4Addr ip, StackCosts costs,
     net::TcpConfig tcp_cfg, obs::Hub& hub)
-    : StackReplica(id, queue,
+    : StackReplica(id, queue, /*one_process=*/false,
                    sim.rng().split(0xa5173 + static_cast<std::uint64_t>(id))()),
       costs_(costs),
       hub_(hub),

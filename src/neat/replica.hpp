@@ -100,7 +100,6 @@ class StackReplica {
   /// All component processes (fault-injection / placement).
   [[nodiscard]] virtual std::vector<sim::Process*> processes() = 0;
   [[nodiscard]] virtual sim::Process* component(Component c) = 0;
-  [[nodiscard]] virtual const char* kind() const = 0;
   [[nodiscard]] virtual IpLayer& ip_layer_ref() = 0;
 
   [[nodiscard]] int queue() const { return queue_; }
@@ -133,9 +132,24 @@ class StackReplica {
   /// process to clear any residual soft state.
   virtual void reset_after_restart(Component which) = 0;
 
+  // What a crash of component `c` takes down with it. A single-component
+  // replica is one process, so any crash takes everything. In a
+  // multi-component replica kWhole crashes the TCP process, and it still
+  // deactivates the RX endpoint like an IP crash does.
+  [[nodiscard]] bool crash_loses_tcp_state(Component c) const {
+    return one_process_ || c == Component::kTcp || c == Component::kWhole;
+  }
+  [[nodiscard]] bool crash_loses_rx_endpoint(Component c) const {
+    return one_process_ || c == Component::kIp || c == Component::kWhole;
+  }
+  [[nodiscard]] bool crash_loses_udp_mux(Component c) const {
+    return one_process_ || c == Component::kUdp;
+  }
+
  protected:
-  StackReplica(int id, int queue, std::uint64_t aslr_seed)
-      : queue_(queue), id_(id), aslr_rng_(aslr_seed) {
+  StackReplica(int id, int queue, bool one_process, std::uint64_t aslr_seed)
+      : queue_(queue), id_(id), one_process_(one_process),
+        aslr_rng_(aslr_seed) {
     aslr_layout_ = aslr_rng_();
   }
   /// Called on restart: a fresh process image gets a fresh layout.
@@ -143,6 +157,7 @@ class StackReplica {
 
   int queue_;
   int id_;
+  bool one_process_;
   sim::Rng aslr_rng_;
   std::uint64_t aslr_layout_{0};
 };
@@ -220,7 +235,6 @@ class SingleComponentReplica final : public sim::Process,
   net::UdpMux& udp() override { return udp_; }
   std::vector<sim::Process*> processes() override { return {this}; }
   sim::Process* component(Component) override { return this; }
-  const char* kind() const override { return "single"; }
   IpLayer& ip_layer_ref() override { return ip_; }
   void udp_tx(net::PacketPtr payload, std::uint16_t src_port,
               net::SockAddr to) override;
@@ -325,8 +339,7 @@ class IpComponent final : public sim::Process {
 
   MultiComponentReplica& owner_;
   StackCosts costs_;
-  std::unique_ptr<ipc::Channel<net::PacketPtr>> tx_ch_;  // → driver
-  ipc::Channel<net::PacketPtr> rx_ch_;                   // driver → this
+  ipc::Channel<net::PacketPtr> rx_ch_;  // driver → this
   IpLayer ip_;
 };
 
@@ -384,7 +397,6 @@ class MultiComponentReplica final : public StackReplica {
   net::UdpMux& udp() override { return udp_proc_->mux(); }
   std::vector<sim::Process*> processes() override;
   sim::Process* component(Component c) override;
-  const char* kind() const override { return "multi"; }
   IpLayer& ip_layer_ref() override { return ip_proc_->layer(); }
   void udp_tx(net::PacketPtr payload, std::uint16_t src_port,
               net::SockAddr to) override;

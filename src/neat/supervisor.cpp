@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string_view>
 
 #include "neat/host.hpp"
 
@@ -128,9 +127,7 @@ void Supervisor::on_silent(Watch& w, sim::SimTime silent_for) {
 void Supervisor::handle_replica_death(Watch& w, std::size_t event_idx) {
   StackReplica& rep = *w.replica;
   const sim::SimTime death_at = host_.event(event_idx).at;
-  const bool tcp_loss = w.component == Component::kTcp ||
-                        w.component == Component::kWhole ||
-                        std::string_view(rep.kind()) == "single";
+  const bool tcp_loss = rep.crash_loses_tcp_state(w.component);
 
   // A replica that dies while draining under lazy termination never
   // rejoins steering. If its TCP state is gone there is nothing left to

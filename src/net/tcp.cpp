@@ -1297,56 +1297,73 @@ void TcpStack::for_each_connection(
   for (auto& s : snapshot) fn(*s);
 }
 
-TcpCheckpoint TcpStack::snapshot() const {
-  TcpCheckpoint cp;
-  cp.taken_at = env_.now();
+TcpConnSnapshot TcpStack::capture(const TcpSocket& sock) {
+  TcpConnSnapshot s;
+  s.flow = sock.flow_;
+  s.iss = sock.iss_;
+  s.irs = sock.irs_;
+  s.snd_una = sock.snd_una_;
+  s.snd_nxt = sock.snd_nxt_;
+  s.rcv_nxt = sock.rcv_nxt_;
+  s.snd_wnd = sock.snd_wnd_;
+  s.peer_mss = sock.peer_mss_;
+  s.send_buf.resize(sock.send_ring_.readable());
+  sock.send_ring_.peek(s.send_buf);
+  s.recv_buf.resize(sock.recv_ring_.readable());
+  sock.recv_ring_.peek(s.recv_buf);
+  return s;
+}
+
+TcpSocketPtr TcpStack::rebuild(const TcpConnSnapshot& s,
+                               std::uint32_t resume_at) {
+  auto sock = std::make_shared<TcpSocket>(*this, s.flow, cfg_);
+  sock->state_ = TcpState::kEstablished;
+  sock->state_entered_ = env_.now();
+  sock->iss_ = s.iss;
+  sock->irs_ = s.irs;
+  sock->snd_una_ = s.snd_una;
+  sock->snd_nxt_ = resume_at;
+  sock->rcv_nxt_ = s.rcv_nxt;
+  sock->snd_wnd_ = s.snd_wnd;
+  sock->peer_mss_ = s.peer_mss;
+  sock->send_ring_.write(s.send_buf);
+  sock->recv_ring_.write(s.recv_buf);
+  insert_conn(s.flow, sock);
+  return sock;
+}
+
+void TcpStack::silence(TcpSocket& sock) {
+  sock.state_ = TcpState::kClosed;
+  sock.rto_timer_.cancel();
+  sock.rto_deadline_ = 0;
+  sock.ack_timer_.cancel();
+  sock.time_wait_timer_.cancel();
+}
+
+std::vector<TcpSocketPtr> TcpStack::established() const {
+  std::vector<TcpSocketPtr> out;
   for (const auto* e : conns_.sorted_if([](const auto& kv) {
          return kv.second->state_ == TcpState::kEstablished;
        })) {
-    const auto& [key, sock] = *e;
-    TcpConnSnapshot s;
-    s.flow = key;
-    s.iss = sock->iss_;
-    s.irs = sock->irs_;
-    s.snd_una = sock->snd_una_;
-    s.rcv_nxt = sock->rcv_nxt_;
-    s.snd_wnd = sock->snd_wnd_;
-    s.peer_mss = sock->peer_mss_;
-    s.send_buf.resize(sock->send_ring_.readable());
-    sock->send_ring_.peek(s.send_buf);
-    s.recv_buf.resize(sock->recv_ring_.readable());
-    sock->recv_ring_.peek(s.recv_buf);
-    s.snd_nxt = sock->snd_nxt_;
-    cp.conns.push_back(std::move(s));
+    out.push_back(e->second);
   }
+  return out;
+}
+
+TcpCheckpoint TcpStack::snapshot() const {
+  TcpCheckpoint cp;
+  cp.taken_at = env_.now();
+  for (const auto& sock : established()) cp.conns.push_back(capture(*sock));
   return cp;
 }
 
 TcpCheckpoint TcpStack::extract_for_migration() {
   TcpCheckpoint cp;
   cp.taken_at = env_.now();
-  // Copy the handles out (in key order) before erase_conn() shifts the
+  // established() copies the handles out before erase_conn() shifts the
   // table under the loop.
-  std::vector<TcpSocketPtr> moving;
-  for (const auto* e : conns_.sorted_if([](const auto& kv) {
-         return kv.second->state_ == TcpState::kEstablished;
-       })) {
-    moving.push_back(e->second);
-  }
-  for (const auto& sock : moving) {
-    TcpConnSnapshot s;
-    s.flow = sock->flow_;
-    s.iss = sock->iss_;
-    s.irs = sock->irs_;
-    s.snd_una = sock->snd_una_;
-    s.rcv_nxt = sock->rcv_nxt_;
-    s.snd_wnd = sock->snd_wnd_;
-    s.peer_mss = sock->peer_mss_;
-    s.send_buf.resize(sock->send_ring_.readable());
-    sock->send_ring_.peek(s.send_buf);
-    s.recv_buf.resize(sock->recv_ring_.readable());
-    sock->recv_ring_.peek(s.recv_buf);
-    s.snd_nxt = sock->snd_nxt_;
+  for (const auto& sock : established()) {
+    TcpConnSnapshot s = capture(*sock);
     for (const auto& seg : sock->ooo_) s.ooo.push_back({seg.seq, seg.bytes});
     s.fin_seen = sock->fin_seen_;
     s.fin_rcv_seq = sock->fin_rcv_seq_;
@@ -1362,19 +1379,14 @@ TcpCheckpoint TcpStack::extract_for_migration() {
     }
     cp.conns.push_back(std::move(s));
     migrated_out_.try_emplace(sock->flow_, true);
-    // Remove silently, like destroy_all_state(): no FIN, no RST. The peer
-    // must observe nothing but a short pause — the connection continues
-    // from the checkpoint at the target. Drop the receive side so an app
-    // read racing the re-home cannot consume bytes the checkpoint already
-    // carries (they would be delivered twice).
+    // Remove silently: the peer must observe nothing but a short pause —
+    // the connection continues from the checkpoint at the target. Drop the
+    // receive side so an app read racing the re-home cannot consume bytes
+    // the checkpoint already carries (they would be delivered twice).
     sock->recv_ring_.clear();
     sock->ooo_.clear();
     sock->ooo_bytes_ = 0;
-    sock->state_ = TcpState::kClosed;
-    sock->rto_timer_.cancel();
-    sock->rto_deadline_ = 0;
-    sock->ack_timer_.cancel();
-    sock->time_wait_timer_.cancel();
+    silence(*sock);
     erase_conn(sock->flow_);
   }
   return cp;
@@ -1385,29 +1397,17 @@ std::vector<TcpSocketPtr> TcpStack::adopt(const TcpCheckpoint& cp) {
   for (const auto& s : cp.conns) {
     migrated_out_.erase(s.flow);  // the flow may be migrating back here
     if (conns_.contains(s.flow)) continue;
-    auto sock = std::make_shared<TcpSocket>(*this, s.flow, cfg_);
-    sock->state_ = TcpState::kEstablished;
-    sock->state_entered_ = env_.now();
-    sock->iss_ = s.iss;
-    sock->irs_ = s.irs;
-    sock->snd_una_ = s.snd_una;
     // Unlike checkpoint restore, migration is byte-exact: nothing was lost
     // between extract and adopt (the NIC capture buffer replays the gap),
     // so output resumes from snd_nxt. Congestion state restarts from the
     // initial window — a deliberate slow-start restart after the move.
-    sock->snd_nxt_ = s.snd_nxt;
-    sock->rcv_nxt_ = s.rcv_nxt;
-    sock->snd_wnd_ = s.snd_wnd;
-    sock->peer_mss_ = s.peer_mss;
-    sock->send_ring_.write(s.send_buf);
-    sock->recv_ring_.write(s.recv_buf);
+    TcpSocketPtr sock = rebuild(s, s.snd_nxt);
     for (const auto& seg : s.ooo) {
       sock->ooo_.push_back({seg.seq, seg.bytes});
       sock->ooo_bytes_ += seg.bytes.size();
     }
     sock->fin_seen_ = s.fin_seen;
     sock->fin_rcv_seq_ = s.fin_rcv_seq;
-    insert_conn(s.flow, sock);
     if (sock->inflight() > 0) sock->arm_rto();
     // Un-transmitted send-ring bytes must not wait for an inbound event
     // that may never come (the peer could be idle, waiting for us).
@@ -1431,21 +1431,10 @@ std::vector<TcpSocketPtr> TcpStack::restore(const TcpCheckpoint& cp) {
   std::vector<TcpSocketPtr> restored;
   for (const auto& s : cp.conns) {
     if (conns_.contains(s.flow)) continue;
-    auto sock = std::make_shared<TcpSocket>(*this, s.flow, cfg_);
-    sock->state_ = TcpState::kEstablished;
-    sock->state_entered_ = env_.now();
-    sock->iss_ = s.iss;
-    sock->irs_ = s.irs;
-    sock->snd_una_ = s.snd_una;
     // Everything unacked at checkpoint time counts as lost in flight:
-    // resume output from snd_una so try_output() retransmits it all.
-    sock->snd_nxt_ = s.snd_una;
-    sock->rcv_nxt_ = s.rcv_nxt;
-    sock->snd_wnd_ = s.snd_wnd;
-    sock->peer_mss_ = s.peer_mss;
-    sock->send_ring_.write(s.send_buf);
-    sock->recv_ring_.write(s.recv_buf);
-    insert_conn(s.flow, sock);
+    // resume output from snd_una so try_output() retransmits it all. Any
+    // reassembly state the image carries is ignored (the peer retransmits).
+    TcpSocketPtr sock = rebuild(s, s.snd_una);
     restored.push_back(sock);
     sock->try_output();
     // Tell the peer where we stand; a peer that advanced past our
@@ -1467,13 +1456,7 @@ void TcpStack::destroy_all_state() {
   pending_handshakes_ = 0;
   // Sockets die silently: no FIN, no RST — exactly what a crash looks like
   // to the peers. Destructors cancel all timers.
-  for (auto& [key, sock] : conns) {
-    sock->state_ = TcpState::kClosed;
-    sock->rto_timer_.cancel();
-    sock->rto_deadline_ = 0;
-    sock->ack_timer_.cancel();
-    sock->time_wait_timer_.cancel();
-  }
+  for (auto& [key, sock] : conns) silence(*sock);
 }
 
 }  // namespace neat::net

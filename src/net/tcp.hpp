@@ -485,9 +485,11 @@ struct TcpConnSnapshot {
   std::uint16_t peer_mss{536};
   std::vector<std::uint8_t> send_buf;  ///< unacked + unsent stream bytes
   std::vector<std::uint8_t> recv_buf;  ///< received, not yet read by app
-  // Extra fidelity used by live migration (checkpoint restore deliberately
-  // ignores these and retransmits from snd_una — see restore()).
+  /// Migration resumes output here; checkpoint restore retransmits from
+  /// snd_una instead (see restore()).
   std::uint32_t snd_nxt{0};
+  // Extra fidelity only live migration captures (checkpoint restore
+  // deliberately goes without it).
   struct OooChunk {
     std::uint32_t seq;
     std::vector<std::uint8_t> bytes;
@@ -614,6 +616,18 @@ class TcpStack {
                          PacketPtr& pkt);
   [[nodiscard]] std::uint32_t cookie_count() const;
   void socket_closed(TcpSocket& s);  // remove from table when fully done
+  // The connection image codec: checkpoint restore and live migration
+  // differ only in what they add around these three steps.
+  /// The fields every image carries: flow, sequence state, both rings.
+  [[nodiscard]] static TcpConnSnapshot capture(const TcpSocket& sock);
+  /// A fresh ESTABLISHED socket from `s`'s shared fields, inserted into the
+  /// demux table, with output resuming at `resume_at` (snd_una for
+  /// checkpoint restore, snd_nxt for migration).
+  TcpSocketPtr rebuild(const TcpConnSnapshot& s, std::uint32_t resume_at);
+  /// Stop a TCB without a word to the peer (crash, extraction).
+  static void silence(TcpSocket& sock);
+  /// Handles of the ESTABLISHED connections, in key order.
+  [[nodiscard]] std::vector<TcpSocketPtr> established() const;
   void handshake_complete(TcpSocket& s);
   // Observability (all no-ops when env reports no hub). Metric handles are
   // cached per stack so the hot paths pay one pointer test per event.

@@ -214,26 +214,42 @@ std::size_t SockLib::udp_send(Fd fd, net::SockAddr to,
   return payload.size();
 }
 
+namespace {
+
+[[nodiscard]] const net::FlowKey& flow_of(const net::TcpSocketPtr& s) {
+  return s->flow();
+}
+[[nodiscard]] const net::FlowKey& flow_of(const net::FlowKey& f) { return f; }
+
+/// The one re-home pass of every connection move: calls fn(sock, match)
+/// for each of `socks` (fd order, kept), where `match` is the first entry
+/// of `moved` with the socket's flow, or nullptr.
+template <class T, class Fn>
+void match_moved(const std::vector<NeatSocketPtr>& socks,
+                 const std::vector<T>& moved, Fn fn) {
+  sim::FlatMap<net::FlowKey, const T*, net::FlowKeyHash> by_flow;
+  for (const auto& m : moved) by_flow.try_emplace(flow_of(m), &m);
+  for (const auto& sock : socks) {
+    auto it = by_flow.find(sock->tcp().flow());
+    fn(*sock, it == by_flow.end() ? nullptr : it->second);
+  }
+}
+
+}  // namespace
+
 void SockLib::on_replica_tcp_recovery(
     StackReplica& replica, const std::vector<net::TcpSocketPtr>& restored) {
   // Connections the checkpoint brought back are transparently re-attached
   // to their fds; the rest of this replica's sockets are gone. Every other
   // replica is untouched (the whole point of state partitioning).
-  for (const auto& sock : sockets_on(replica)) {
-    const net::FlowKey flow = sock->tcp().flow();
-    net::TcpSocketPtr replacement;
-    for (const auto& r : restored) {
-      if (r->flow() == flow) {
-        replacement = r;
-        break;
-      }
-    }
-    if (replacement) {
-      sock->reattach(std::move(replacement));
-    } else {
-      sock->fail();
-    }
-  }
+  match_moved(sockets_on(replica), restored,
+              [](NeatSocket& sock, const net::TcpSocketPtr* r) {
+                if (r != nullptr) {
+                  sock.reattach(*r);
+                } else {
+                  sock.fail();
+                }
+              });
 }
 
 void SockLib::on_connections_migrated(
@@ -243,15 +259,10 @@ void SockLib::on_connections_migrated(
   // match by flow and re-home. A socket of `from`'s that is NOT in the
   // adopted set was already closing (extract only moves ESTABLISHED) — it
   // keeps its old attachment and finishes dying where it is.
-  for (const auto& sock : sockets_on(from)) {
-    const net::FlowKey flow = sock->tcp().flow();
-    for (const auto& a : adopted) {
-      if (a->flow() == flow) {
-        sock->rehome(to, a);
-        break;
-      }
-    }
-  }
+  match_moved(sockets_on(from), adopted,
+              [&to](NeatSocket& sock, const net::TcpSocketPtr* a) {
+                if (a != nullptr) sock.rehome(to, *a);
+              });
 }
 
 void SockLib::on_connections_departed(
@@ -259,15 +270,10 @@ void SockLib::on_connections_departed(
   // Cross-host drain: the listed flows now live on another machine. The
   // local sockets are husks — deliver kMigratedAway so the app closes the
   // fds; no FIN/RST goes out (the connection is alive, elsewhere).
-  for (const auto& sock : sockets_on(from)) {
-    const net::FlowKey flow = sock->tcp().flow();
-    for (const auto& f : flows) {
-      if (f == flow) {
-        sock->migrated_away();
-        break;
-      }
-    }
-  }
+  match_moved(sockets_on(from), flows,
+              [](NeatSocket& sock, const net::FlowKey* f) {
+                if (f != nullptr) sock.migrated_away();
+              });
 }
 
 std::vector<NeatSocketPtr> SockLib::sockets_on(

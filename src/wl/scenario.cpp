@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -210,9 +208,6 @@ ScenarioResult run_scenario(const Scenario& sc) {
   cs.token = tb.depend();
   NeatHost::Config hc;
   hc.kind = NeatHost::Config::Kind::kSingle;
-  // Distinct host id: the census gauges are keyed per host, so the client
-  // host no longer clobbers the server's replica counts.
-  hc.host_id = 1;
   // Open-loop generators + churn storms recycle ephemeral ports fast;
   // mirror build_client()'s tcp_tw_reuse-style client tuning.
   hc.tcp.time_wait = 50 * sim::kMillisecond;
@@ -310,32 +305,19 @@ ScenarioResult run_scenario(const Scenario& sc) {
                                                     server_mac);
   }
 
-  // Replica-count timeline, sampled from the server host. (The census
-  // gauges are now keyed per host id, so reading the host directly and
-  // reading `neat.host0.replicas_serving` agree; direct access also gives
-  // us the NIC filter high-water mark in the same sweep.)
+  // Replica-count timeline and NIC filter high-water mark, sampled from
+  // the server host.
   ScenarioResult res;
   res.name = sc.name;
   const sim::SimTime horizon = sc.warmup + sc.measure;
   NeatHost* shost = server.neat.get();
-  const bool debug = std::getenv("WL_DEBUG") != nullptr;
   for (sim::SimTime t = 0; t <= horizon; t += kTimelineSample) {
-    tb.sim.queue().schedule(t, [&tb, &res, shost, debug] {
+    tb.sim.queue().schedule(t, [&tb, &res, shost] {
       res.replica_timeline.emplace_back(tb.sim.now(),
                                         shost->serving_replicas().size());
       res.server_flow_filters_peak =
           std::max<std::uint64_t>(res.server_flow_filters_peak,
                                   tb.server_nic.flow_filter_count());
-      if (debug) {
-        const obs::Gauge* u =
-            tb.sim.metrics().find_gauge("autoscaler.mean_utilization");
-        std::printf("[wl] t=%llums serving=%zu active=%zu util=%.3f\n",
-                    static_cast<unsigned long long>(tb.sim.now() /
-                                                    sim::kMillisecond),
-                    shost->serving_replicas().size(),
-                    shost->active_replicas().size(),
-                    u != nullptr ? u->value() : -1.0);
-      }
     });
   }
 

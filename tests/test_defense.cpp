@@ -263,26 +263,6 @@ struct DefenseFixture : public ::testing::Test {
   std::unique_ptr<harness::ClientRig> client;
 };
 
-TEST_F(DefenseFixture, CensusGaugesAreKeyedPerHost) {
-  // Regression: both hosts used to write the same "neat.replicas_*" gauge
-  // names, so whichever host ticked last won and the census lied.
-  harness::NeatServerOptions so;
-  so.replicas = 2;
-  so.webs = 2;
-  build(so);
-
-  const auto* srv = tb->sim.metrics().find_gauge("neat.host0.replicas_active");
-  const auto* cli = tb->sim.metrics().find_gauge("neat.host1.replicas_active");
-  ASSERT_NE(srv, nullptr);
-  ASSERT_NE(cli, nullptr);
-  EXPECT_EQ(static_cast<std::size_t>(srv->value()),
-            server->neat->replica_count());
-  EXPECT_EQ(static_cast<std::size_t>(cli->value()),
-            client->host->replica_count());
-  EXPECT_NE(srv->value(), cli->value())
-      << "distinct hosts must not share one census gauge";
-}
-
 TEST_F(DefenseFixture, ScaleDownWithoutTrackingFiltersDies) {
   // Lazy termination classifies straggler packets to the draining replica
   // by exact-match filter; without tracking filters those packets would

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "net/tcp.hpp"
+#include "net/wire.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -56,6 +57,10 @@ class WireEnv final : public TcpEnv {
   void tx(PacketPtr segment, Ipv4Addr src, Ipv4Addr dst) override {
     ++segments_sent_;
     seg_sizes_.push_back(segment->size());
+    const auto b = segment->bytes();
+    if (segment->size() > static_cast<std::size_t>(b[12] >> 4) * 4) {
+      data_seqs_.push_back(get_u32(b, 4));
+    }
     if (drop_next_ > 0) {
       --drop_next_;
       return;
@@ -81,6 +86,10 @@ class WireEnv final : public TcpEnv {
   [[nodiscard]] const std::vector<std::size_t>& seg_sizes() const {
     return seg_sizes_;
   }
+  /// Sequence numbers of the data-bearing segments, in send order.
+  [[nodiscard]] const std::vector<std::uint32_t>& data_seqs() const {
+    return data_seqs_;
+  }
 
  private:
   sim::Simulator& sim_;
@@ -92,6 +101,7 @@ class WireEnv final : public TcpEnv {
   sim::SimTime timer_job_delay_{0};
   std::uint64_t segments_sent_{0};
   std::vector<std::size_t> seg_sizes_;
+  std::vector<std::uint32_t> data_seqs_;
 };
 
 struct TcpPair : public ::testing::Test {
@@ -839,6 +849,129 @@ TEST_F(TcpPair, SrttTracksWireLatency) {
   // One-way latency is 10us -> RTT 20us (plus ack scheduling).
   EXPECT_GT(c->srtt(), 15 * sim::kMicrosecond);
   EXPECT_LT(c->srtt(), 2 * sim::kMillisecond);
+}
+
+
+// ---------------------------------------------------------------------------
+// Connection images: checkpoint restore and live migration
+// ---------------------------------------------------------------------------
+
+/// A connection caught mid-flight on the server side: the first of two
+/// request segments lost, so the second waits out of order with the
+/// client's FIN beyond the hole, and a response larger than the initial
+/// window, so part of it is unacked and the rest unsent.
+struct MidFlight {
+  TcpSocketPtr client_sock;
+  std::vector<std::uint8_t> request = pattern(TcpPair::cfg().mss + 500, 1);
+  std::vector<std::uint8_t> response =
+      pattern(3 * TcpPair::cfg().initial_cwnd_segments * TcpPair::cfg().mss,
+              2);
+};
+
+MidFlight catch_mid_flight(TcpPair& t) {
+  MidFlight m;
+  TcpListener* l = nullptr;
+  m.client_sock = t.connect_and_accept(&l);
+  TcpSocketPtr server_sock = l->accept();
+  t.client_env.drop_next(1);
+  EXPECT_EQ(m.client_sock->send(m.request), m.request.size());
+  m.client_sock->close();
+  t.run(sim::kMillisecond);  // well inside the client's RTO
+  EXPECT_EQ(server_sock->send(m.response), m.response.size());
+  return m;
+}
+
+/// Run until the server socket has read the whole request and its EOF and
+/// the client the whole response, then check both byte for byte.
+void finish_exchange(TcpPair& t, const MidFlight& m,
+                     const TcpSocketPtr& server_sock) {
+  std::vector<std::uint8_t> req;
+  std::vector<std::uint8_t> resp;
+  std::uint8_t buf[4096];
+  const sim::SimTime end = t.sim.now() + 10 * sim::kSecond;
+  while ((!server_sock->eof() || resp.size() < m.response.size()) &&
+         t.sim.now() < end) {
+    for (std::size_t n; (n = server_sock->recv(buf)) > 0;) {
+      req.insert(req.end(), buf, buf + n);
+    }
+    for (std::size_t n; (n = m.client_sock->recv(buf)) > 0;) {
+      resp.insert(resp.end(), buf, buf + n);
+    }
+    t.run(sim::kMillisecond);
+  }
+  EXPECT_TRUE(server_sock->eof());
+  EXPECT_TRUE(req == m.request) << "request corrupted";
+  EXPECT_TRUE(resp == m.response) << "response corrupted";
+}
+
+TEST_F(TcpPair, MigrationImageRebuildsEveryFieldAndTheStream) {
+  const MidFlight m = catch_mid_flight(*this);
+  const TcpCheckpoint cp = server.extract_for_migration();
+  ASSERT_EQ(cp.conns.size(), 1u);
+  const TcpConnSnapshot& img = cp.conns[0];
+  ASSERT_EQ(img.ooo.size(), 1u);
+  ASSERT_TRUE(img.fin_seen);
+  ASSERT_TRUE(seq_lt(img.snd_una, img.snd_nxt)) << "no unacked bytes";
+  ASSERT_GT(img.send_buf.size(), img.snd_nxt - img.snd_una)
+      << "no unsent bytes";
+
+  // Adopt into a second stack and extract again at once: the image must
+  // come back field for field.
+  WireEnv other_env(sim, 3);
+  TcpStack other(other_env, kServerIp, cfg());
+  other_env.set_peer(&client);
+  ASSERT_EQ(other.adopt(cp).size(), 1u);
+  const TcpCheckpoint again = other.extract_for_migration();
+  ASSERT_EQ(again.conns.size(), 1u);
+  const TcpConnSnapshot& a = again.conns[0];
+  EXPECT_EQ(a.flow, img.flow);
+  EXPECT_EQ(a.iss, img.iss);
+  EXPECT_EQ(a.irs, img.irs);
+  EXPECT_EQ(a.snd_una, img.snd_una);
+  EXPECT_EQ(a.snd_nxt, img.snd_nxt);
+  EXPECT_EQ(a.rcv_nxt, img.rcv_nxt);
+  EXPECT_EQ(a.snd_wnd, img.snd_wnd);
+  EXPECT_EQ(a.peer_mss, img.peer_mss);
+  EXPECT_TRUE(a.send_buf == img.send_buf);
+  EXPECT_TRUE(a.recv_buf == img.recv_buf);
+  ASSERT_EQ(a.ooo.size(), img.ooo.size());
+  EXPECT_EQ(a.ooo[0].seq, img.ooo[0].seq);
+  EXPECT_TRUE(a.ooo[0].bytes == img.ooo[0].bytes);
+  EXPECT_EQ(a.fin_seen, img.fin_seen);
+  EXPECT_EQ(a.fin_rcv_seq, img.fin_rcv_seq);
+  EXPECT_EQ(a.unaccepted, img.unaccepted);
+
+  // Home again (the client still talks to `server`): the client's RTO
+  // fills the hole and both directions complete byte-exactly.
+  auto back = server.adopt(again);
+  ASSERT_EQ(back.size(), 1u);
+  finish_exchange(*this, m, back[0]);
+}
+
+TEST_F(TcpPair, CheckpointRestoreResumesAtSndUnaWithoutReassemblyState) {
+  const MidFlight m = catch_mid_flight(*this);
+  const TcpCheckpoint cp = server.snapshot();
+  ASSERT_EQ(cp.conns.size(), 1u);
+  const TcpConnSnapshot& img = cp.conns[0];
+  ASSERT_TRUE(seq_lt(img.snd_una, img.snd_nxt)) << "no unacked bytes";
+
+  server.destroy_all_state();
+  const std::size_t sent_before = server_env.data_seqs().size();
+  auto restored = server.restore(cp);
+  ASSERT_EQ(restored.size(), 1u);
+  // Everything unacked at the checkpoint counts as lost: output starts
+  // over at snd_una.
+  ASSERT_GT(server_env.data_seqs().size(), sent_before);
+  EXPECT_EQ(server_env.data_seqs()[sent_before], img.snd_una);
+  // The held segment and the FIN beyond the hole are not restored.
+  const TcpCheckpoint now = server.extract_for_migration();
+  ASSERT_EQ(now.conns.size(), 1u);
+  EXPECT_TRUE(now.conns[0].ooo.empty());
+  EXPECT_FALSE(now.conns[0].fin_seen);
+
+  auto back = server.adopt(now);
+  ASSERT_EQ(back.size(), 1u);
+  finish_exchange(*this, m, back[0]);
 }
 
 }  // namespace

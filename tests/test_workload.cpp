@@ -308,10 +308,6 @@ TEST(AutoScalerObs, ExportsGaugesAndCountersToTheHub) {
   ASSERT_NE(active, nullptr);
   EXPECT_DOUBLE_EQ(active->value(),
                    static_cast<double>(server.neat->active_replicas().size()));
-  const auto* census = m.find_gauge("neat.host0.replicas_serving");
-  ASSERT_NE(census, nullptr);
-  EXPECT_DOUBLE_EQ(census->value(),
-                   static_cast<double>(server.neat->serving_replicas().size()));
   ASSERT_NE(m.find_gauge("autoscaler.mean_utilization"), nullptr);
   ASSERT_NE(m.find_gauge("autoscaler.spare_pins"), nullptr);
 
