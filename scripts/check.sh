@@ -15,7 +15,8 @@
 # The gates live in the benches (bench::Gates, bench/bench_util.hpp): each
 # prints its GATE lines, writes them to BENCH_<name>.json as `gates` and
 # `gates_passed`, and exits non-zero when one fails. This script only runs
-# them: ext_defense --quick and ext_fleet --quick always, and with --perf
+# them: ext_defense --quick, ext_workloads --quick and ext_fleet --quick
+# always (on the tier-1 build, so --skip-sanitize keeps them), and with --perf
 # the full ext_perf and ext_fleet, whose full runs gate host throughput,
 # krps drift, peak RSS and fleet_bytes_per_conn against the committed
 # BENCH_ext_perf.json / BENCH_ext_fleet.json (a value missing there fails).
@@ -120,6 +121,9 @@ fi
 
 echo "== defense gate: ext_defense --quick =="
 (cd build/bench && ./ext_defense --quick)
+
+echo "== workload gate: ext_workloads --quick (flash crowd scales up, then lazily terminates) =="
+(cd build/bench && ./ext_workloads --quick)
 
 echo "== fleet gate: ext_fleet --quick (crash isolation within 5%) =="
 (cd build/bench && ./ext_fleet --quick)

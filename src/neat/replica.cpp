@@ -6,19 +6,6 @@ namespace neat {
 
 namespace {
 
-/// Shared TcpEnv::on_flow_established body: with handshake-deferred
-/// tracking filters, a passively established flow earns its exact-match
-/// steering entry now — installed in driver context, pinned to the
-/// replica's queue (where RSS delivered the whole handshake).
-void deferred_filter_install(drv::NicDriver* driver, const net::FlowKey& key,
-                             int queue) {
-  if (driver == nullptr) return;
-  const nic::NicParams& p = driver->nic().params();
-  if (!p.tracking_filters || !p.defer_syn_filters) return;
-  driver->control(
-      [driver, key, queue] { driver->nic().add_flow_filter(key, queue); });
-}
-
 /// Packet-filter consultation, free when no rules are installed. Both
 /// compositions apply it to every datagram the IP layer hands up.
 bool pf_pass(const net::PacketFilter& pf, const net::Ipv4Header& hdr,
@@ -195,6 +182,51 @@ void TxStage::clear() {
 }
 
 // ---------------------------------------------------------------------------
+// TcpProcess
+// ---------------------------------------------------------------------------
+
+TcpProcess::TcpProcess(sim::Simulator& sim, std::string name,
+                       std::uint64_t rng_salt, StackCosts costs,
+                       sim::Cycles tx_base, obs::Hub& hub,
+                       drv::NicDriver& driver, int queue, net::Ipv4Addr ip,
+                       net::TcpConfig tcp_cfg, TxStage::Emit emit)
+    : sim::Process(sim, std::move(name)),
+      tx_base_(tx_base),
+      rng_(sim.rng().split(rng_salt)),
+      hub_(hub),
+      driver_(driver),
+      queue_(queue),
+      costs_(costs),
+      tcp_stack_(*this, ip, tcp_cfg),
+      tx_(*this, std::move(emit)) {}
+
+sim::EventHandle TcpProcess::start_timer(sim::SimTime delay,
+                                         std::function<void()> fn) {
+  return after(delay, 600, std::move(fn));
+}
+
+void TcpProcess::tx(net::PacketPtr segment, net::Ipv4Addr src,
+                    net::Ipv4Addr dst) {
+  // Segment construction is charged in our own context (see TxStage).
+  const sim::Cycles c = tx_base_ + costs_.bytes_cost(segment->size());
+  tx_.add({std::move(segment), src, dst, net::IpProto::kTcp, 0, 0}, c);
+}
+
+void TcpProcess::on_flow_established(const net::FlowKey& key) {
+  const nic::NicParams& p = driver_.nic().params();
+  if (!p.tracking_filters || !p.defer_syn_filters) return;
+  driver_.control([d = &driver_, key, q = queue_] {
+    d->nic().add_flow_filter(key, q);
+  });
+}
+
+void TcpProcess::on_crash() {
+  // Silently, as seen from the wire.
+  tcp_stack_.destroy_all_state();
+  tx_.clear();
+}
+
+// ---------------------------------------------------------------------------
 // SingleComponentReplica
 // ---------------------------------------------------------------------------
 
@@ -202,13 +234,22 @@ SingleComponentReplica::SingleComponentReplica(
     sim::Simulator& sim, int id, int queue, drv::NicDriver& driver,
     net::MacAddr mac, net::Ipv4Addr ip, StackCosts costs,
     net::TcpConfig tcp_cfg, obs::Hub& hub)
-    : sim::Process(sim, "neat" + std::to_string(id)),
+    : TcpProcess(sim, "neat" + std::to_string(id),
+                 0x5e9 + static_cast<std::uint64_t>(id), costs,
+                 costs.single_tx_base, hub, driver, queue, ip, tcp_cfg,
+                 [this](StagedTx&& s) {
+                   if (s.proto == net::IpProto::kTcp && s.dst == ip_.ip()) {
+                     // Loopback: each replica implements its own loopback
+                     // device (§3.3).
+                     handle_ip(net::Ipv4Header{s.src, s.dst,
+                                               net::IpProto::kTcp},
+                               std::move(s.pkt));
+                     return;
+                   }
+                   ip_.send(std::move(s.pkt), s.proto, s.src, s.dst);
+                 }),
       StackReplica(id, queue, /*one_process=*/true,
                    sim.rng().split(0xa5172 + static_cast<std::uint64_t>(id))()),
-      costs_(costs),
-      rng_(sim.rng().split(0x5e9 + static_cast<std::uint64_t>(id))),
-      hub_(hub),
-      driver_(&driver),
       tx_port_(driver.make_tx_port()),
       // Burst mode: one channel delivery job hands the whole frame batch
       // over; TCP segments are regrouped and consumed by
@@ -221,31 +262,7 @@ SingleComponentReplica::SingleComponentReplica(
           [this](std::vector<net::PacketPtr>&& frames) {
             handle_frame_batch(std::move(frames));
           }),
-      ip_(mac, ip, [this](net::PacketPtr f) { tx_port_(std::move(f)); }),
-      tcp_stack_(*this, ip, tcp_cfg),
-      tx_(*this, [this](StagedTx&& s) {
-        if (s.proto == net::IpProto::kTcp && s.dst == ip_.ip()) {
-          // Loopback: each replica implements its own loopback device
-          // (§3.3).
-          handle_ip(net::Ipv4Header{s.src, s.dst, net::IpProto::kTcp},
-                    std::move(s.pkt));
-          return;
-        }
-        ip_.send(std::move(s.pkt), s.proto, s.src, s.dst);
-      }) {}
-
-sim::EventHandle SingleComponentReplica::start_timer(
-    sim::SimTime delay, std::function<void()> fn) {
-  return after(delay, 600, std::move(fn));
-}
-
-void SingleComponentReplica::tx(net::PacketPtr segment, net::Ipv4Addr src,
-                                net::Ipv4Addr dst) {
-  // Segment construction is charged in our own context (see TxStage).
-  const sim::Cycles c =
-      costs_.single_tx_base + costs_.bytes_cost(segment->size());
-  tx_.add({std::move(segment), src, dst, net::IpProto::kTcp, 0, 0}, c);
-}
+      ip_(mac, ip, [this](net::PacketPtr f) { tx_port_(std::move(f)); }) {}
 
 void SingleComponentReplica::handle_frame_batch(
     std::vector<net::PacketPtr>&& frames) {
@@ -304,16 +321,11 @@ void SingleComponentReplica::udp_tx(net::PacketPtr payload,
           c);
 }
 
-void SingleComponentReplica::on_flow_established(const net::FlowKey& key) {
-  deferred_filter_install(driver_, key, queue());
-}
-
 void SingleComponentReplica::on_crash() {
-  // All state dies with the process — silently, as seen from the wire.
-  tcp_stack_.destroy_all_state();
+  // All state dies with the process.
+  TcpProcess::on_crash();
   ip_.reset();
   udp_.clear();
-  tx_.clear();  // staged egress dies with the process
 }
 
 void SingleComponentReplica::reset_after_restart(Component) {
@@ -330,47 +342,24 @@ void SingleComponentReplica::reset_after_restart(Component) {
 
 TcpComponent::TcpComponent(sim::Simulator& sim, MultiComponentReplica& owner,
                            std::string name, net::Ipv4Addr ip,
-                           StackCosts costs, net::TcpConfig cfg)
-    : sim::Process(sim, std::move(name)),
-      owner_(owner),
-      costs_(costs),
-      rng_(sim.rng().split(0x7c9 + static_cast<std::uint64_t>(owner.id()))),
-      tcp_stack_(*this, ip, cfg),
-      tx_(*this, [this](StagedTx&& s) {
-        if (s.dst == tcp_stack_.local_ip()) {
-          // Loopback short-circuits inside the TCP component.
-          post(costs_.tcp_rx_base + costs_.bytes_cost(s.pkt->size()),
-               [this, seg = std::move(s.pkt), src = s.src,
-                dst = s.dst]() mutable {
-                 tcp_stack_.rx(src, dst, std::move(seg));
-               });
-          return;
-        }
-        owner_.tcp_to_ip_->send(MultiComponentReplica::TcpToIp{
-            std::move(s.pkt), s.src, s.dst, net::IpProto::kTcp});
-      }) {}
-
-sim::EventHandle TcpComponent::start_timer(sim::SimTime delay,
-                                           std::function<void()> fn) {
-  return after(delay, 600, std::move(fn));
-}
-
-void TcpComponent::tx(net::PacketPtr segment, net::Ipv4Addr src,
-                      net::Ipv4Addr dst) {
-  const sim::Cycles c = costs_.tcp_tx_base + costs_.bytes_cost(segment->size());
-  tx_.add({std::move(segment), src, dst, net::IpProto::kTcp, 0, 0}, c);
-}
-
-void TcpComponent::on_flow_established(const net::FlowKey& key) {
-  deferred_filter_install(owner_.driver_, key, owner_.queue());
-}
-
-obs::Hub* TcpComponent::obs_hub() { return &owner_.hub_; }
-
-void TcpComponent::on_crash() {
-  tcp_stack_.destroy_all_state();
-  tx_.clear();  // staged egress dies with the process
-}
+                           StackCosts costs, net::TcpConfig cfg,
+                           obs::Hub& hub, drv::NicDriver& driver)
+    : TcpProcess(sim, std::move(name),
+                 0x7c9 + static_cast<std::uint64_t>(owner.id()), costs,
+                 costs.tcp_tx_base, hub, driver, owner.queue(), ip, cfg,
+                 [this, &owner](StagedTx&& s) {
+                   if (s.dst == tcp_stack_.local_ip()) {
+                     // Loopback short-circuits inside the TCP component.
+                     post(costs_.tcp_rx_base + costs_.bytes_cost(s.pkt->size()),
+                          [this, seg = std::move(s.pkt), src = s.src,
+                           dst = s.dst]() mutable {
+                            tcp_stack_.rx(src, dst, std::move(seg));
+                          });
+                     return;
+                   }
+                   owner.tcp_to_ip_->send(MultiComponentReplica::TcpToIp{
+                       std::move(s.pkt), s.src, s.dst, net::IpProto::kTcp});
+                 }) {}
 
 IpComponent::IpComponent(sim::Simulator& sim, MultiComponentReplica& owner,
                          std::string name, net::MacAddr mac, net::Ipv4Addr ip,
@@ -428,13 +417,11 @@ MultiComponentReplica::MultiComponentReplica(
     net::TcpConfig tcp_cfg, obs::Hub& hub)
     : StackReplica(id, queue, /*one_process=*/false,
                    sim.rng().split(0xa5173 + static_cast<std::uint64_t>(id))()),
-      costs_(costs),
-      hub_(hub),
-      driver_(&driver) {
+      costs_(costs) {
   const std::string base = "multi" + std::to_string(id);
   drv_tx_ = driver.make_tx_port();
   tcp_proc_ = std::make_unique<TcpComponent>(sim, *this, base + ".tcp", ip,
-                                             costs, tcp_cfg);
+                                             costs, tcp_cfg, hub, driver);
   ip_proc_ = std::make_unique<IpComponent>(
       sim, *this, base + ".ip", mac, ip, costs,
       [tx = drv_tx_](net::PacketPtr f) { tx(std::move(f)); });

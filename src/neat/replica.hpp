@@ -213,13 +213,60 @@ class TxStage {
   bool armed_{false};            ///< a flush job is already queued
 };
 
+/// The TCP-bearing process of either composition: the TcpEnv its stack
+/// runs on, the stack itself, and the egress stage its segments leave
+/// through. Timers cost 600 cycles; a segment costs `tx_base` plus its
+/// bytes.
+class TcpProcess : public sim::Process, public net::TcpEnv {
+ public:
+  [[nodiscard]] net::TcpStack& stack() { return tcp_stack_; }
+
+  // TcpEnv
+  sim::SimTime now() override { return sim().now(); }
+  sim::EventHandle start_timer(sim::SimTime delay,
+                               std::function<void()> fn) override;
+  void tx(net::PacketPtr segment, net::Ipv4Addr src,
+          net::Ipv4Addr dst) override;
+  std::uint32_t random_u32() override {
+    return static_cast<std::uint32_t>(rng_());
+  }
+  obs::Hub* obs_hub() override { return &hub_; }
+  /// With handshake-deferred tracking filters, a passively established
+  /// flow earns its exact-match steering entry now — installed in driver
+  /// context, pinned to the replica's queue (where RSS delivered the whole
+  /// handshake).
+  void on_flow_established(const net::FlowKey& key) override;
+
+ protected:
+  /// `rng_salt` splits the stack's RNG off the simulator's; `hub` is the
+  /// owning host's (NeatHost::hub()); `emit` routes staged egress.
+  TcpProcess(sim::Simulator& sim, std::string name, std::uint64_t rng_salt,
+             StackCosts costs, sim::Cycles tx_base, obs::Hub& hub,
+             drv::NicDriver& driver, int queue, net::Ipv4Addr ip,
+             net::TcpConfig tcp_cfg, TxStage::Emit emit);
+
+  /// TCP state and staged egress die with the process.
+  void on_crash() override;
+
+ private:
+  sim::Cycles tx_base_;
+  sim::Rng rng_;
+  obs::Hub& hub_;
+  drv::NicDriver& driver_;  // deferred-filter installs go through here
+  int queue_;
+
+ protected:
+  StackCosts costs_;
+  /// Declared after rng_: the stack's constructor draws from it.
+  net::TcpStack tcp_stack_;
+  TxStage tx_;  // TCP segments (and a single-component replica's UDP)
+};
+
 // ---------------------------------------------------------------------------
 // Single-component replica
 // ---------------------------------------------------------------------------
 
-class SingleComponentReplica final : public sim::Process,
-                                     public net::TcpEnv,
-                                     public StackReplica {
+class SingleComponentReplica final : public TcpProcess, public StackReplica {
  public:
   /// `hub` is the owning host's (NeatHost::hub()).
   SingleComponentReplica(sim::Simulator& sim, int id, int queue,
@@ -240,18 +287,6 @@ class SingleComponentReplica final : public sim::Process,
               net::SockAddr to) override;
   void reset_after_restart(Component) override;
 
-  // TcpEnv
-  sim::SimTime now() override { return sim().now(); }
-  sim::EventHandle start_timer(sim::SimTime delay,
-                               std::function<void()> fn) override;
-  void tx(net::PacketPtr segment, net::Ipv4Addr src,
-          net::Ipv4Addr dst) override;
-  std::uint32_t random_u32() override {
-    return static_cast<std::uint32_t>(rng_());
-  }
-  obs::Hub* obs_hub() override { return &hub_; }
-  void on_flow_established(const net::FlowKey& key) override;
-
   [[nodiscard]] IpLayer& ip_layer() { return ip_; }
 
  protected:
@@ -261,17 +296,11 @@ class SingleComponentReplica final : public sim::Process,
   void handle_frame_batch(std::vector<net::PacketPtr>&& frames);
   void handle_ip(const net::Ipv4Header& hdr, net::PacketPtr payload);
 
-  StackCosts costs_;
-  sim::Rng rng_;
-  obs::Hub& hub_;
-  drv::NicDriver* driver_;  // deferred-filter installs go through here
   drv::NicDriver::TxPort tx_port_;     // → driver (or NIC, when offloaded)
   ipc::Channel<net::PacketPtr> rx_ch_;  // driver → this
   IpLayer ip_;
-  net::TcpStack tcp_stack_;
   net::UdpMux udp_;
   net::PacketFilter pf_;
-  TxStage tx_;  // TCP segments and UDP datagrams alike
   /// handle_frame_batch()'s staging vector, reused across bursts.
   std::vector<net::TcpStack::SegmentArrival> rx_segs_;
 };
@@ -283,35 +312,11 @@ class SingleComponentReplica final : public sim::Process,
 class MultiComponentReplica;
 
 /// The TCP process of a multi-component replica.
-class TcpComponent final : public sim::Process, public net::TcpEnv {
+class TcpComponent final : public TcpProcess {
  public:
   TcpComponent(sim::Simulator& sim, MultiComponentReplica& owner,
                std::string name, net::Ipv4Addr ip, StackCosts costs,
-               net::TcpConfig cfg);
-
-  [[nodiscard]] net::TcpStack& stack() { return tcp_stack_; }
-
-  // TcpEnv
-  sim::SimTime now() override { return sim().now(); }
-  sim::EventHandle start_timer(sim::SimTime delay,
-                               std::function<void()> fn) override;
-  void tx(net::PacketPtr segment, net::Ipv4Addr src,
-          net::Ipv4Addr dst) override;
-  std::uint32_t random_u32() override {
-    return static_cast<std::uint32_t>(rng_());
-  }
-  obs::Hub* obs_hub() override;  // the owning replica's hub (see cpp)
-  void on_flow_established(const net::FlowKey& key) override;
-
- protected:
-  void on_crash() override;
-
- private:
-  MultiComponentReplica& owner_;
-  StackCosts costs_;
-  sim::Rng rng_;
-  net::TcpStack tcp_stack_;
-  TxStage tx_;
+               net::TcpConfig cfg, obs::Hub& hub, drv::NicDriver& driver);
 };
 
 /// The IP process: eth/ARP/IP handling between the driver and transports.
@@ -422,8 +427,6 @@ class MultiComponentReplica final : public StackReplica {
   };
 
   StackCosts costs_;
-  obs::Hub& hub_;
-  drv::NicDriver* driver_;  // deferred-filter installs go through here
   drv::NicDriver::TxPort drv_tx_;
   std::unique_ptr<TcpComponent> tcp_proc_;
   std::unique_ptr<IpComponent> ip_proc_;

@@ -1,8 +1,8 @@
 #include "wl/adversary.hpp"
 
+#include <algorithm>
 #include <cassert>
 
-#include "apps/http.hpp"
 #include "net/packet.hpp"
 
 namespace neat::wl {
@@ -144,95 +144,6 @@ void Slowloris::trickle(Fd fd) {
     ++stats_.bytes_trickled;
     trickle(fd);
   });
-}
-
-// ---------------------------------------------------------------------------
-// ChurnStorm
-// ---------------------------------------------------------------------------
-
-ChurnStorm::ChurnStorm(sim::Simulator& sim, std::string name, Config config)
-    : sim::Process(sim, std::move(name)),
-      config_(std::move(config)),
-      rng_(sim.rng().split(0xc472)) {
-  conn_cb_.on_connected = [this](Fd fd) {
-    if (!live_.contains(fd)) return;
-    if (!config_.request_before_close) {
-      finish(fd, /*ok=*/true);
-      return;
-    }
-    post(config_.send_cost, [this, fd] {
-      if (!live_.contains(fd)) return;
-      const auto req = apps::build_request(config_.path);
-      if (api_->send(fd, req) != req.size()) finish(fd, /*ok=*/false);
-    });
-  };
-  conn_cb_.on_readable = [this](Fd fd) {
-    if (!live_.contains(fd)) return;
-    post(config_.recv_cost, [this, fd] {
-      if (!live_.contains(fd)) return;
-      // One response is all we want; drain and hang up.
-      std::uint8_t buf[2048];
-      std::size_t got = 0;
-      while (true) {
-        const std::size_t n = api_->recv(fd, buf);
-        if (n == 0) break;
-        got += n;
-      }
-      if (got > 0) {
-        ++stats_.requests_ok;
-        finish(fd, /*ok=*/true);
-      } else if (api_->eof(fd)) {
-        finish(fd, /*ok=*/false);
-      }
-    });
-  };
-  conn_cb_.on_closed = [this](Fd fd, CloseReason) {
-    if (live_.erase(fd) == 0) return;
-    ++stats_.failed;
-  };
-}
-
-void ChurnStorm::attach_api(std::unique_ptr<socklib::SocketApi> api) {
-  api_ = std::move(api);
-}
-
-void ChurnStorm::start() {
-  assert(api_ && "attach_api() before start()");
-  if (running_) return;
-  running_ = true;
-  fire();
-}
-
-void ChurnStorm::stop() { running_ = false; }
-
-void ChurnStorm::fire() {
-  if (!running_) return;
-  const double mean_gap_ns = 1e9 / std::max(config_.rate, 1.0);
-  const auto gap = std::max<sim::SimTime>(
-      1, static_cast<sim::SimTime>(rng_.exponential(mean_gap_ns)));
-  after(gap, config_.connect_cost, [this] {
-    if (running_) {
-      if (live_.size() >= config_.max_in_flight) {
-        ++stats_.shed;
-      } else {
-        const Fd fd = api_->connect(config_.server, &conn_cb_);
-        if (fd == kBadFd) {
-          ++stats_.failed;
-        } else {
-          live_.insert(fd);
-          ++stats_.opened;
-        }
-      }
-    }
-    fire();
-  });
-}
-
-void ChurnStorm::finish(Fd fd, bool ok) {
-  if (live_.erase(fd) == 0) return;
-  if (!ok) ++stats_.failed;
-  ++stats_.closed;
-  api_->close(fd);
 }
 
 }  // namespace neat::wl

@@ -1,6 +1,6 @@
 // Adversarial clients: traffic that attacks the stack instead of using it.
 //
-// Three classics, each aimed at a different NEaT mechanism:
+// Two classics, each aimed at a different NEaT mechanism:
 //   * SynFlood  — spoofed-source SYNs at line rate. Exercises the SYN
 //     backlog, the per-replica half-open state, and (with tracking filters
 //     on) pollution of the NIC's exact-match flow table. Sources must be
@@ -10,15 +10,14 @@
 //   * Slowloris — many connections that each dribble one header byte at a
 //     time, holding server sockets and web-server parser state open
 //     indefinitely without ever completing a request.
-//   * ChurnStorm — connections opened and torn down as fast as possible,
-//     stressing subsocket steering, ephemeral-port selection against
-//     TIME_WAIT, and tracking-filter install/retire turnover.
+// Connection churn needs no engine of its own: it is an OpenLoopClient at
+// one request per session (see wl/scenario.cpp).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
-#include <unordered_set>
 
 #include "net/ethernet.hpp"
 #include "net/ipv4.hpp"
@@ -112,59 +111,8 @@ class Slowloris : public sim::Process {
   /// sockets).
   socklib::ConnCallbacks conn_cb_;
   std::unique_ptr<socklib::SocketApi> api_;
-  std::unordered_set<socklib::Fd> held_;
-  bool running_{false};
-};
-
-/// Connection-churn storm: open, optionally issue one tiny request, close,
-/// repeat at `rate`. The abuse is the connection lifecycle itself.
-class ChurnStorm : public sim::Process {
- public:
-  struct Config {
-    net::SockAddr server;
-    double rate{10'000.0};  ///< connections/second
-    /// Send one GET before closing (false = pure open/close SYN churn).
-    bool request_before_close{true};
-    std::string path{"/file20"};
-    std::size_t max_in_flight{2048};
-    sim::Cycles connect_cost{3500};
-    sim::Cycles send_cost{2800};
-    sim::Cycles recv_cost{2600};
-  };
-
-  struct Stats {
-    std::uint64_t opened{0};
-    std::uint64_t closed{0};
-    std::uint64_t failed{0};
-    std::uint64_t requests_ok{0};
-    std::uint64_t shed{0};
-  };
-
-  ChurnStorm(sim::Simulator& sim, std::string name, Config config);
-
-  void attach_api(std::unique_ptr<socklib::SocketApi> api);
-  void start();
-  void stop();
-
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] socklib::SocketApi& api() { return *api_; }
-  [[nodiscard]] std::size_t in_flight() const { return live_.size(); }
-
- protected:
-  void on_restart() override {}
-
- private:
-  void fire();
-  void finish(socklib::Fd fd, bool ok);
-
-  Config config_;
-  Stats stats_;
-  /// Every connection's callbacks (declared before api_: it outlives the
-  /// sockets).
-  socklib::ConnCallbacks conn_cb_;
-  std::unique_ptr<socklib::SocketApi> api_;
-  std::unordered_set<socklib::Fd> live_;
-  sim::Rng rng_;
+  /// Ordered, so stop() closes the held connections in fd order.
+  std::set<socklib::Fd> held_;
   bool running_{false};
 };
 

@@ -5,9 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "fleet/app.hpp"
-#include "fleet/cluster.hpp"
-#include "fleet/obs_merge.hpp"
 #include "harness/testbed.hpp"
 #include "socklib/socklib.hpp"
 
@@ -16,120 +13,28 @@ namespace neat::wl {
 namespace {
 
 constexpr sim::SimTime kTimelineSample = 25 * sim::kMillisecond;
-/// Client-side stack replicas carrying the generated load (per client
-/// machine in the fleet topology).
+/// Client-side stack replicas carrying the generated load.
 constexpr int kClientReplicas = 4;
 
-/// Client half of a scenario (token first: must die before the Testbed).
+/// Client half of a scenario. The apps are declared after the rig, so they
+/// die before its host.
 struct ClientSide {
-  harness::TestbedDependent token;
-  std::unique_ptr<NeatHost> host;
+  harness::ClientRig rig;
   std::vector<std::unique_ptr<OpenLoopClient>> tenants;
+  /// Churn adversaries: clients that are never mark()ed, so their reports
+  /// cover the whole run.
+  std::vector<std::unique_ptr<OpenLoopClient>> churn;
   std::vector<std::unique_ptr<SynFlood>> floods;
   std::vector<std::unique_ptr<Slowloris>> loris;
-  std::vector<std::unique_ptr<ChurnStorm>> storms;
 };
 
 [[nodiscard]] double ms(std::uint64_t ns) {
   return static_cast<double>(ns) / 1e6;
 }
 
-/// Multi-host branch of run_scenario(): a FleetCluster behind the steering
-/// tier, PingServers on every backend, FleetClients ramping the connection
-/// population, optional mid-run host crash.
-ScenarioResult run_fleet_scenario(const Scenario& sc) {
-  fleet::FleetConfig fc;
-  fc.seed = sc.seed;
-  fc.backends = sc.fleet_hosts;
-  fc.clients = sc.fleet_clients;
-  fc.replicas_per_backend = sc.fleet_replicas_per_host;
-  fc.replicas_per_client = kClientReplicas;
-  fleet::FleetCluster fleet(fc);
-
-  std::vector<std::uint16_t> ports;
-  for (int p = 0; p < sc.fleet_ports; ++p) {
-    ports.push_back(static_cast<std::uint16_t>(harness::kBasePort + p));
-  }
-
-  // One PingServer per backend, one FleetClient per client machine,
-  // everything destroyed before the cluster.
-  std::vector<std::unique_ptr<fleet::PingServer>> servers;
-  for (std::size_t i = 0; i < fleet.backend_count(); ++i) {
-    fleet::FleetHost& b = fleet.backend(i);
-    auto s = std::make_unique<fleet::PingServer>(
-        fleet.sim, "ping" + std::to_string(b.id), *b.host, b.id);
-    s->pin(b.app_thread());
-    s->start(ports);
-    servers.push_back(std::move(s));
-  }
-  fleet.set_adoption_handler(
-      [&servers](fleet::FleetHost& to, StackReplica& rep,
-                 const std::vector<net::TcpSocketPtr>& adopted) {
-        servers[static_cast<std::size_t>(to.id)]->adopt(rep, adopted);
-      });
-
-  std::vector<std::unique_ptr<fleet::FleetClient>> clients;
-  const auto n_clients = static_cast<std::uint64_t>(fleet.client_count());
-  for (std::size_t j = 0; j < fleet.client_count(); ++j) {
-    fleet::FleetHost& c = fleet.client(j);
-    fleet::FleetClient::Config cc;
-    cc.vip = fleet.config().steering.vip;
-    cc.ports = ports;
-    cc.total_conns = sc.fleet_conns / n_clients;
-    auto cl = std::make_unique<fleet::FleetClient>(
-        fleet.sim, "fleetcli" + std::to_string(j), *c.host, cc);
-    cl->pin(c.app_thread());
-    clients.push_back(std::move(cl));
-  }
-
-  fleet.start_health_probing();
-
-  if (sc.fleet_crash_host >= 0) {
-    const auto victim = static_cast<std::size_t>(sc.fleet_crash_host);
-    fleet.sim.queue().schedule(sc.fleet_crash_at,
-                               [&fleet, victim] { fleet.crash_host(victim); });
-  }
-
-  for (auto& cl : clients) cl->start();
-  fleet.sim.run_for(sc.warmup);
-  for (auto& cl : clients) cl->mark();
-  fleet.sim.run_for(sc.measure);
-
-  // --- collect ------------------------------------------------------------
-  ScenarioResult res;
-  res.name = sc.name;
-  for (std::size_t i = 0; i < fleet.backend_count(); ++i) {
-    if (fleet.steering().has_backend(fleet.backend(i).id)) {
-      ++res.fleet_hosts_up_end;
-    }
-  }
-  for (const auto& cl : clients) {
-    const auto& st = cl->app_stats();
-    res.fleet_established += st.connected;
-    res.fleet_responses += st.responses;
-    res.fleet_lost_conns += st.closed_reset + st.closed_other;
-  }
-  for (const auto& s : servers) {
-    res.fleet_requests_served += s->app_stats().requests;
-  }
-  res.fleet_backends_declared_down =
-      fleet.steering().stats().backends_declared_down;
-
-  std::vector<const obs::Hub*> client_hubs;
-  for (std::size_t j = 0; j < fleet.client_count(); ++j) {
-    client_hubs.push_back(fleet.client(j).hub.get());
-  }
-  const obs::Histogram rtt =
-      fleet::merged_histogram(client_hubs, "fleet.rtt_ns");
-  res.fleet_rtt_p50_ms = ms(rtt.quantile(0.50));
-  res.fleet_rtt_p99_ms = ms(rtt.quantile(0.99));
-  return res;
-}
-
 }  // namespace
 
 ScenarioResult run_scenario(const Scenario& sc) {
-  if (sc.fleet_hosts > 0) return run_fleet_scenario(sc);
   harness::Testbed::Config cfg;
   cfg.seed = sc.seed;
   harness::Testbed tb(cfg);
@@ -204,27 +109,18 @@ ScenarioResult run_scenario(const Scenario& sc) {
   }
 
   // --- client side --------------------------------------------------------
+  harness::ClientOptions co;
+  co.stack_replicas = kClientReplicas;
+  co.generators = 0;
   ClientSide cs;
-  cs.token = tb.depend();
-  NeatHost::Config hc;
-  hc.kind = NeatHost::Config::Kind::kSingle;
-  // Open-loop generators + churn storms recycle ephemeral ports fast;
-  // mirror build_client()'s tcp_tw_reuse-style client tuning.
-  hc.tcp.time_wait = 50 * sim::kMillisecond;
-  cs.host = std::make_unique<NeatHost>(tb.sim, tb.client_machine,
-                                       tb.client_nic, hc);
+  cs.rig = harness::build_client(tb, co, 1);
+  NeatHost& chost = *cs.rig.host;
   auto& cm = tb.client_machine;
   const int total_client_procs =
       3 + kClientReplicas + n_tenants +
       static_cast<int>(sc.adversaries.size());
   assert(total_client_procs <= cm.cores() && "client machine out of cores");
   (void)total_client_procs;
-  cs.host->os_process().pin(cm.thread(0));
-  cs.host->syscall().pin(cm.thread(1));
-  cs.host->driver().pin(cm.thread(2));
-  for (int r = 0; r < kClientReplicas; ++r) {
-    cs.host->add_replica({&cm.thread(3 + r)});
-  }
   int client_core = 3 + kClientReplicas;
 
   for (std::size_t i = 0; i < sc.tenants.size(); ++i) {
@@ -241,7 +137,7 @@ ScenarioResult run_scenario(const Scenario& sc) {
     oc.slo = t.slo;
     auto cl = std::make_unique<OpenLoopClient>(tb.sim, "wl-" + t.name, oc);
     cl->pin(cm.thread(client_core++));
-    cl->attach_api(std::make_unique<socklib::SockLib>(*cl, *cs.host));
+    cl->attach_api(std::make_unique<socklib::SockLib>(*cl, chost));
     cs.tenants.push_back(std::move(cl));
   }
 
@@ -268,22 +164,24 @@ ScenarioResult run_scenario(const Scenario& sc) {
         lc.server = target;
         lc.connections = a.connections;
         auto l = std::make_unique<Slowloris>(tb.sim, "slowloris", lc);
-        l->attach_api(std::make_unique<socklib::SockLib>(*l, *cs.host));
+        l->attach_api(std::make_unique<socklib::SockLib>(*l, chost));
         proc = l.get();
         go = [p = l.get()] { p->start(); };
         cs.loris.push_back(std::move(l));
         break;
       }
       case AdversarySpec::Kind::kChurnStorm: {
-        ChurnStorm::Config cc;
-        cc.server = target;
-        cc.rate = a.rate;
-        cc.request_before_close = a.request_before_close;
-        auto s = std::make_unique<ChurnStorm>(tb.sim, "churn", cc);
-        s->attach_api(std::make_unique<socklib::SockLib>(*s, *cs.host));
-        proc = s.get();
-        go = [p = s.get()] { p->start(); };
-        cs.storms.push_back(std::move(s));
+        // Churn is the client engine at one request per session.
+        OpenLoopClient::Config oc;
+        oc.tenant = "churn";
+        oc.server = target;
+        oc.arrival = ArrivalModel::poisson(a.rate);
+        oc.max_in_flight = 2048;
+        auto c = std::make_unique<OpenLoopClient>(tb.sim, "churn", oc);
+        c->attach_api(std::make_unique<socklib::SockLib>(*c, chost));
+        proc = c.get();
+        go = [p = c.get()] { p->start(); };
+        cs.churn.push_back(std::move(c));
         break;
       }
     }
@@ -294,16 +192,7 @@ ScenarioResult run_scenario(const Scenario& sc) {
   // Static ARP, as on a real point-to-point testbed. Replicas the
   // AutoScaler spawns later resolve on demand (their ARP request transits
   // the link like any other frame).
-  const net::MacAddr server_mac = net::MacAddr::local(1);
-  const net::MacAddr client_mac = net::MacAddr::local(2);
-  for (std::size_t i = 0; i < server.neat->replica_count(); ++i) {
-    server.neat->replica(i).ip_layer_ref().arp().insert(harness::kClientIp,
-                                                        client_mac);
-  }
-  for (std::size_t i = 0; i < cs.host->replica_count(); ++i) {
-    cs.host->replica(i).ip_layer_ref().arp().insert(harness::kServerIp,
-                                                    server_mac);
-  }
+  harness::prepopulate_arp(server, cs.rig);
 
   // Replica-count timeline and NIC filter high-water mark, sampled from
   // the server host.
@@ -365,7 +254,9 @@ ScenarioResult run_scenario(const Scenario& sc) {
     res.lazy_terminations = c->value();
   }
   for (const auto& f : cs.floods) res.syns_sent += f->stats().syns_sent;
-  for (const auto& s : cs.storms) res.churn_conns += s->stats().opened;
+  for (const auto& c : cs.churn) {
+    res.churn_conns += c->report().sessions_started;
+  }
   for (const auto& l : cs.loris) {
     res.slowloris_held += l->held();
     res.slowloris_shed += l->stats().conns_lost;
@@ -391,7 +282,7 @@ ScenarioResult run_scenario(const Scenario& sc) {
   for (auto& t : cs.tenants) t->stop();
   for (auto& f : cs.floods) f->stop();
   for (auto& l : cs.loris) l->stop();
-  for (auto& s : cs.storms) s->stop();
+  for (auto& c : cs.churn) c->stop();
   if (scaler) scaler->stop();
   return res;
 }
@@ -556,27 +447,8 @@ Scenario churn_storm(bool quick) {
   AdversarySpec a;
   a.kind = AdversarySpec::Kind::kChurnStorm;
   a.rate = 12000 * f;
-  a.request_before_close = true;
   a.start_at = 200 * sim::kMillisecond;
   sc.adversaries.push_back(a);
-  return sc;
-}
-
-Scenario fleet_crash(bool quick) {
-  Scenario sc;
-  sc.name = "fleet_crash";
-  sc.seed = 7;
-  sc.fleet_hosts = quick ? 3 : 4;
-  sc.fleet_clients = 2;
-  sc.fleet_replicas_per_host = 2;
-  sc.fleet_conns = quick ? 4000 : 20000;
-  sc.fleet_ports = 8;
-  sc.warmup = 250 * sim::kMillisecond;
-  sc.measure = quick ? 500 * sim::kMillisecond : 900 * sim::kMillisecond;
-  // Kill one backend mid-window: the prober evicts it, its flows die, every
-  // other backend keeps serving.
-  sc.fleet_crash_host = 0;
-  sc.fleet_crash_at = sc.warmup + 150 * sim::kMillisecond;
   return sc;
 }
 
@@ -596,8 +468,6 @@ const std::vector<NamedScenario>& builtin_scenarios() {
       {"slowloris", "slow-header connection hoarding", slowloris},
       {"churn_storm", "open/close churn against steering + filters",
        churn_storm},
-      {"fleet_crash", "multi-host cluster: mid-run backend crash behind "
-       "the maglev tier", fleet_crash},
   };
   return kScenarios;
 }

@@ -33,11 +33,12 @@ struct TenantSpec {
 };
 
 struct AdversarySpec {
+  /// kChurnStorm runs on the client engine: an OpenLoopClient opening
+  /// Poisson sessions of one request each.
   enum class Kind { kSynFlood, kSlowloris, kChurnStorm };
   Kind kind{Kind::kSynFlood};
-  double rate{50'000.0};         ///< SYNs/s or conns/s
+  double rate{50'000.0};         ///< SYNs/s or churn sessions/s
   std::size_t connections{128};  ///< slowloris holds this many
-  bool request_before_close{true};
   /// Start relative to scenario start; the adversary runs to the end and
   /// aims at the first tenant's port.
   sim::SimTime start_at{100 * sim::kMillisecond};
@@ -68,19 +69,6 @@ struct Scenario {
   int spare_replica_slots{2};
   std::vector<TenantSpec> tenants;
   std::vector<AdversarySpec> adversaries;
-
-  // --- fleet topology (fleet_hosts > 0 switches run_scenario() from the
-  // --- two-machine testbed to a multi-host cluster behind the maglev
-  // --- steering tier; tenants/adversaries above are then unused) ----------
-  int fleet_hosts{0};      ///< backend hosts in the steering table
-  int fleet_clients{2};    ///< client machines
-  int fleet_replicas_per_host{2};
-  std::uint64_t fleet_conns{20'000};  ///< total connections, fleet-wide
-  int fleet_ports{8};                 ///< VIP ports served by every backend
-  /// Power this backend off mid-run (-1 = no crash). The tier's health
-  /// prober detects and evicts it; only its connections are lost.
-  int fleet_crash_host{-1};
-  sim::SimTime fleet_crash_at{0};  ///< relative to scenario start
 };
 
 struct TenantResult {
@@ -113,7 +101,7 @@ struct ScenarioResult {
   std::uint64_t scale_downs{0};
   std::uint64_t lazy_terminations{0};
   std::uint64_t syns_sent{0};
-  std::uint64_t churn_conns{0};
+  std::uint64_t churn_conns{0};  ///< sessions the churn clients started
   std::uint64_t slowloris_held{0};
   /// Times the server shed a slowloris holder (the adversary reopens, so the
   /// standing population stays at target — sheds measure bounded lifetime).
@@ -130,16 +118,6 @@ struct ScenarioResult {
   /// Connections the web servers closed for overstaying a header deadline.
   std::uint64_t http_deadline_closes{0};
   std::uint64_t migrations{0};
-
-  // --- fleet results (fleet_hosts > 0 runs only) --------------------------
-  std::size_t fleet_hosts_up_end{0};  ///< backends in the table at the end
-  std::uint64_t fleet_established{0};
-  std::uint64_t fleet_responses{0};
-  std::uint64_t fleet_lost_conns{0};  ///< client fds closed by reset/failure
-  std::uint64_t fleet_requests_served{0};  ///< summed over backend hubs
-  std::uint64_t fleet_backends_declared_down{0};
-  double fleet_rtt_p50_ms{0.0};  ///< merged across client-host hubs
-  double fleet_rtt_p99_ms{0.0};
 };
 
 ScenarioResult run_scenario(const Scenario& sc);

@@ -16,7 +16,6 @@
 #include "fleet/fleet_autoscaler.hpp"
 #include "fleet/maglev.hpp"
 #include "fleet/obs_merge.hpp"
-#include "wl/scenario.hpp"
 
 namespace neat::fleet {
 namespace {
@@ -247,6 +246,15 @@ TEST(FleetCluster, ClientsReachTheVipAndFlowsPinToBackends) {
     EXPECT_TRUE(id == 0 || id == 1) << id;
     EXPECT_GT(n, 0u);
   }
+
+  // RTTs record only after mark(); the fleet view merges the client hubs.
+  rig.clients[0]->mark();
+  rig.fleet.sim.run_for(100 * sim::kMillisecond);
+  std::vector<const obs::Hub*> client_hubs;
+  for (std::size_t j = 0; j < rig.fleet.client_count(); ++j) {
+    client_hubs.push_back(rig.fleet.client(j).hub.get());
+  }
+  EXPECT_GT(merged_histogram(client_hubs, "fleet.rtt_ns").quantile(0.99), 0u);
 }
 
 TEST(FleetCluster, PerHostHubsKeepMetricsSeparable) {
@@ -491,29 +499,6 @@ TEST(FleetAutoScalerTest, PerHostLoopsPublishToTheirOwnHub) {
     EXPECT_FALSE(std::string_view(name).starts_with("autoscaler."))
         << name << " leaked onto the simulator-global hub";
   }
-}
-
-// ---------------------------------------------------------------------------
-// Fleet scenario plumbing
-// ---------------------------------------------------------------------------
-
-TEST(FleetScenario, RunScenarioDispatchesToTheFleetBranch) {
-  wl::Scenario sc;
-  sc.name = "fleet_test";
-  sc.seed = 5;
-  sc.fleet_hosts = 2;
-  sc.fleet_clients = 1;
-  sc.fleet_conns = 200;
-  sc.fleet_ports = 4;
-  sc.warmup = 100 * sim::kMillisecond;
-  sc.measure = 200 * sim::kMillisecond;
-  const wl::ScenarioResult res = wl::run_scenario(sc);
-  EXPECT_EQ(res.fleet_hosts_up_end, 2u);
-  EXPECT_GT(res.fleet_established, 0u);
-  EXPECT_GT(res.fleet_responses, 0u);
-  EXPECT_EQ(res.fleet_lost_conns, 0u);
-  EXPECT_EQ(res.fleet_requests_served, res.fleet_responses);
-  EXPECT_GT(res.fleet_rtt_p99_ms, 0.0);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include "harness/testbed.hpp"
 #include "socklib/socklib.hpp"
-#include "wl/adversary.hpp"
 #include "wl/arrival.hpp"
 #include "wl/scenario.hpp"
 #include "wl/session.hpp"
@@ -23,7 +22,6 @@ using harness::build_neat_server;
 using harness::ClientOptions;
 using harness::ClientRig;
 using harness::kBasePort;
-using harness::kClientIp;
 using harness::kServerIp;
 using harness::NeatServerOptions;
 using harness::prepopulate_arp;
@@ -184,6 +182,26 @@ TEST(ScenarioRun, IdenticalSeedsReproduceIdenticalRuns) {
   const ScenarioResult c = run_scenario(other);
   EXPECT_NE(a.tenants[0].requests, c.tenants[0].requests)
       << "different seed should perturb the run";
+}
+
+TEST(ScenarioRun, ChurnAdversaryRunsOnTheClientEngine) {
+  // The builtin churn_storm, shortened, with the churn starting early
+  // enough that its closed flows outlive the FIN-retirement linger.
+  Scenario sc;
+  for (const auto& s : builtin_scenarios()) {
+    if (s.name == "churn_storm") sc = s.make(/*quick=*/true);
+  }
+  ASSERT_EQ(sc.name, "churn_storm");
+  ASSERT_EQ(sc.adversaries.size(), 1u);
+  sc.warmup = 100 * sim::kMillisecond;
+  sc.measure = 200 * sim::kMillisecond;
+  sc.adversaries[0].start_at = 50 * sim::kMillisecond;
+  const ScenarioResult r = run_scenario(sc);
+  EXPECT_GT(r.churn_conns, 0u);
+  EXPECT_GT(r.server_filters_retired, 0u);
+  ASSERT_EQ(r.tenants.size(), 1u);
+  EXPECT_GT(r.tenants[0].requests, 0u) << "the tenant went unserved";
+  EXPECT_GT(r.tenants[0].sessions_completed, 0u);
 }
 
 TEST(ScenarioRun, TenantHistogramsLandInTheHub) {
@@ -365,59 +383,45 @@ TEST(ChurnSoak, ThousandsOfOpenCloseCyclesLeakNoSocketsOrFilters) {
   so.tracking_filters = true;
   ServerRig server = build_neat_server(tb, so);
 
-  struct ClientSide {
-    TestbedDependent token;
-    std::unique_ptr<NeatHost> host;
-    std::unique_ptr<ChurnStorm> storm;
-  } cs;
-  cs.token = tb.depend();
-  NeatHost::Config hc;
-  // 6000 conns through a 16k ephemeral pool: TIME_WAIT reuse is load-
-  // bearing here, exactly like the stock client rig (tcp_tw_reuse).
-  hc.tcp.time_wait = 50 * sim::kMillisecond;
-  cs.host = std::make_unique<NeatHost>(tb.sim, tb.client_machine,
-                                       tb.client_nic, hc);
-  cs.host->os_process().pin(tb.client_machine.thread(0));
-  cs.host->syscall().pin(tb.client_machine.thread(1));
-  cs.host->driver().pin(tb.client_machine.thread(2));
-  cs.host->add_replica({&tb.client_machine.thread(3)});
-  cs.host->add_replica({&tb.client_machine.thread(4)});
+  // 6000 conns through a 16k ephemeral pool: the client rig's TIME_WAIT
+  // reuse (tcp_tw_reuse) is load-bearing here.
+  ClientOptions co;
+  co.stack_replicas = 2;
+  co.generators = 0;
+  ClientRig client = build_client(tb, co, 1);
+  prepopulate_arp(server, client);
 
-  ChurnStorm::Config cc;
-  cc.server = net::SockAddr{kServerIp, kBasePort};
-  cc.rate = 20000.0;
-  cc.request_before_close = true;
-  cs.storm = std::make_unique<ChurnStorm>(tb.sim, "churn", cc);
-  cs.storm->pin(tb.client_machine.thread(5));
-  cs.storm->attach_api(
-      std::make_unique<socklib::SockLib>(*cs.storm, *cs.host));
+  // One request per session, sessions as fast as the Poisson rate: the
+  // abuse is the connection lifecycle itself. Declared after the rig, so
+  // it dies before the host.
+  OpenLoopClient::Config oc;
+  oc.tenant = "churn";
+  oc.server = net::SockAddr{kServerIp, kBasePort};
+  oc.arrival = ArrivalModel::poisson(20000.0);
+  oc.max_in_flight = 2048;
+  auto churn = std::make_unique<OpenLoopClient>(tb.sim, "churn", oc);
+  churn->pin(tb.client_machine.thread(3 + co.stack_replicas));
+  auto lib = std::make_unique<socklib::SockLib>(*churn, *client.host);
+  const socklib::SockLib& sockets = *lib;
+  churn->attach_api(std::move(lib));
 
-  for (std::size_t i = 0; i < server.neat->replica_count(); ++i) {
-    server.neat->replica(i).ip_layer_ref().arp().insert(
-        kClientIp, net::MacAddr::local(2));
-  }
-  for (std::size_t i = 0; i < cs.host->replica_count(); ++i) {
-    cs.host->replica(i).ip_layer_ref().arp().insert(kServerIp,
-                                                    net::MacAddr::local(1));
-  }
-
-  cs.storm->start();
+  churn->start();
   tb.sim.run_for(300 * sim::kMillisecond);
-  cs.storm->stop();
-  EXPECT_GT(cs.storm->stats().opened, 3000u) << "storm too feeble to soak";
+  churn->stop();
+  EXPECT_GT(churn->report().sessions_started, 3000u)
+      << "churn too feeble to soak";
 
   // Drain: in-flight closes, TIME_WAIT (500ms server side), and the NIC
   // FIN-retirement linger (1s) must all run out, leaving *nothing*.
   tb.sim.run_for(1800 * sim::kMillisecond);
-  EXPECT_EQ(cs.storm->in_flight(), 0u);
-  auto& lib = static_cast<socklib::SockLib&>(cs.storm->api());
-  EXPECT_EQ(lib.open_sockets(), 0u) << "leaked client sockets";
+  EXPECT_EQ(churn->in_flight_sessions(), 0u);
+  EXPECT_EQ(sockets.open_sockets(), 0u) << "leaked client sockets";
   for (std::size_t i = 0; i < server.neat->replica_count(); ++i) {
     EXPECT_EQ(server.neat->replica(i).tcp().active_connection_count(), 0u)
         << "server replica " << i << " leaked connections";
   }
-  for (std::size_t i = 0; i < cs.host->replica_count(); ++i) {
-    EXPECT_EQ(cs.host->replica(i).tcp().active_connection_count(), 0u)
+  for (std::size_t i = 0; i < client.host->replica_count(); ++i) {
+    EXPECT_EQ(client.host->replica(i).tcp().active_connection_count(), 0u)
         << "client replica " << i << " leaked connections";
   }
   EXPECT_EQ(tb.server_nic.flow_filter_count(), 0u)
