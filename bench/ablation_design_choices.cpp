@@ -34,6 +34,7 @@ void ablation_wake(JsonWriter& json, std::string trace) {
     cfg.client_machine.wake_fast_latency = p.fast;
     cfg.client_machine.wake_kernel_latency = p.kern;
     Testbed tb(cfg);
+    enable_trace(tb.sim, trace);
     NeatServerOptions so;
     so.replicas = 1;
     so.webs = 1;

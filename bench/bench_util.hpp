@@ -5,18 +5,23 @@
 // evidence of how well the shape reproduces.
 #pragma once
 
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "harness/testbed.hpp"
@@ -41,8 +46,16 @@ inline std::string trace_out_arg(int argc, char** argv) {
   return {};
 }
 
+/// Start recording the simulator's flow trace when `path` names an output
+/// file. Tracing is off by default, so call this before the run, right
+/// after the simulator is built. No-op on empty path.
+inline void enable_trace(sim::Simulator& sim, const std::string& path) {
+  if (!path.empty()) sim.tracer().set_enabled(true);
+}
+
 /// Write the simulator's flow trace to `path` (chrome://tracing JSON,
-/// loadable in chrome://tracing or ui.perfetto.dev). No-op on empty path.
+/// loadable in chrome://tracing or ui.perfetto.dev), as recorded since
+/// enable_trace(). No-op on empty path.
 inline bool write_trace(sim::Simulator& sim, const std::string& path) {
   if (path.empty()) return false;
   std::ofstream f(path);
@@ -83,6 +96,7 @@ inline ClientRig::Aggregate run_neat(const NeatRun& r) {
   cfg.seed = r.seed;
   cfg.server_machine = r.machine;
   Testbed tb(cfg);
+  enable_trace(tb.sim, r.trace_out);
   NeatServerOptions so;
   so.multi_component = r.multi;
   so.replicas = r.replicas;
@@ -124,6 +138,7 @@ inline ClientRig::Aggregate run_linux(const LinuxRun& r) {
   cfg.seed = r.seed;
   cfg.server_machine = r.machine;
   Testbed tb(cfg);
+  enable_trace(tb.sim, r.trace_out);
   LinuxServerOptions so;
   so.tuning = r.tuning;
   so.webs = r.webs;
@@ -376,6 +391,127 @@ inline std::uint64_t current_rss_bytes() {
   if (!(statm >> size_pages >> resident_pages)) return 0;
   return resident_pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
 }
+
+/// Host-speed reference for host-throughput gates on a shared machine.
+///
+/// A fixed CPU probe that shares no code with src/, so no change to the
+/// simulator can speed it up: a timer heap, hash lookups over a ~1-MB
+/// table, and a 1514-B frame copy with a byte sum. Timed right after each
+/// simulated millisecond, it says how fast this machine ran at that
+/// moment: a neighbour that takes the core, the caches or the clock speed
+/// slows the probe and the slice alike. run() scales each slice's CPU time
+/// to the speed at which one probe unit takes kReferenceSeconds.
+///
+/// Over 18 fig9 repetitions with and without self-made interference (a
+/// CPU hog on the same core, memory walkers on the others), raw pkts per
+/// wall-second spanned 2.6x and the calibrated rate 9%. Blending in a
+/// memory-bound probe (dependent loads around 8 MiB) narrowed that to 6%
+/// at a quarter weight and widened it at higher weights: not worth 8 MiB.
+class HostCalibration {
+ public:
+  /// Probe-unit time on a quiet reference host (4-core VM, RelWithDebInfo).
+  static constexpr double kReferenceSeconds = 2.5e-4;
+
+  HostCalibration() : frame_in_(1514), frame_out_(1514) {
+    for (std::size_t i = 0; i < frame_in_.size(); ++i) {
+      frame_in_[i] = static_cast<std::uint8_t>(i * 7);
+    }
+    for (std::uint32_t i = 0; i < kKeys; ++i) keys_.emplace(scramble(i), i);
+    timers_.reserve(kTimers);
+    for (std::uint32_t i = 0; i < kTimers; ++i) {
+      timers_.push_back(scramble(i) & 0xffff);
+    }
+    std::make_heap(timers_.begin(), timers_.end(), std::greater<>());
+  }
+
+  HostCalibration(const HostCalibration&) = delete;
+  HostCalibration& operator=(const HostCalibration&) = delete;
+
+  /// Host time a stretch of simulation took: wall and thread-CPU seconds,
+  /// and the CPU seconds scaled to reference speed.
+  struct HostTime {
+    double wall{0.0};
+    double cpu{0.0};
+    double calibrated{0.0};
+  };
+
+  /// Advance `sim` by `span` as one run_until() would, timed in slices of
+  /// one simulated millisecond with one probe unit after each. The slices
+  /// are EventQueue::run_slice() pieces, so the simulation, and every
+  /// engine count, is what run_until() gives. The probes are not in the
+  /// returned times.
+  HostTime run(sim::Simulator& sim, sim::SimTime span) {
+    using Clock = std::chrono::steady_clock;
+    HostTime t;
+    const sim::SimTime horizon = sim.now() + span;
+    for (sim::SimTime at = sim.now(); at < horizon;) {
+      at = std::min(at + sim::kMillisecond, horizon);
+      const auto w0 = Clock::now();
+      const double c0 = thread_cpu_seconds();
+      sim.queue().run_slice(at, horizon);
+      const double cpu = thread_cpu_seconds() - c0;
+      t.wall += std::chrono::duration<double>(Clock::now() - w0).count();
+      t.cpu += cpu;
+      t.calibrated += cpu * kReferenceSeconds / unit_seconds();
+    }
+    return t;
+  }
+
+  /// CPU seconds of one probe unit now.
+  double unit_seconds() {
+    const double t0 = thread_cpu_seconds();
+    for (int k = 0; k < kRounds; ++k) {
+      const std::uint64_t r = next();
+      std::pop_heap(timers_.begin(), timers_.end(), std::greater<>());
+      timers_.back() += 1 + (r & 511);
+      std::push_heap(timers_.begin(), timers_.end(), std::greater<>());
+      sink_ += keys_.find(scramble(r % kKeys))->second;
+      if (k % 8 == 0) {
+        std::memcpy(frame_out_.data(), frame_in_.data(), frame_out_.size());
+        for (std::size_t j = 0; j < frame_out_.size(); j += 32) {
+          sink_ += frame_out_[j];
+        }
+        frame_in_[r % frame_in_.size()] ^= 1;
+      }
+    }
+    asm volatile("" : : "g"(sink_) : "memory");  // keep the probe's work
+    return thread_cpu_seconds() - t0;
+  }
+
+ private:
+  static constexpr std::uint32_t kKeys = 1u << 15;
+  static constexpr std::uint32_t kTimers = 4096;
+  static constexpr int kRounds = 800;
+
+  /// Host seconds of CPU this thread has used: unlike a wall clock it
+  /// does not count time the thread spent descheduled.
+  static double thread_cpu_seconds() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+  }
+
+  static std::uint64_t scramble(std::uint64_t x) {
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    return x ^ (x >> 29);
+  }
+
+  std::uint64_t next() {  // xorshift64*
+    state_ ^= state_ >> 12;
+    state_ ^= state_ << 25;
+    state_ ^= state_ >> 27;
+    return state_ * 0x2545f4914f6cdd1dULL;
+  }
+
+  std::unordered_map<std::uint64_t, std::uint32_t> keys_;
+  std::vector<std::uint64_t> timers_;
+  std::vector<std::uint8_t> frame_in_;
+  std::vector<std::uint8_t> frame_out_;
+  std::uint64_t state_{0x9e3779b97f4a7c15ULL};
+  std::uint64_t sink_{0};
+};
 
 inline void header(const char* title) {
   std::printf("\n================================================================\n");

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   cfg.link.impairment.reorder_probability = 0.02;
   cfg.link.impairment.reorder_window = 100 * sim::kMicrosecond;
   Testbed tb(cfg);
+  enable_trace(tb.sim, trace);
 
   NeatServerOptions so;
   so.multi_component = false;

@@ -11,10 +11,14 @@
 // stream buffering (ByteRing), and event scheduling (EventQueue).
 //
 // The committed BENCH_ext_perf.json is the perf trajectory every later
-// change is judged against: a full run gates itself on it (host throughput,
-// peak RSS, simulated krps) and exits non-zero on a breach. The `baseline_*`
-// keys record the pre-fast-path measurement (same host class) so the
-// speedup is auditable from the JSON alone.
+// change is judged against: a full run gates itself on it (calibrated host
+// throughput, peak RSS, simulated krps) and exits non-zero on a breach. The
+// raw wall-clock rate swings by 2x on a shared host, so the throughput gate
+// reads the calibrated rate instead (bench::HostCalibration): CPU time per
+// simulated millisecond, scaled by a fixed probe timed after it. The
+// `baseline_*` keys
+// record the pre-fast-path measurement (same host class) so the speedup is
+// auditable from the JSON alone.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -145,6 +149,10 @@ struct Fig9Run {
   double wall{0.0};
   double pkts{0.0};
   double pkts_per_host_sec{0.0};
+  /// Packets per CPU-second at reference speed (HostCalibration), and how
+  /// much slower than reference this pass ran (CPU / calibrated seconds).
+  double calib_pkts_per_host_sec{0.0};
+  double calib_slowdown{0.0};
   double events_per_host_sec{0.0};
   double mallocs_per_pkt{0.0};
   double reuse_frac{0.0};
@@ -165,7 +173,8 @@ struct Fig9Run {
   std::uint64_t events_executed{0};
 };
 
-Fig9Run run_fig9_once(sim::SimTime warmup, sim::SimTime measure) {
+Fig9Run run_fig9_once(sim::SimTime warmup, sim::SimTime measure,
+                      HostCalibration& calib) {
   Testbed::Config cfg;
   cfg.seed = 12345;
   cfg.server_machine = sim::intel_xeon_e5520();
@@ -190,15 +199,21 @@ Fig9Run run_fig9_once(sim::SimTime warmup, sim::SimTime measure) {
   ClientRig client = build_client(tb, co, 8);
   prepopulate_arp(server, client);
 
+  // run_window(), timed in calibrated slices (the simulation is the same).
   Fig9Run r;
-  const auto t0 = Clock::now();
-  r.res = run_window(tb, client, warmup, measure);
-  r.wall = secs_since(t0);
+  const HostCalibration::HostTime warm = calib.run(tb.sim, warmup);
+  client.mark();
+  const HostCalibration::HostTime meas = calib.run(tb.sim, measure);
+  r.res = client.aggregate(measure);
+  r.wall = warm.wall + meas.wall;
 
   const auto& nic = tb.server_nic.stats();
   r.pkts =
       static_cast<double>(nic.rx_frames) + static_cast<double>(nic.tx_frames);
   r.pkts_per_host_sec = r.pkts / r.wall;
+  r.calib_pkts_per_host_sec = r.pkts / (warm.calibrated + meas.calibrated);
+  r.calib_slowdown =
+      (warm.cpu + meas.cpu) / (warm.calibrated + meas.calibrated);
   r.events_per_host_sec =
       static_cast<double>(tb.sim.queue().executed()) / r.wall;
   r.events_fused = tb.sim.queue().fused();
@@ -236,12 +251,21 @@ void macro_fig9(JsonWriter& json, Gates& gates, sim::SimTime warmup,
   // configuration `reps` times and report the best pass (standard practice
   // for wall-clock benches — the minimum-interference run is the one that
   // reflects the code). Simulated quantities are identical across reps.
+  // The calibrated rate is the best over reps too, whichever rep it is.
+  HostCalibration calib;
   Fig9Run best;
+  Fig9Run best_calib;
   for (int i = 0; i < reps; ++i) {
-    Fig9Run r = run_fig9_once(warmup, measure);
-    std::printf("  rep %d/%d: %.0f pkts/host-sec (wall %.2f s)\n", i + 1,
-                reps, r.pkts_per_host_sec, r.wall);
+    Fig9Run r = run_fig9_once(warmup, measure, calib);
+    std::printf(
+        "  rep %d/%d: %.0f pkts/host-sec (wall %.2f s), calibrated %.0f "
+        "(slowdown %.2f)\n",
+        i + 1, reps, r.pkts_per_host_sec, r.wall, r.calib_pkts_per_host_sec,
+        r.calib_slowdown);
     if (r.pkts_per_host_sec > best.pkts_per_host_sec) best = r;
+    if (r.calib_pkts_per_host_sec > best_calib.calib_pkts_per_host_sec) {
+      best_calib = r;
+    }
   }
   const Fig9Run& r = best;
   // Process-wide peak resident set (Linux reports KiB). The fig9 passes
@@ -258,6 +282,8 @@ void macro_fig9(JsonWriter& json, Gates& gates, sim::SimTime warmup,
   std::printf("  wall                 %12.2f s\n", r.wall);
   std::printf("  sim packets          %12.0f\n", r.pkts);
   std::printf("  pkts / host-sec      %12.0f\n", r.pkts_per_host_sec);
+  std::printf("  calibrated           %12.0f (slowdown %.2f)\n",
+              best_calib.calib_pkts_per_host_sec, best_calib.calib_slowdown);
   std::printf("  events / host-sec    %12.0f\n", r.events_per_host_sec);
   std::printf("  peak RSS             %12.1f MB\n", peak_rss_mb);
   std::printf("  nic rx batches       %12llu jobs (mean %.2f frames/job)\n",
@@ -289,6 +315,8 @@ void macro_fig9(JsonWriter& json, Gates& gates, sim::SimTime warmup,
   json.add("fig9_wall_sec", r.wall);
   json.add("fig9_sim_packets", r.pkts);
   json.add("fig9_pkts_per_host_sec", r.pkts_per_host_sec);
+  json.add("fig9_calib_pkts_per_host_sec", best_calib.calib_pkts_per_host_sec);
+  json.add("fig9_calib_slowdown", best_calib.calib_slowdown);
   json.add("fig9_events_per_host_sec", r.events_per_host_sec);
   json.add("fig9_peak_rss_mb", peak_rss_mb);
   json.add("fig9_buffer_mallocs_per_packet", r.mallocs_per_pkt);
@@ -330,13 +358,11 @@ void macro_fig9(JsonWriter& json, Gates& gates, sim::SimTime warmup,
               1.20 * kBaselineFig9P99Ms);
   gates.check("fig9_nic_rx_batch_mean", r.nic_batch_mean, ">=", 1.5);
   if (quick) return;  // the committed values are full-length runs
-  // Host throughput: <10% below the committed run, and above a floor that
-  // ignores committed drift (the flat-overhead change measured 217k-224k
-  // on this host class; 180k still catches a return to the earlier 174k).
-  gates.check("fig9_pkts_per_host_sec", r.pkts_per_host_sec, ">=",
-              committed("ext_perf", "fig9_pkts_per_host_sec").scaled(0.90));
-  gates.check("fig9_pkts_per_host_sec_floor", r.pkts_per_host_sec, ">=",
-              180000);
+  // Host throughput: <10% below the committed run, on the calibrated rate
+  // (the raw fig9_pkts_per_host_sec is reported, not gated).
+  gates.check(
+      "fig9_calib_pkts_per_host_sec", best_calib.calib_pkts_per_host_sec,
+      ">=", committed("ext_perf", "fig9_calib_pkts_per_host_sec").scaled(0.90));
   // krps is seed-deterministic: a drift over 5% of the committed value
   // means the data path changed behavior, not just speed.
   const Operand krps = committed("ext_perf", "fig9_krps");

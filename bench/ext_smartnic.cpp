@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
     Testbed::Config cfg;
     cfg.seed = 3030;
     Testbed tb(cfg);
+    enable_trace(tb.sim, trace);
     NeatServerOptions so;
     so.replicas = 3;
     so.webs = row.webs;

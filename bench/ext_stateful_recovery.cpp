@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
     Testbed::Config cfg;
     cfg.seed = 2121;
     Testbed tb(cfg);
+    enable_trace(tb.sim, trace);
     NeatServerOptions so;
     so.replicas = 1;  // saturate the one replica: overhead is visible
     so.webs = 4;

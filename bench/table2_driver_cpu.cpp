@@ -44,6 +44,7 @@ int main(int argc, char** argv) {
     cfg.seed = 777;
     cfg.server_machine = sim::intel_xeon_e5520();
     Testbed tb(cfg);
+    enable_trace(tb.sim, trace);
     NeatServerOptions so;
     so.replicas = 3;
     so.webs = 6;

@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
     Testbed::Config cfg;
     cfg.seed = 9000 + static_cast<std::uint64_t>(run);
     Testbed tb(cfg);
+    enable_trace(tb.sim, trace);
     NeatServerOptions so;
     so.multi_component = true;
     so.replicas = 2;

@@ -16,7 +16,9 @@
 # prints its GATE lines, writes them to BENCH_<name>.json as `gates` and
 # `gates_passed`, and exits non-zero when one fails. This script only runs
 # them: ext_defense --quick, ext_workloads --quick and ext_fleet --quick
-# always (on the tier-1 build, so --skip-sanitize keeps them), and with --perf
+# always (on the tier-1 build, so --skip-sanitize keeps them; the last one
+# with --trace-out, and the script checks that the trace holds events), and
+# with --perf
 # the full ext_perf and ext_fleet, whose full runs gate host throughput,
 # krps drift, peak RSS and fleet_bytes_per_conn against the committed
 # BENCH_ext_perf.json / BENCH_ext_fleet.json (a value missing there fails).
@@ -125,8 +127,14 @@ echo "== defense gate: ext_defense --quick =="
 echo "== workload gate: ext_workloads --quick (flash crowd scales up, then lazily terminates) =="
 (cd build/bench && ./ext_workloads --quick)
 
-echo "== fleet gate: ext_fleet --quick (crash isolation within 5%) =="
-(cd build/bench && ./ext_fleet --quick)
+echo "== fleet gate: ext_fleet --quick (crash isolation within 5%), traced =="
+rm -f build/bench/ext_fleet_trace.json
+(cd build/bench && ./ext_fleet --quick --trace-out=ext_fleet_trace.json)
+# Tracing is opt-in (off unless a consumer enables it): --trace-out must
+# switch it on, and the one export must hold every fleet host's events.
+grep -q '"traceEvents":\[{' build/bench/ext_fleet_trace.json &&
+  grep -q '"name":"handshake_done"' build/bench/ext_fleet_trace.json ||
+  { echo "ext_fleet --trace-out: trace missing, empty or without handshakes" >&2; exit 1; }
 
 if [[ "$RUN_PERF" == 1 ]]; then
   echo "== perf gates: full ext_perf vs committed BENCH_ext_perf.json =="

@@ -124,8 +124,10 @@ void HttpServer::serve_next(Fd fd) {
              req_latency_ = &sim().metrics().histogram("http.request_latency_ns");
            }
            req_latency_->record(lat);
-           sim().tracer().emit(
-               {arrived_at, lat ? lat : 1, "http", "request_served", 0, fd, ""});
+           if (sim().tracer().enabled()) {
+             sim().tracer().emit({arrived_at, lat ? lat : 1, "http",
+                                  "request_served", 0, fd, ""});
+           }
          } else {
            serialize_response(c.out, 404, {});
            ++stats_.not_found;

@@ -64,6 +64,7 @@ std::unique_ptr<FleetHost> FleetCluster::build_host(int id, bool is_client) {
   h->id = id;
   h->is_client = is_client;
   h->hub = std::make_unique<obs::Hub>();
+  h->hub->tracer = &sim.tracer();  // one trace per simulation
 
   const int replicas =
       is_client ? cfg.replicas_per_client : cfg.replicas_per_backend;
@@ -195,9 +196,11 @@ void FleetCluster::drain_host(std::size_t from, std::size_t to,
   tier_->remove_backend(st->src->id);
   tier_->repoint_flows(pinned, st->src->id);
 
-  sim.tracer().emit({sim.now(), 0, "fleet", "drain_begin", 0, st->src->id,
-                     "\"flows\":" + std::to_string(all.size()) +
-                         ",\"to\":" + std::to_string(st->dst->id)});
+  if (sim.tracer().enabled()) {
+    sim.tracer().emit({sim.now(), 0, "fleet", "drain_begin", 0, st->src->id,
+                       "\"flows\":" + std::to_string(all.size()) +
+                           ",\"to\":" + std::to_string(st->dst->id)});
+  }
 
   // 2. Let frames already past the tier settle into the still-live source
   //    stack, then 3. freeze + extract each source replica in its own TCP
@@ -304,9 +307,11 @@ void FleetCluster::maybe_finish_drain(const std::shared_ptr<DrainState>& st) {
   const sim::SimTime blackout = sim.now() - st->t0;
   sim.obs().metrics.histogram("fleet.drain_blackout_ns")
       .record(static_cast<std::uint64_t>(blackout));
-  sim.tracer().emit({sim.now(), 0, "fleet", "drain_done", 0, st->src->id,
-                     "\"moved\":" + std::to_string(st->moved_count) +
-                         ",\"blackout_ns\":" + std::to_string(blackout)});
+  if (sim.tracer().enabled()) {
+    sim.tracer().emit({sim.now(), 0, "fleet", "drain_done", 0, st->src->id,
+                       "\"moved\":" + std::to_string(st->moved_count) +
+                           ",\"blackout_ns\":" + std::to_string(blackout)});
+  }
   if (st->on_done) st->on_done(st->moved_count);
 }
 

@@ -13,7 +13,8 @@
 // The cluster owns the simulator, the tier, N backend hosts (all serving
 // the VIP), optional standby hosts (wired but not in the table), and M
 // client hosts. Every host gets its own obs::Hub so per-host metrics stay
-// separable; fleet/obs_merge.hpp folds them into fleet percentiles.
+// separable; fleet/obs_merge.hpp folds them into fleet percentiles. Trace
+// events from every host go to the simulator's one tracer.
 #pragma once
 
 #include <cassert>

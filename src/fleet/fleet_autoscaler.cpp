@@ -41,7 +41,9 @@ bool FleetAutoScaler::grow() {
     }
     fleet_.activate_backend(i);
     sim::Simulator& sim = fleet_.simulator();
-    sim.tracer().emit({sim.now(), 0, "fleet", "host_scale_up", 0, b.id, ""});
+    if (sim.tracer().enabled()) {
+      sim.tracer().emit({sim.now(), 0, "fleet", "host_scale_up", 0, b.id, ""});
+    }
     return true;
   }
   return false;
@@ -56,10 +58,12 @@ bool FleetAutoScaler::shrink(std::size_t coldest,
     if (i != coldest && util[i] < util[into]) into = i;
   }
   sim::Simulator& sim = fleet_.simulator();
-  sim.tracer().emit({sim.now(), 0, "fleet", "host_scale_down", 0,
-                     fleet_.backend(active_[coldest]).id,
-                     "\"into\":" + std::to_string(
-                                      fleet_.backend(active_[into]).id)});
+  if (sim.tracer().enabled()) {
+    sim.tracer().emit({sim.now(), 0, "fleet", "host_scale_down", 0,
+                       fleet_.backend(active_[coldest]).id,
+                       "\"into\":" + std::to_string(
+                                        fleet_.backend(active_[into]).id)});
+  }
   fleet_.drain_host(active_[coldest], active_[into],
                     [done = std::move(done)](std::size_t) mutable { done(); });
   return true;

@@ -111,8 +111,11 @@ void SteeringTier::add_backend(int id) {
   assert(backend_ports_.contains(id) && "link the backend's port first");
   table_.add_backend(id);
   probes_.emplace(id, ProbeState{});
-  sim_.tracer().emit({sim_.now(), 0, "fleet", "backend_add", 0, id,
-                      "\"backends\":" + std::to_string(table_.backend_count())});
+  if (sim_.tracer().enabled()) {
+    sim_.tracer().emit(
+        {sim_.now(), 0, "fleet", "backend_add", 0, id,
+         "\"backends\":" + std::to_string(table_.backend_count())});
+  }
 }
 
 void SteeringTier::remove_backend(int id) {
@@ -124,8 +127,10 @@ void SteeringTier::remove_backend(int id) {
   const std::size_t purged =
       flows_.erase_if([id](const auto& kv) { return kv.second == id; });
   stats_.flows_removed += purged;
-  sim_.tracer().emit({sim_.now(), 0, "fleet", "backend_remove", 0, id,
-                      "\"flows_purged\":" + std::to_string(purged)});
+  if (sim_.tracer().enabled()) {
+    sim_.tracer().emit({sim_.now(), 0, "fleet", "backend_remove", 0, id,
+                        "\"flows_purged\":" + std::to_string(purged)});
+  }
 }
 
 std::optional<int> SteeringTier::tracked_backend(
@@ -347,7 +352,9 @@ void SteeringTier::probe_tick() {
     }
   }
   for (int id : down) {
-    sim_.tracer().emit({sim_.now(), 0, "fleet", "backend_down", 0, id, ""});
+    if (sim_.tracer().enabled()) {
+      sim_.tracer().emit({sim_.now(), 0, "fleet", "backend_down", 0, id, ""});
+    }
     if (on_down_) on_down_(id);  // may erase probes_[id] via remove_backend
   }
   // Send this round's probes to every backend still in the table.

@@ -86,8 +86,10 @@ StackReplica& NeatHost::add_replica(
                   [this, id] { checkpoint_tick(id); });
   }
   driver_->announce_endpoint(queue, &ref.rx_channel());
-  sim_.tracer().emit({sim_.now(), 0, "neat", "scale_up", 0, id,
-                      "\"queue\":" + std::to_string(queue)});
+  if (sim_.tracer().enabled()) {
+    sim_.tracer().emit({sim_.now(), 0, "neat", "scale_up", 0, id,
+                        "\"queue\":" + std::to_string(queue)});
+  }
   update_steering();
   // Subsocket replication: every recorded listener appears on the new
   // replica too, so it immediately shares the accept load.
@@ -200,9 +202,11 @@ void NeatHost::begin_scale_down(StackReplica& replica) {
     std::abort();
   }
   replica.terminating = true;
-  sim_.tracer().emit({sim_.now(), 0, "neat", "scale_down", 0, replica.id(),
-                      "\"conns_draining\":" + std::to_string(
-                          replica.tcp().active_connection_count())});
+  if (sim_.tracer().enabled()) {
+    sim_.tracer().emit({sim_.now(), 0, "neat", "scale_down", 0, replica.id(),
+                        "\"conns_draining\":" + std::to_string(
+                            replica.tcp().active_connection_count())});
+  }
   // (ii) new connections bypass it; existing flows keep their path thanks
   // to the NIC's per-flow tracking filters.
   update_steering();
@@ -222,8 +226,10 @@ void NeatHost::migrate_connections(StackReplica& from, StackReplica& to,
   NeatHost* self = this;
   StackReplica* src = &from;
   StackReplica* dst = &to;
-  sim_.tracer().emit({sim_.now(), 0, "neat", "migrate_begin", 0, from.id(),
-                      "\"to\":" + std::to_string(to.id())});
+  if (sim_.tracer().enabled()) {
+    sim_.tracer().emit({sim_.now(), 0, "neat", "migrate_begin", 0, from.id(),
+                        "\"to\":" + std::to_string(to.id())});
+  }
   // 1. Open the NIC capture window (driver/control context). Keys are read
   //    at the same instant the window opens so nothing slips past: every
   //    frame for a moving flow from here on is buffered, not delivered.
@@ -264,11 +270,13 @@ void NeatHost::migrate_connections(StackReplica& from, StackReplica& to,
               .histogram("neat.migration_blackout_ns")
               .record(blackout);
           self->metrics().counter("neat.migrations").inc();
-          self->sim_.tracer().emit(
-              {self->sim_.now(), 0, "neat", "migrate_done", 0, src->id(),
-               "\"to\":" + std::to_string(dst->id()) + ",\"conns\":" +
-                   std::to_string(cp->conns.size()) + ",\"blackout_ns\":" +
-                   std::to_string(blackout)});
+          if (self->sim_.tracer().enabled()) {
+            self->sim_.tracer().emit(
+                {self->sim_.now(), 0, "neat", "migrate_done", 0, src->id(),
+                 "\"to\":" + std::to_string(dst->id()) + ",\"conns\":" +
+                     std::to_string(cp->conns.size()) + ",\"blackout_ns\":" +
+                     std::to_string(blackout)});
+          }
           if (on_done) on_done(cp->conns.size());
         });
       });
@@ -336,9 +344,12 @@ void NeatHost::inject_crash(StackReplica& replica, Component component) {
   ev.tcp_state_lost = tcp_loss;
   ev.connections_lost = tcp_loss ? replica.tcp().connection_count() : 0;
   recovery_log_.push_back(ev);
-  sim_.tracer().emit({sim_.now(), 0, "neat", "crash", 0, replica.id(),
-                      "\"component\":\"" + ev.component + "\",\"conns_lost\":" +
-                          std::to_string(ev.connections_lost)});
+  if (sim_.tracer().enabled()) {
+    sim_.tracer().emit({sim_.now(), 0, "neat", "crash", 0, replica.id(),
+                        "\"component\":\"" + ev.component +
+                            "\",\"conns_lost\":" +
+                            std::to_string(ev.connections_lost)});
+  }
 
   // The crash: state vanishes silently (on_crash hooks). That is ALL this
   // does — recovery belongs to the supervisor, whose watchdog must notice
@@ -356,8 +367,10 @@ void NeatHost::inject_crash(StackReplica& replica, Component component) {
 void NeatHost::power_off() {
   if (powered_off_) return;
   powered_off_ = true;
-  sim_.tracer().emit({sim_.now(), 0, "neat", "power_off", 0, -1,
-                      "\"host\":" + std::to_string(config_.host_id)});
+  if (sim_.tracer().enabled()) {
+    sim_.tracer().emit({sim_.now(), 0, "neat", "power_off", 0, -1,
+                        "\"host\":" + std::to_string(config_.host_id)});
+  }
   // Supervision first: with the watchdogs and pending restart timers gone,
   // nothing can resurrect any of the processes we are about to kill.
   supervisor_->shutdown();
@@ -380,8 +393,10 @@ void NeatHost::inject_driver_crash() {
   ev.component = "nicdrv";
   ev.tcp_state_lost = false;
   recovery_log_.push_back(ev);
-  sim_.tracer().emit({sim_.now(), 0, "neat", "crash", 0, -1,
-                      "\"component\":\"nicdrv\""});
+  if (sim_.tracer().enabled()) {
+    sim_.tracer().emit({sim_.now(), 0, "neat", "crash", 0, -1,
+                        "\"component\":\"nicdrv\""});
+  }
   // Crash only; the supervisor's driver watchdog detects and restarts.
   driver_->crash();
 }
@@ -449,7 +464,10 @@ void NeatHost::recover_driver() {
 
 void NeatHost::quarantine_replica(StackReplica& replica) {
   if (replica.quarantined) return;
-  sim_.tracer().emit({sim_.now(), 0, "neat", "quarantine", 0, replica.id(), ""});
+  if (sim_.tracer().enabled()) {
+    sim_.tracer().emit(
+        {sim_.now(), 0, "neat", "quarantine", 0, replica.id(), ""});
+  }
   awaiting_first_service_.erase(replica.id());
   supervisor_->unwatch_replica(replica);
   replica.quarantined = true;
@@ -472,7 +490,9 @@ StackReplica* NeatHost::spawn_replacement(StackReplica& failed) {
 
 void NeatHost::collect_replica(StackReplica& replica) {
   if (replica.terminated) return;
-  sim_.tracer().emit({sim_.now(), 0, "neat", "collect", 0, replica.id(), ""});
+  if (sim_.tracer().enabled()) {
+    sim_.tracer().emit({sim_.now(), 0, "neat", "collect", 0, replica.id(), ""});
+  }
   awaiting_first_service_.erase(replica.id());
   supervisor_->unwatch_replica(replica);
   replica.terminated = true;
@@ -520,10 +540,12 @@ void NeatHost::note_first_service(StackReplica& replica) {
   metrics()
       .histogram("recovery.crash_to_first_service_ns")
       .record(ev.first_service_latency());
-  sim_.tracer().emit({sim_.now(), 0, "neat", "first_service", 0,
-                      replica.id(),
-                      "\"since_crash_ns\":" +
-                          std::to_string(ev.first_service_latency())});
+  if (sim_.tracer().enabled()) {
+    sim_.tracer().emit({sim_.now(), 0, "neat", "first_service", 0,
+                        replica.id(),
+                        "\"since_crash_ns\":" +
+                            std::to_string(ev.first_service_latency())});
+  }
 }
 
 std::vector<std::uint16_t> NeatHost::listen_ports() const {

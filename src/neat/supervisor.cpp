@@ -189,9 +189,11 @@ void Supervisor::complete_replica_restart(Watch& w, std::size_t event_idx) {
   sim::Simulator& sim = host_.simulator();
   host_.metrics().histogram("recovery.crash_to_recovered_ns")
       .record(ev.recovery_latency());
-  sim.tracer().emit({sim.now(), 0, "neat", "restart", 0, rep.id(),
-                     "\"since_crash_ns\":" +
-                         std::to_string(ev.recovery_latency())});
+  if (sim.tracer().enabled()) {
+    sim.tracer().emit({sim.now(), 0, "neat", "restart", 0, rep.id(),
+                       "\"since_crash_ns\":" +
+                           std::to_string(ev.recovery_latency())});
+  }
   // The outage isn't over until the restarted replica serves again: the
   // next accept() on it closes the crash-to-first-service window.
   host_.await_first_service(rep.id(), event_idx);
@@ -228,9 +230,11 @@ void Supervisor::complete_driver_restart(Watch& w, std::size_t event_idx) {
   sim::Simulator& sim = host_.simulator();
   host_.metrics().histogram("recovery.crash_to_recovered_ns")
       .record(ev.recovery_latency());
-  sim.tracer().emit({sim.now(), 0, "neat", "restart", 0, -1,
-                     "\"component\":\"nicdrv\",\"since_crash_ns\":" +
-                         std::to_string(ev.recovery_latency())});
+  if (sim.tracer().enabled()) {
+    sim.tracer().emit({sim.now(), 0, "neat", "restart", 0, -1,
+                       "\"component\":\"nicdrv\",\"since_crash_ns\":" +
+                           std::to_string(ev.recovery_latency())});
+  }
   arm(w);
 }
 

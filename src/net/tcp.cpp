@@ -996,7 +996,7 @@ TcpSocketPtr TcpListener::accept() {
 TcpStack::TcpStack(TcpEnv& env, Ipv4Addr local_ip, TcpConfig cfg)
     : env_(env), local_ip_(local_ip), cfg_(cfg) {
   next_ephemeral_ = static_cast<std::uint16_t>(
-      49152 + env_.random_u32() % 16000);
+      kEphemeralLo + env_.random_u32() % 16000);
   cookie_secret_ =
       static_cast<std::uint64_t>(env_.random_u32()) << 32 | env_.random_u32();
 }
@@ -1013,8 +1013,8 @@ std::uint16_t TcpStack::ephemeral_port() {
   for (int tries = 0; tries < 16384; ++tries) {
     const std::uint16_t p = next_ephemeral_;
     next_ephemeral_ =
-        next_ephemeral_ >= 65535 ? 49152 : next_ephemeral_ + 1;
-    if (port_use_[p] == 0) return p;
+        next_ephemeral_ >= 65535 ? kEphemeralLo : next_ephemeral_ + 1;
+    if (port_use_.empty() || port_use_[p - kEphemeralLo] == 0) return p;
   }
   return 0;
 }
@@ -1192,9 +1192,10 @@ void TcpStack::handshake_complete(TcpSocket& s) {
       handshake_counter_ = &hub->metrics.counter("tcp.handshakes");
     }
     handshake_counter_->inc();
-    hub->tracer.emit({env_.now(), 0, "tcp", "handshake_done", 0,
-                      s.flow().local_port,
-                      "\"port\":" + std::to_string(s.flow().local_port)});
+    if (obs::FlowTracer* t = hub->tracing()) {
+      t->emit({env_.now(), 0, "tcp", "handshake_done", 0, s.flow().local_port,
+               "\"port\":" + std::to_string(s.flow().local_port)});
+    }
   }
   auto lit = listeners_.find(s.flow().local_port);
   if (lit == listeners_.end()) {
@@ -1450,7 +1451,7 @@ void TcpStack::destroy_all_state() {
   conns_.clear();
   dirty_socks_.clear();  // pending edges die with the crash
   in_batch_ = false;
-  std::fill(port_use_.begin(), port_use_.end(), 0);
+  port_use_ = {};  // released: the restarted replica starts empty
   listeners_.clear();
   migrated_out_.clear();
   pending_handshakes_ = 0;

@@ -653,10 +653,15 @@ class TcpStack {
     // stale straggler of the OLD flow — a permanent blackhole.
     migrated_out_.erase(key);
     conns_[key] = std::move(sock);
-    ++port_use_[key.local_port];
+    if (key.local_port >= kEphemeralLo) {
+      if (port_use_.empty()) port_use_.resize(kEphemeralPorts, 0);
+      ++port_use_[key.local_port - kEphemeralLo];
+    }
   }
   void erase_conn(const FlowKey& key) {
-    if (conns_.erase(key) > 0) --port_use_[key.local_port];
+    if (conns_.erase(key) > 0 && key.local_port >= kEphemeralLo) {
+      --port_use_[key.local_port - kEphemeralLo];
+    }
   }
 
   TcpEnv& env_;
@@ -667,10 +672,15 @@ class TcpStack {
   /// any iteration whose order reaches the simulation goes through
   /// sorted_if()/sorted(), i.e. ascending FlowKey order.
   sim::FlatMap<FlowKey, TcpSocketPtr, FlowKeyHash> conns_;
-  /// Connections per local port. Makes ephemeral allocation O(1) — the
-  /// old scan over conns_ was O(n) per connect, quadratic over a ramp,
-  /// which melts at fleet scale (hundreds of thousands of client flows).
-  std::vector<std::uint32_t> port_use_ = std::vector<std::uint32_t>(65536, 0);
+  /// Connections per local port in the ephemeral range (index: port -
+  /// kEphemeralLo), the only ports ephemeral_port() picks from. Makes
+  /// ephemeral allocation O(1) — the old scan over conns_ was O(n) per
+  /// connect, quadratic over a ramp, which melts at fleet scale (hundreds
+  /// of thousands of client flows). Allocated by the first connection
+  /// with an ephemeral local port, so a server-only stack holds none.
+  static constexpr std::uint16_t kEphemeralLo = 49152;
+  static constexpr std::size_t kEphemeralPorts = 65536 - kEphemeralLo;
+  std::vector<std::uint32_t> port_use_;
   /// Flows extracted for migration: stale frames still in this replica's
   /// RX channel must be dropped, not RST'd (erased if the flow returns).
   sim::FlatMap<FlowKey, bool, FlowKeyHash> migrated_out_;

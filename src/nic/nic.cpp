@@ -340,8 +340,8 @@ void Nic::note_steering(bool filter_hit, const ParsedFlow& flow, int queue) {
     steer_rss_counter_ = &m.counter("nic.steer_rss");
   }
   (filter_hit ? steer_filter_counter_ : steer_rss_counter_)->inc();
-  if (flow.is_tcp && flow.syn) {
-    auto& tracer = sim_.tracer();
+  auto& tracer = sim_.tracer();
+  if (flow.is_tcp && flow.syn && tracer.enabled()) {
     std::string args = "\"queue\":" + std::to_string(queue);
     args += filter_hit ? ",\"via\":\"filter\"" : ",\"via\":\"rss\"";
     tracer.emit({sim_.now(), 0, "nic", "syn_received", 0, queue, args});

@@ -7,6 +7,12 @@
 // almost always its tail (the fault you injected last, the connections that
 // never recovered).
 //
+// Tracing is opt-in: a tracer records nothing until a consumer (a bench's
+// --trace-out, a test that reads events) calls set_enabled(true) before the
+// run starts. Emit sites test enabled() before they build an event or its
+// argument string, so a run nobody traces pays one branch per site and no
+// memory.
+//
 // Export is chrome://tracing's JSON array format ("traceEvents"), loadable
 // in chrome://tracing or https://ui.perfetto.dev. Timestamps are emitted in
 // microseconds (the format's unit) at nanosecond resolution.
@@ -43,6 +49,7 @@ class FlowTracer {
   explicit FlowTracer(std::size_t capacity = kDefaultCapacity)
       : capacity_(capacity ? capacity : 1) {}
 
+  /// Off by default; the ring fills only after set_enabled(true).
   void set_enabled(bool v) { enabled_ = v; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
@@ -122,7 +129,7 @@ class FlowTracer {
   std::size_t capacity_;
   std::vector<TraceEvent> ring_;
   std::size_t head_{0};
-  bool enabled_{true};
+  bool enabled_{false};
   std::uint64_t emitted_{0};
 };
 

@@ -13,8 +13,11 @@
 //    branch on a tie;
 //  * each callback is built in place in a recycled slot (fixed chunks, so
 //    slot addresses never move), runs there and is destroyed there;
-//    cancellation is a generation check, not a heap-allocated shared flag
-//    per event;
+//  * a slot records the seq of the entry that owns it, and an entry is live
+//    only while its slot is armed with its seq. So cancel() destroys the
+//    closure and frees the slot at once: the slot table follows the live
+//    events, and the cancelled entry left in the heap is skipped when it
+//    surfaces, whoever holds its slot by then;
 //  * cancelled far-horizon timers are compacted out of the far heap in
 //    bulk instead of being sifted out one at a time;
 //  * post()/post_at() skip EventHandle construction entirely for
@@ -42,7 +45,7 @@ namespace detail {
 struct EventSlots {
   struct Slot {
     SmallFn fn;
-    std::uint32_t gen{0};  // bumped whenever the slot disarms
+    std::uint64_t seq{0};  // seq of the heap entry that owns the slot
     bool armed{false};     // scheduled, not yet fired or cancelled
     bool far{false};       // its heap entry sits in the far heap
   };
@@ -78,46 +81,55 @@ struct EventSlots {
   std::uint32_t allocated{0};
   std::vector<std::uint32_t> free;
   std::size_t live{0};           // armed slots: pending events
-  std::size_t cancelled_far{0};  // cancelled slots with a far-heap entry
+  std::size_t cancelled_far{0};  // stale (cancelled) entries in the far heap
 };
 
 }  // namespace detail
 
-/// Handle to a scheduled event. Allows O(1) cancellation; cancelled events
-/// are skipped (and their slots recycled) when they reach the head of the
-/// queue or when the far heap is compacted.
+/// Handle to a scheduled event: the key of its heap entry, which names its
+/// slot and its seq. Allows O(1) cancellation; the cancelled entry stays in
+/// its heap and is skipped when it reaches the head of the queue or when
+/// the far heap is compacted.
 class EventHandle {
  public:
   EventHandle() = default;
 
   /// Cancel the event if it has not fired yet. Idempotent. Releases the
-  /// closure (and anything it captured) immediately.
+  /// closure (and anything it captured) and the slot immediately.
   void cancel() {
     if (!pending()) return;
-    auto& s = (*slots_)[idx_];
+    detail::EventSlots& slots = *slots_;
+    auto& s = slots[slot()];
+    s.armed = false;
+    --slots.live;
+    if (s.far) ++slots.cancelled_far;
+    // The closure's destructors may schedule or cancel other events; the
+    // slot joins the free list only once it is empty.
     s.fn.reset();
-    s.armed = false;  // slot itself is recycled when the entry leaves
-    ++s.gen;
-    --slots_->live;
-    if (s.far) ++slots_->cancelled_far;
+    slots.free.push_back(slot());
   }
 
   /// True while the event is scheduled and not cancelled or fired.
   [[nodiscard]] bool pending() const {
     if (!slots_) return false;
-    const auto& s = (*slots_)[idx_];
-    return s.armed && s.gen == gen_;
+    const auto& s = (*slots_)[slot()];
+    return s.armed && s.seq == key_ >> detail::EventSlots::kSlotBits;
   }
 
  private:
   friend class EventQueue;
-  EventHandle(std::shared_ptr<detail::EventSlots> slots, std::uint32_t idx,
-              std::uint32_t gen)
-      : slots_(std::move(slots)), idx_(idx), gen_(gen) {}
+  EventHandle(std::shared_ptr<detail::EventSlots> slots, std::uint64_t key)
+      : slots_(std::move(slots)), key_(key) {}
+
+  [[nodiscard]] std::uint32_t slot() const {
+    return static_cast<std::uint32_t>(
+        key_ & ((1u << detail::EventSlots::kSlotBits) - 1));
+  }
 
   std::shared_ptr<detail::EventSlots> slots_;
-  std::uint32_t idx_{0};
-  std::uint32_t gen_{0};
+  /// seq << kSlotBits | slot, as in the heap entry: 24 bytes a handle (a
+  /// TCB holds three).
+  std::uint64_t key_{0};
 };
 
 /// Min-heap of timestamped callbacks with deterministic tie-breaking.
@@ -137,7 +149,6 @@ class EventQueue {
       Slot& s = slots[i];
       s.fn.reset();
       s.armed = false;
-      ++s.gen;
     }
     slots.live = 0;
   }
@@ -160,10 +171,15 @@ class EventQueue {
   /// back-to-back on a HwThread without a schedule/pop round-trip.
   [[nodiscard]] std::uint64_t fused() const { return fused_; }
 
+  /// Slots ever handed out: the high-water mark of pending events (plus
+  /// the one firing). Cancelled events give their slot back at once, so
+  /// timer churn does not grow it.
+  [[nodiscard]] std::size_t slot_count() const { return slots_->allocated; }
+
   /// Fused-completion hook (HwThread back-to-back jobs): if advancing
   /// virtual time straight to `at` cannot change the event order — no live
   /// pending event anywhere is due at or before `at`, and `at` does not
-  /// overrun the deadline of the run_until() we are inside — commit
+  /// overrun the horizon of the run_until()/run_slice() we are inside — commit
   /// now_ = at and return true. The caller then runs its continuation
   /// inline instead of scheduling it, skipping a heap push + pop. An event
   /// already queued *at* exactly `at` blocks fusion (strict <=): it
@@ -188,8 +204,7 @@ class EventQueue {
   /// any void() callable, built directly in its slot (a SmallFn is moved).
   template <typename F>
   EventHandle schedule_at(SimTime at, F&& fn) {
-    const std::uint32_t idx = push(at, std::forward<F>(fn));
-    return EventHandle{slots_, idx, (*slots_)[idx].gen};
+    return EventHandle{slots_, push(at, std::forward<F>(fn))};
   }
 
   /// Schedule `fn` to run `delay` ns from now.
@@ -216,8 +231,8 @@ class EventQueue {
       const Entry e = h->front();
       heap_pop(*h);
       Slot& slot = (*slots_)[e.slot()];
-      if (!slot.armed) {  // cancelled: recycle silently
-        drop_cancelled(e.slot(), slot);
+      if (!owns(e, slot)) {  // cancelled: drop silently
+        drop_stale(*h);
         continue;
       }
       fire(e, slot);
@@ -228,25 +243,34 @@ class EventQueue {
 
   /// Run events until the queue drains or virtual time would exceed
   /// `deadline`. Time is left at min(deadline, last event time).
-  void run_until(SimTime deadline) {
+  void run_until(SimTime deadline) { run_slice(deadline, deadline); }
+
+  /// One piece of run_until(horizon): run the events due by `until`
+  /// (<= horizon), while fused completions may still reach `horizon`.
+  /// Pieces that end at `horizon` fire the same callbacks at the same
+  /// times, with the same executed() and fused() counts, as one
+  /// run_until(horizon) — so a host-side caller can time a run in slices
+  /// without the simulation seeing the cuts. (run_until(until) pieces would
+  /// stop fusion at every cut.)
+  void run_slice(SimTime until, SimTime horizon) {
     // Publish the horizon so fused completions (try_advance) cannot run a
-    // job past the window this call was asked to simulate.
+    // job past the window the caller was asked to simulate.
     const SimTime prev_deadline = deadline_;
-    deadline_ = deadline;
+    deadline_ = horizon;
     while (std::vector<Entry>* h = top_heap()) {
       const Entry e = h->front();
       Slot& slot = (*slots_)[e.slot()];
-      if (!slot.armed) {  // cancelled: recycle silently
+      if (!owns(e, slot)) {  // cancelled: drop silently
         heap_pop(*h);
-        drop_cancelled(e.slot(), slot);
+        drop_stale(*h);
         continue;
       }
-      if (e.time > deadline) break;
+      if (e.time > until) break;
       heap_pop(*h);
       fire(e, slot);
     }
     deadline_ = prev_deadline;
-    if (now_ < deadline) now_ = deadline;
+    if (now_ < until) now_ = until;
   }
 
   /// Run until the queue is completely drained.
@@ -265,6 +289,7 @@ class EventQueue {
     [[nodiscard]] std::uint32_t slot() const {
       return static_cast<std::uint32_t>(key & ((1u << kSlotBits) - 1));
     }
+    [[nodiscard]] std::uint64_t seq() const { return key >> kSlotBits; }
   };
 
  private:
@@ -297,10 +322,12 @@ class EventQueue {
   // invariant 7) is preserved bit-for-bit.
   //
   // Most far timers (delayed ACKs, RTOs) are cancelled long before they are
-  // due. Once cancelled entries outnumber live ones in a far heap of at
-  // least kCompactMin entries, the next far push drops them all in one pass
-  // and re-heapifies (compact_far). Keys are unique, so a heap pops the
-  // same sequence whatever its layout: compaction cannot reorder events.
+  // due. Their slots are free again at once, but their entries stay in the
+  // far heap. Once those stale entries outnumber live ones in a far heap of
+  // at least kCompactMin entries, the next far push drops them all in one
+  // pass and re-heapifies (compact_far). Keys are unique, so a heap pops
+  // the same sequence whatever its layout: compaction cannot reorder
+  // events.
 
   static constexpr SimTime kFarThreshold = 1 * kMillisecond;
   static constexpr std::size_t kCompactMin = 1024;
@@ -349,13 +376,19 @@ class EventQueue {
     if (!h.empty()) sift_down(h, 0, last);
   }
 
+  /// True when `e` is the live entry of `slot`: armed, and armed for this
+  /// entry rather than for a later event that reuses a slot freed by
+  /// cancel().
+  static bool owns(const Entry& e, const Slot& slot) {
+    return slot.armed && slot.seq == e.seq();
+  }
+
   /// Run the popped live event `e` in its slot: disarm it (its handle stops
   /// reporting pending(), cancel() becomes a no-op), call the callable in
   /// place, destroy it, and only then free the slot — so events the
   /// callback schedules can never land in the slot it is running from.
   void fire(const Entry& e, Slot& slot) {
     slot.armed = false;
-    ++slot.gen;
     --slots_->live;
     ++executed_;
     now_ = e.time;
@@ -364,23 +397,20 @@ class EventQueue {
     slots_->free.push_back(e.slot());
   }
 
-  /// Recycle the slot of a cancelled entry that just left its heap.
-  void drop_cancelled(std::uint32_t idx, const Slot& slot) {
-    if (slot.far) --slots_->cancelled_far;
-    slots_->free.push_back(idx);
+  /// Account for a stale entry that just left heap `h`. Its slot was freed
+  /// by cancel() and may already hold a near event, so the heap it left,
+  /// not the slot, says whether it was counted in cancelled_far.
+  void drop_stale(const std::vector<Entry>& h) {
+    if (&h == &far_) --slots_->cancelled_far;
   }
 
-  /// Drop every cancelled entry from the far heap, free their slots and
-  /// rebuild the heap over the live ones.
+  /// Drop every stale entry from the far heap and rebuild the heap over
+  /// the live ones.
   void compact_far() {
     detail::EventSlots& slots = *slots_;
     std::size_t kept = 0;
     for (const Entry& e : far_) {
-      if (slots[e.slot()].armed) {
-        far_[kept++] = e;
-      } else {
-        slots.free.push_back(e.slot());
-      }
+      if (owns(e, slots[e.slot()])) far_[kept++] = e;
     }
     far_.resize(kept);
     slots.cancelled_far = 0;
@@ -389,15 +419,14 @@ class EventQueue {
     }
   }
 
-  /// Pop cancelled entries off the top of `h` so front() (if any) is a live
+  /// Pop stale entries off the top of `h` so front() (if any) is a live
   /// event — the precondition for the try_advance order check.
   void prune_dead_top(std::vector<Entry>& h) {
     while (!h.empty()) {
-      const std::uint32_t idx = h.front().slot();
-      const Slot& slot = (*slots_)[idx];
-      if (slot.armed) break;
+      const Entry& e = h.front();
+      if (owns(e, (*slots_)[e.slot()])) break;
       heap_pop(h);
-      drop_cancelled(idx, slot);
+      drop_stale(h);
     }
   }
 
@@ -408,8 +437,9 @@ class EventQueue {
     return earlier(near_.front(), far_.front()) ? &near_ : &far_;
   }
 
+  /// Schedule `fn` at `at`; returns the new heap entry's key.
   template <typename F>
-  std::uint32_t push(SimTime at, F&& fn) {
+  std::uint64_t push(SimTime at, F&& fn) {
     if (at < now_) at = now_;
     if (seq_ >> kSeqBits != 0) [[unlikely]] {
       // A wrapped seq would silently reorder same-time events.
@@ -419,10 +449,11 @@ class EventQueue {
     const std::uint32_t idx = slots.acquire();
     Slot& slot = slots[idx];
     slot.fn.emplace(std::forward<F>(fn));
+    slot.seq = seq_++;
     slot.armed = true;
     slot.far = at - now_ >= kFarThreshold;
     ++slots.live;
-    const Entry e{at, seq_++ << kSlotBits | idx};
+    const Entry e{at, slot.seq << kSlotBits | idx};
     if (slot.far) {
       if (far_.size() >= kCompactMin && slots.cancelled_far * 2 > far_.size()) {
         compact_far();
@@ -431,7 +462,7 @@ class EventQueue {
     } else {
       heap_push(near_, e);
     }
-    return idx;
+    return e.key;
   }
 
   std::shared_ptr<detail::EventSlots> slots_;

@@ -23,10 +23,11 @@ class Simulator {
   [[nodiscard]] Rng& rng() { return rng_; }
 
   /// Observability hub: the metrics registry and flow tracer shared by
-  /// every layer of this simulation.
+  /// every layer of this simulation. The tracer is off until a consumer
+  /// enables it (obs/trace.hpp).
   [[nodiscard]] obs::Hub& obs() { return obs_; }
   [[nodiscard]] obs::Registry& metrics() { return obs_.metrics; }
-  [[nodiscard]] obs::FlowTracer& tracer() { return obs_.tracer; }
+  [[nodiscard]] obs::FlowTracer& tracer() { return tracer_; }
 
   /// Schedule a raw event (not tied to any process; use Process::after for
   /// component timers so they die with the component).
@@ -61,7 +62,8 @@ class Simulator {
  private:
   EventQueue queue_;
   Rng rng_;
-  obs::Hub obs_;
+  obs::FlowTracer tracer_;
+  obs::Hub obs_{{}, &tracer_};
   std::vector<std::unique_ptr<Machine>> machines_;
 };
 

@@ -238,6 +238,10 @@ ScenarioResult run_scenario(const Scenario& sc) {
     tr.p99_ms = ms(rep.latency.quantile(0.99));
     tr.p999_ms = ms(rep.latency.quantile(0.999));
     tr.raw_p99_ms = ms(rep.raw_latency.quantile(0.99));
+    if (const obs::Histogram* h = tb.sim.metrics().find_histogram(
+            "wl." + tr.name + ".request_latency_ns")) {
+      tr.hub_latency_samples = h->count();
+    }
     res.tenants.push_back(std::move(tr));
   }
 

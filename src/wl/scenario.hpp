@@ -88,6 +88,9 @@ struct TenantResult {
   double p999_ms{0.0};
   /// Wire-clock p99 (no CO correction) — the flattering number.
   double raw_p99_ms{0.0};
+  /// Samples in the obs hub's `wl.<name>.request_latency_ns` at the end of
+  /// the run: the per-tenant series dashboards read (warmup included).
+  std::uint64_t hub_latency_samples{0};
 };
 
 struct ScenarioResult {

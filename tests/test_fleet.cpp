@@ -274,6 +274,27 @@ TEST(FleetCluster, PerHostHubsKeepMetricsSeparable) {
   EXPECT_EQ(merged_rx, h0 + h1);
 }
 
+TEST(FleetCluster, EnabledTraceExportHoldsEveryBackendsHandshakes) {
+  // Metrics stay per host, but trace events from every host land in the
+  // simulation's one tracer — the one a bench exports.
+  FleetRig rig(small_cluster(2, 1));
+  rig.fleet.sim.tracer().set_enabled(true);
+  rig.add_client(pinger_heavy(32));
+  rig.start_and_run(100 * sim::kMillisecond);
+
+  std::size_t handshakes = 0;
+  for (const obs::TraceEvent& e : rig.fleet.sim.tracer().events()) {
+    if (std::string_view(e.name) == "handshake_done") ++handshakes;
+  }
+  EXPECT_GE(handshakes, 32u);
+  const std::uint64_t hub_handshakes =
+      summed_counter(rig.fleet.backend_hubs(), "tcp.handshakes");
+  EXPECT_EQ(handshakes, hub_handshakes)
+      << "one trace event per handshake a backend hub counted";
+  EXPECT_NE(rig.fleet.sim.tracer().chrome_json().find("\"handshake_done\""),
+            std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Crash detection + isolation
 // ---------------------------------------------------------------------------

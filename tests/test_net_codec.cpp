@@ -2,6 +2,7 @@
 // IPv4 (incl. fragmentation/reassembly), UDP, ICMP, packet filter.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "net/arp.hpp"
@@ -11,6 +12,7 @@
 #include "net/icmp.hpp"
 #include "net/ipv4.hpp"
 #include "net/packet.hpp"
+#include "net/tcp.hpp"
 #include "net/udp.hpp"
 #include "net/wire.hpp"
 #include "sim/random.hpp"
@@ -189,6 +191,226 @@ TEST(Checksum, SingleBitCorruptionAlwaysDetected) {
     }
   }
   ASSERT_TRUE(verify_transport_checksum(kA, kB, 6, seg));
+}
+
+// ---------------------------------------------------------------------------
+// Checksum oracle: a second RFC 1071 implementation, one byte at a time
+// ---------------------------------------------------------------------------
+//
+// Shares nothing with net/checksum.hpp: no 64-bit word loads, no deferred
+// fold, no add_u16/add_u32 shortcuts. Each byte is weighted by its offset
+// (even: high half of its 16-bit word, odd: low half) and the end-around
+// carry is folded after every byte. The pseudo-header is an explicit
+// struct laid out as on the wire. Any faster checksum kernel must agree
+// with it.
+
+namespace oracle {
+
+/// The IPv4 pseudo-header prepended to a TCP/UDP segment for its checksum
+/// (RFC 793 §3.1, RFC 768), in wire order.
+struct PseudoHeader {
+  std::array<std::uint8_t, 4> src{};
+  std::array<std::uint8_t, 4> dst{};
+  std::uint8_t zero{0};
+  std::uint8_t protocol{0};
+  std::array<std::uint8_t, 2> length{};  // segment length, big-endian
+
+  PseudoHeader(Ipv4Addr s, Ipv4Addr d, std::uint8_t proto, std::size_t len)
+      : protocol(proto) {
+    for (int i = 0; i < 4; ++i) {
+      src[static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(s.value >> (24 - 8 * i));
+      dst[static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(d.value >> (24 - 8 * i));
+    }
+    length = {static_cast<std::uint8_t>(len >> 8),
+              static_cast<std::uint8_t>(len)};
+  }
+};
+
+class ByteSum {
+ public:
+  void add(std::uint8_t b) {
+    sum_ += offset_++ % 2 == 0 ? static_cast<std::uint32_t>(b) << 8 : b;
+    sum_ = (sum_ & 0xffff) + (sum_ >> 16);
+  }
+  void add(std::span<const std::uint8_t> bytes) {
+    for (const std::uint8_t b : bytes) add(b);
+  }
+  void add(const PseudoHeader& ph) {
+    add(ph.src);
+    add(ph.dst);
+    add(ph.zero);
+    add(ph.protocol);
+    add(ph.length);
+  }
+  /// The checksum field value: the complement of the folded sum.
+  [[nodiscard]] std::uint16_t checksum() const {
+    return static_cast<std::uint16_t>(~sum_);
+  }
+
+ private:
+  std::uint32_t sum_{0};
+  std::uint64_t offset_{0};
+};
+
+std::uint16_t internet(std::span<const std::uint8_t> data) {
+  ByteSum s;
+  s.add(data);
+  return s.checksum();
+}
+
+std::uint16_t transport(Ipv4Addr src, Ipv4Addr dst, std::uint8_t proto,
+                        std::span<const std::uint8_t> segment) {
+  ByteSum s;
+  s.add(PseudoHeader(src, dst, proto, segment.size()));
+  s.add(segment);
+  return s.checksum();
+}
+
+}  // namespace oracle
+
+/// A seeded segment of `len` bytes: random, all 0xFF, all zero, or 0xFF
+/// with a few random bytes (sums that sit on the 0xFFFF carry boundary).
+std::vector<std::uint8_t> oracle_segment(sim::Rng& rng, std::size_t len) {
+  std::vector<std::uint8_t> d(len);
+  switch (rng.below(4)) {
+    case 0:
+      for (auto& b : d) b = static_cast<std::uint8_t>(rng());
+      break;
+    case 1:
+      std::fill(d.begin(), d.end(), std::uint8_t{0xff});
+      break;
+    case 2:
+      break;
+    default:
+      std::fill(d.begin(), d.end(), std::uint8_t{0xff});
+      for (std::size_t k = 0; k < 3 && len > 0; ++k) {
+        d[rng.below(len)] = static_cast<std::uint8_t>(rng());
+      }
+  }
+  return d;
+}
+
+Ipv4Addr oracle_addr(sim::Rng& rng) {
+  return Ipv4Addr{static_cast<std::uint32_t>(rng())};
+}
+
+TEST(ChecksumOracle, AgreesWithInternetAndTransportChecksum) {
+  sim::Rng rng(1071);
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Every length up to 64 (each parity and word-loop remainder), then
+    // random lengths up to a jumbo-ish 1600 bytes.
+    const std::size_t len =
+        trial < 65 * 4 ? static_cast<std::size_t>(trial / 4) : rng.below(1601);
+    const std::vector<std::uint8_t> seg = oracle_segment(rng, len);
+    ASSERT_EQ(internet_checksum(seg), oracle::internet(seg))
+        << "len " << len << " trial " << trial;
+    const Ipv4Addr src = oracle_addr(rng);
+    const Ipv4Addr dst = oracle_addr(rng);
+    const std::uint8_t proto = rng.chance(0.5) ? 6 : 17;
+    ASSERT_EQ(transport_checksum(src, dst, proto, seg),
+              oracle::transport(src, dst, proto, seg))
+        << "len " << len << " trial " << trial;
+  }
+}
+
+TEST(ChecksumOracle, AccumulatorSplitAtOddOffsetsAgrees) {
+  // Chunks that end at odd offsets leave a dangling byte the next chunk
+  // (or add_u16/add_u32) must pair with; every split must still give the
+  // one-pass sum.
+  sim::Rng rng(5);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const std::vector<std::uint8_t> data =
+        oracle_segment(rng, 1 + rng.below(1600));
+    const std::uint16_t want = oracle::internet(data);
+    ChecksumAccumulator acc;
+    std::size_t at = 0;
+    while (at < data.size()) {
+      std::size_t n = 1 + rng.below(std::min<std::size_t>(97, data.size() - at));
+      if (n % 2 == 0 && at + n < data.size()) ++n;  // end on an odd offset
+      const std::size_t left = data.size() - at;
+      if (left >= 4 && rng.chance(0.2)) {
+        acc.add_u32(static_cast<std::uint32_t>(data[at]) << 24 |
+                    static_cast<std::uint32_t>(data[at + 1]) << 16 |
+                    static_cast<std::uint32_t>(data[at + 2]) << 8 |
+                    data[at + 3]);
+        n = 4;
+      } else if (left >= 2 && rng.chance(0.2)) {
+        acc.add_u16(static_cast<std::uint16_t>(data[at] << 8 | data[at + 1]));
+        n = 2;
+      } else {
+        n = std::min(n, left);
+        acc.add(std::span<const std::uint8_t>(data).subspan(at, n));
+      }
+      at += n;
+    }
+    ASSERT_EQ(acc.finish(), want) << "trial " << trial;
+  }
+}
+
+TEST(ChecksumOracle, TcpAndUdpCodecsMatchAndRejectAFlippedByte) {
+  sim::Rng rng(793);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::vector<std::uint8_t> payload =
+        oracle_segment(rng, rng.below(1461));
+    const Ipv4Addr src = oracle_addr(rng);
+    const Ipv4Addr dst = oracle_addr(rng);
+    const bool tcp = trial % 2 == 0;
+    PacketPtr pkt = Packet::of(payload);
+    std::size_t csum_at = 0;
+    if (tcp) {
+      TcpHeader h;
+      h.src_port = static_cast<std::uint16_t>(rng());
+      h.dst_port = static_cast<std::uint16_t>(rng());
+      h.seq = static_cast<std::uint32_t>(rng());
+      h.ack = static_cast<std::uint32_t>(rng());
+      h.ack_flag = rng.chance(0.5);
+      h.syn = rng.chance(0.3);
+      h.window = static_cast<std::uint16_t>(rng());
+      if (h.syn) h.mss_option = static_cast<std::uint16_t>(rng());
+      h.encode(*pkt, src, dst);
+      csum_at = 16;
+    } else {
+      UdpHeader h;
+      h.src_port = static_cast<std::uint16_t>(rng());
+      h.dst_port = static_cast<std::uint16_t>(rng());
+      h.encode(*pkt, src, dst);
+      csum_at = 6;
+    }
+    // The wire checksum is the oracle's over the segment with the field
+    // zeroed (UDP sends a computed 0 as 0xFFFF, RFC 768).
+    std::vector<std::uint8_t> wire(pkt->bytes().begin(), pkt->bytes().end());
+    const std::uint16_t on_wire =
+        static_cast<std::uint16_t>(wire[csum_at] << 8 | wire[csum_at + 1]);
+    wire[csum_at] = wire[csum_at + 1] = 0;
+    std::uint16_t want = oracle::transport(src, dst, tcp ? 6 : 17, wire);
+    if (!tcp && want == 0) want = 0xffff;
+    ASSERT_EQ(on_wire, want) << (tcp ? "tcp" : "udp") << " trial " << trial;
+
+    PacketPtr intact = pkt->clone();
+    const bool decoded = tcp ? TcpHeader::decode(*intact, src, dst).has_value()
+                             : UdpHeader::decode(*intact, src, dst).has_value();
+    ASSERT_TRUE(decoded) << "trial " << trial;
+    ASSERT_EQ(intact->size(), payload.size());
+
+    // Flip one byte. UDP's length field is checked before the checksum,
+    // and a checksum flipped to zero means "none" (RFC 768): skip those.
+    const std::size_t at = rng.below(pkt->size());
+    const auto flip = static_cast<std::uint8_t>(1 + rng.below(255));
+    if (!tcp && (at == 4 || at == 5)) continue;
+    if (!tcp && at >= csum_at && at <= csum_at + 1) {
+      const std::uint16_t flipped = static_cast<std::uint16_t>(
+          on_wire ^ (at == csum_at ? flip << 8 : flip));
+      if (flipped == 0) continue;
+    }
+    PacketPtr bad = pkt->clone();
+    bad->bytes()[at] ^= flip;
+    const bool bad_decoded = tcp ? TcpHeader::decode(*bad, src, dst).has_value()
+                                 : UdpHeader::decode(*bad, src, dst).has_value();
+    EXPECT_FALSE(bad_decoded) << (tcp ? "tcp" : "udp") << " trial " << trial
+                              << " byte " << at;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -181,6 +181,7 @@ TEST(Registry, HandlesAreStableAndNamed) {
 
 TEST(FlowTracer, RingOverflowKeepsNewestInOrder) {
   FlowTracer t(8);
+  t.set_enabled(true);
   for (std::uint64_t i = 0; i < 20; ++i) {
     t.emit({i * 100, 0, "test", "ev", 0, static_cast<int>(i), ""});
   }
@@ -198,10 +199,16 @@ TEST(FlowTracer, RingOverflowKeepsNewestInOrder) {
 
 TEST(FlowTracer, DisabledTracerRecordsNothing) {
   FlowTracer t(8);
-  t.set_enabled(false);
+  EXPECT_FALSE(t.enabled()) << "tracing is opt-in";
   t.emit({1, 0, "test", "ev", 0, 0, ""});
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.emitted(), 0u);
+  t.set_enabled(true);
+  t.emit({2, 0, "test", "ev", 0, 0, ""});
+  t.set_enabled(false);
+  t.emit({3, 0, "test", "ev", 0, 0, ""});
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.emitted(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -338,6 +345,7 @@ std::vector<double> extract_timestamps(const std::string& json) {
 
 TEST(FlowTracer, ChromeJsonIsParseable) {
   FlowTracer t(16);
+  t.set_enabled(true);
   t.emit({1500, 0, "neat", "crash", 0, 2, "\"component\":\"tcp\""});
   t.emit({2750, 1250, "http", "request_served", 0, 7, ""});
   t.emit({4000, 0, "nic", "syn_received", 0, 0, "\"queue\":3"});
@@ -354,6 +362,7 @@ TEST(FlowTracer, ChromeJsonIsParseable) {
 
 TEST(FlowTracer, ChromeJsonTimestampsAreOrdered) {
   FlowTracer t(32);
+  t.set_enabled(true);
   for (std::uint64_t i = 0; i < 64; ++i) {  // wraps: oldest half dropped
     t.emit({i * 1000, 0, "test", "ev", 0, 0, ""});
   }
@@ -379,6 +388,7 @@ TEST(ObsEndToEnd, WorkloadAndCrashPopulateMetricsAndTrace) {
   Testbed::Config cfg;
   cfg.seed = 31337;
   Testbed tb(cfg);
+  tb.sim.tracer().set_enabled(true);  // this test reads the trace
   NeatServerOptions so;
   so.replicas = 2;
   so.webs = 2;
@@ -430,6 +440,36 @@ TEST(ObsEndToEnd, WorkloadAndCrashPopulateMetricsAndTrace) {
   ASSERT_EQ(ts.size(), evs.size());
   EXPECT_TRUE(std::is_sorted(ts.begin(), ts.end()))
       << "chrome export must be time-ordered";
+}
+
+TEST(ObsEndToEnd, UntracedRunRecordsMetricsButNoTraceEvents) {
+  // Nobody enabled the tracer: the same workload and crash leave the ring
+  // empty (no event built, no memory spent) while metrics still land.
+  using namespace neat::harness;
+  Testbed::Config cfg;
+  cfg.seed = 31337;
+  Testbed tb(cfg);
+  NeatServerOptions so;
+  so.replicas = 2;
+  so.webs = 2;
+  ServerRig server = build_neat_server(tb, so);
+  ClientOptions co;
+  co.generators = 2;
+  co.concurrency_per_gen = 8;
+  ClientRig client = build_client(tb, co, 2);
+  prepopulate_arp(server, client);
+  tb.sim.run_for(100 * sim::kMillisecond);
+  server.neat->inject_crash(server.neat->replica(0), Component::kWhole);
+  tb.sim.run_for(100 * sim::kMillisecond);
+
+  EXPECT_EQ(tb.sim.tracer().emitted(), 0u);
+  EXPECT_EQ(tb.sim.tracer().size(), 0u);
+  const obs::Histogram* h =
+      tb.sim.metrics().find_histogram("http.request_latency_ns");
+  ASSERT_NE(h, nullptr);
+  EXPECT_GT(h->count(), 0u);
+  ASSERT_NE(tb.sim.metrics().find_counter("tcp.handshakes"), nullptr);
+  EXPECT_GT(tb.sim.metrics().find_counter("tcp.handshakes")->value(), 0u);
 }
 
 }  // namespace

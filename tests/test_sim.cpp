@@ -2,6 +2,7 @@
 // deterministic RNG, machines, hardware threads and the process model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -183,6 +184,81 @@ TEST(EventQueue, CallbackGrowingTheSlotTableKeepsRunningInItsOwnSlot) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, CancelledSlotReusedByALaterEventNeverFiresAtTheStaleTime) {
+  // cancel() frees the slot at once, so the next schedule takes it while
+  // the cancelled entry still sits in its heap. When that stale entry
+  // surfaces — through run_until, step or try_advance — it must be dropped,
+  // not fire the slot's new event early. Near and far stale entries, and a
+  // far stale entry whose slot now holds a near event.
+  struct Case {
+    SimTime stale;
+    SimTime fresh;
+  };
+  for (const Case c : {Case{100, 200}, Case{5 * kMillisecond, 6 * kMillisecond},
+                       Case{5 * kMillisecond, 200}}) {
+    for (const int via : {0, 1, 2}) {  // run_until, step, try_advance
+      EventQueue q;
+      std::vector<SimTime> fired_at;
+      EventHandle stale = q.schedule(c.stale, [&] { fired_at.push_back(0); });
+      stale.cancel();
+      EventHandle fresh =
+          q.schedule(c.fresh, [&] { fired_at.push_back(q.now()); });
+      ASSERT_EQ(q.slot_count(), 1u) << "the fresh event reuses the slot";
+      if (c.fresh > c.stale) {
+        if (via == 0) q.run_until((c.stale + c.fresh) / 2);
+        if (via == 1) {
+          ASSERT_TRUE(q.step());
+          EXPECT_EQ(q.now(), c.fresh);
+        }
+        if (via == 2) {
+          EXPECT_TRUE(q.try_advance((c.stale + c.fresh) / 2))
+              << "only a stale entry is due before the fresh event";
+        }
+        if (via != 1) {
+          EXPECT_TRUE(fired_at.empty()) << "stale time " << c.stale;
+          EXPECT_TRUE(fresh.pending());
+          EXPECT_EQ(q.size(), 1u);
+        }
+      }
+      q.run();
+      EXPECT_EQ(fired_at, std::vector<SimTime>{c.fresh})
+          << "stale " << c.stale << " fresh " << c.fresh << " via " << via;
+      EXPECT_FALSE(stale.pending());
+      EXPECT_FALSE(fresh.pending());
+      EXPECT_TRUE(q.empty());
+      EXPECT_EQ(q.executed(), 1u);
+    }
+  }
+}
+
+TEST(EventQueue, SlotTableStaysAtTheLiveHighWaterMarkUnderTimerChurn) {
+  // A TCP stack re-arms its timers constantly: cancel, schedule again.
+  // Each cancel gives its slot back, so the slot table never grows past the
+  // timers alive at once, however many stale entries the heaps still hold.
+  // An earlier live timer keeps the stale entries off the heap tops, where
+  // run_until would otherwise pop them.
+  for (const SimTime delay : {SimTime{500 * kMicrosecond}, 200 * kMillisecond}) {
+    EventQueue q;
+    constexpr std::size_t kLive = 16;
+    int fired = 0;
+    EventHandle first = q.schedule(delay / 2, [&] { ++fired; });
+    std::vector<EventHandle> timers(kLive);
+    for (auto& t : timers) t = q.schedule(delay, [&] { ++fired; });
+    for (std::size_t round = 0; round < 20'000; ++round) {
+      EventHandle& t = timers[round % kLive];
+      t.cancel();
+      t = q.schedule(delay, [&] { ++fired; });
+      if (round % 256 == 0) q.run_until(q.now() + kMicrosecond);
+      ASSERT_EQ(q.slot_count(), kLive + 1) << "round " << round;
+    }
+    EXPECT_TRUE(first.pending());
+    EXPECT_EQ(q.size(), kLive + 1);
+    q.run();
+    EXPECT_EQ(fired, static_cast<int>(kLive + 1));
+    EXPECT_EQ(q.slot_count(), kLive + 1);
+  }
+}
+
 TEST(EventQueue, MatchesTimeSeqReferenceUnderHeavyFarCancellation) {
   // Property test: the queue fires exactly the (time, seq) order of a
   // std::map reference model, over 50k schedules mixing near and far
@@ -356,6 +432,68 @@ TEST(ProcessModel, WorkTakesTime) {
   EXPECT_EQ(done_at, mp.wake_fast_latency + mp.resume_cycles + 1000);
   EXPECT_EQ(p.stats().processing, 1000u);
   EXPECT_EQ(p.stats().wakeups, 1u);
+}
+
+TEST(ProcessModel, SlicedRunMatchesOneRunUntilFusedCompletionsIncluded) {
+  // A host-side caller cuts run_until(h) into run_slice(until, h) pieces
+  // to time each one. The simulation must not see the cuts: the same jobs
+  // at the same times, and the same executed() and fused() counts. Cut
+  // with plain run_until(until) instead, fusion stops at every cut.
+  struct Run {
+    std::vector<std::pair<int, SimTime>> log;
+    std::uint64_t executed{0};
+    std::uint64_t fused{0};
+  };
+  static constexpr SimTime kHorizon = 2 * kMillisecond + 500 * kMicrosecond;
+  const auto run = [](SimTime slice, bool plain) {
+    Simulator sim;
+    MachineParams mp;
+    mp.cores = 2;
+    mp.freq = Frequency{1.0};
+    Machine& m = sim.add_machine(mp);
+    TestProc a(sim, "a");
+    TestProc b(sim, "b");
+    a.pin(m.thread(0));
+    b.pin(m.thread(1));
+    Run r;
+    Rng rng(77);
+    for (int i = 0; i < 400; ++i) {
+      sim.schedule(rng.below(2 * kMillisecond), [&, i] {
+        TestProc& p = i % 3 == 0 ? b : a;
+        for (int k = 0; k < 1 + i % 4; ++k) {
+          p.post(static_cast<Cycles>(50 + (i * 37 + k * 11) % 900),
+                 [&r, &sim, i, k] { r.log.emplace_back(i * 8 + k, sim.now()); });
+        }
+      });
+    }
+    if (slice == 0) {
+      sim.run_until(kHorizon);
+    } else {
+      for (SimTime until = slice;; until += slice) {
+        const SimTime cut = std::min(until, kHorizon);
+        if (plain) {
+          sim.run_until(cut);
+        } else {
+          sim.queue().run_slice(cut, kHorizon);
+        }
+        if (cut == kHorizon) break;
+      }
+    }
+    r.executed = sim.queue().executed();
+    r.fused = sim.queue().fused();
+    return r;
+  };
+  const Run whole = run(0, false);
+  ASSERT_GT(whole.fused, 0u);
+  ASSERT_GT(whole.log.size(), 400u);
+  for (const SimTime slice : {SimTime{1000}, SimTime{7919}, 100 * kMicrosecond}) {
+    const Run cut = run(slice, false);
+    EXPECT_EQ(cut.log, whole.log) << "slice " << slice;
+    EXPECT_EQ(cut.executed, whole.executed) << "slice " << slice;
+    EXPECT_EQ(cut.fused, whole.fused) << "slice " << slice;
+  }
+  EXPECT_LT(run(1000, true).fused, whole.fused)
+      << "plain run_until cuts stop fusion at each cut";
 }
 
 TEST(ProcessModel, JobsSerializeFifoPerThread) {
