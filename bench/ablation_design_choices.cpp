@@ -110,17 +110,16 @@ void ablation_tso(JsonWriter& json) {
   header("Ablation C: TSO on/off, 1MB file transfers (Linux best config)");
   std::printf("%-10s %12s %14s\n", "TSO", "thpt [MB/s]", "mean lat [ms]");
   for (bool tso : {true, false}) {
-    LinuxRun r;
+    Run r;
+    r.stack = Stack::kLinux;
     r.webs = 12;
-    r.files = {{"/file", 1048576}};
     r.path = "/file";
+    r.file_bytes = 1048576;
     r.concurrency_per_gen = 4;
     r.warmup = 500 * sim::kMillisecond;
     r.measure = 1200 * sim::kMillisecond;
-    auto tuning = baseline::LinuxTuning::best();
-    tuning.tso = tso;
-    r.tuning = tuning;
-    const auto res = run_linux(r);
+    r.tuning.tso = tso;
+    const auto res = run(r);
     std::printf("%-10s %12.1f %14.1f\n", tso ? "on" : "off", res.mbps,
                 res.mean_latency_ms);
     const std::string prefix = tso ? "tso_on_" : "tso_off_";
@@ -136,18 +135,14 @@ void ablation_delack(JsonWriter& json) {
   std::printf("%-14s %12s %18s\n", "delayed ACK", "kreq/s",
               "pure ACKs/request");
   for (bool delack : {true, false}) {
-    NeatRun r;
-    r.replicas = 2;
-    r.webs = 4;
     net::TcpConfig tcp;
     if (!delack) tcp.delayed_ack = 0;
-    r.machine = sim::amd_opteron_6168();
     Testbed::Config cfg;
     cfg.seed = 44;
     Testbed tb(cfg);
     NeatServerOptions so;
-    so.replicas = r.replicas;
-    so.webs = r.webs;
+    so.replicas = 2;
+    so.webs = 4;
     so.host.tcp = tcp;
     ServerRig server = build_neat_server(tb, so);
     ClientOptions co;

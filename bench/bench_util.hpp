@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -70,80 +71,75 @@ inline bool write_trace(sim::Simulator& sim, const std::string& path) {
   return true;
 }
 
-/// One full NEaT experiment: server machine + configuration -> the client
-/// rig's aggregate over the measurement window.
-struct NeatRun {
-  sim::MachineParams machine = sim::amd_opteron_6168();
-  bool multi{false};
-  int replicas{1};
-  int webs{1};
-  bool xeon_ht{false};          ///< use the HT placements (Xeon only)
-  bool use_xeon_placement{false};
-  int requests_per_conn{100};
-  std::size_t concurrency_per_gen{24};
-  int generators{12};
-  std::string path{"/file20"};
-  std::vector<std::pair<std::string, std::size_t>> files{{"/file20", 20}};
-  std::uint64_t seed{12345};
-  sim::SimTime warmup{kWarmup};
-  sim::SimTime measure{kMeasure};
-  /// When non-empty, the run's flow trace is written here (chrome JSON).
-  std::string trace_out;
-};
-
-inline ClientRig::Aggregate run_neat(const NeatRun& r) {
-  Testbed::Config cfg;
-  cfg.seed = r.seed;
-  cfg.server_machine = r.machine;
-  Testbed tb(cfg);
-  enable_trace(tb.sim, r.trace_out);
-  NeatServerOptions so;
-  so.multi_component = r.multi;
-  so.replicas = r.replicas;
-  so.webs = r.webs;
-  so.files = r.files;
-  if (r.use_xeon_placement) {
-    so.placement = xeon_placement(r.multi, r.replicas, r.webs, r.xeon_ht);
-  }
-  ServerRig server = build_neat_server(tb, so);
-  ClientOptions co;
-  co.generators = r.generators > r.webs ? r.generators : r.webs;
-  co.concurrency_per_gen = r.concurrency_per_gen;
-  co.requests_per_conn = r.requests_per_conn;
-  co.path = r.path;
-  ClientRig client = build_client(tb, co, r.webs);
-  prepopulate_arp(server, client);
-  ClientRig::Aggregate res = run_window(tb, client, r.warmup, r.measure);
-  write_trace(tb.sim, r.trace_out);
-  return res;
+/// Field by field, for Run's identity: the tuning struct declares no ==.
+inline bool operator==(const baseline::LinuxTuning& a,
+                       const baseline::LinuxTuning& b) {
+  static_assert(sizeof(baseline::LinuxTuning) == 6, "compare every knob");
+  return std::tie(a.deadline_sched, a.tso, a.irq_affinity, a.rx_affinity,
+                  a.pin_servers, a.rfs) ==
+         std::tie(b.deadline_sched, b.tso, b.irq_affinity, b.rx_affinity,
+                  b.pin_servers, b.rfs);
 }
 
-struct LinuxRun {
-  sim::MachineParams machine = sim::amd_opteron_6168();
-  baseline::LinuxTuning tuning = baseline::LinuxTuning::best();
-  int webs{12};
+/// The two paper machines the benches run the server on.
+enum class Machine { kAmd, kXeon };
+/// The server's stack: NEaT single-component, NEaT multi-component, Linux.
+enum class Stack { kNeat, kMulti, kLinux };
+
+/// One experiment: server machine, stack and configuration. run() turns it
+/// into the client rig's aggregate over the measurement window; equal Runs
+/// give equal results.
+struct Run {
+  Stack stack{Stack::kNeat};
+  Machine machine{Machine::kAmd};
+  int replicas{1};  ///< NEaT only
+  bool ht{false};   ///< NEaT on the Xeon: the hyper-threaded placements
+  /// Linux only.
+  baseline::LinuxTuning tuning{baseline::LinuxTuning::best()};
+  int webs{1};
   int requests_per_conn{100};
   std::size_t concurrency_per_gen{24};
   int generators{12};
-  std::string path{"/file20"};
-  std::vector<std::pair<std::string, std::size_t>> files{{"/file20", 20}};
+  std::string path{"/file20"};  ///< the one file served, and requested
+  std::size_t file_bytes{20};
   std::uint64_t seed{12345};
   sim::SimTime warmup{kWarmup};
   sim::SimTime measure{kMeasure};
-  std::string trace_out;
+
+  bool operator==(const Run&) const = default;
 };
 
-inline ClientRig::Aggregate run_linux(const LinuxRun& r) {
+/// Build the testbed for `r`, run it, and write its flow trace to
+/// `trace_out` (chrome JSON) when that names a file.
+inline ClientRig::Aggregate run(const Run& r,
+                                const std::string& trace_out = {}) {
   Testbed::Config cfg;
   cfg.seed = r.seed;
-  cfg.server_machine = r.machine;
+  cfg.server_machine = r.machine == Machine::kXeon ? sim::intel_xeon_e5520()
+                                                   : sim::amd_opteron_6168();
   Testbed tb(cfg);
-  enable_trace(tb.sim, r.trace_out);
-  LinuxServerOptions so;
-  so.tuning = r.tuning;
-  so.webs = r.webs;
-  so.files = r.files;
-  ServerRig server = build_linux_server(tb, so);
+  enable_trace(tb.sim, trace_out);
+  const std::vector<std::pair<std::string, std::size_t>> files{
+      {r.path, r.file_bytes}};
+  ServerRig server = [&] {
+    if (r.stack == Stack::kLinux) {
+      LinuxServerOptions so;
+      so.tuning = r.tuning;
+      so.webs = r.webs;
+      so.files = files;
+      return build_linux_server(tb, so);
+    }
+    NeatServerOptions so;
+    so.multi_component = r.stack == Stack::kMulti;
+    so.replicas = r.replicas;
+    so.webs = r.webs;
+    so.files = files;
+    if (r.machine == Machine::kXeon) {
+      so.placement =
+          xeon_placement(so.multi_component, r.replicas, r.webs, r.ht);
+    }
+    return build_neat_server(tb, so);
+  }();
   ClientOptions co;
   co.generators = r.generators > r.webs ? r.generators : r.webs;
   co.concurrency_per_gen = r.concurrency_per_gen;
@@ -152,7 +148,7 @@ inline ClientRig::Aggregate run_linux(const LinuxRun& r) {
   ClientRig client = build_client(tb, co, r.webs);
   prepopulate_arp(server, client);
   ClientRig::Aggregate res = run_window(tb, client, r.warmup, r.measure);
-  write_trace(tb.sim, r.trace_out);
+  write_trace(tb.sim, trace_out);
   return res;
 }
 

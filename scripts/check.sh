@@ -15,9 +15,10 @@
 # The gates live in the benches (bench::Gates, bench/bench_util.hpp): each
 # prints its GATE lines, writes them to BENCH_<name>.json as `gates` and
 # `gates_passed`, and exits non-zero when one fails. This script only runs
-# them: ext_defense --quick, ext_workloads --quick and ext_fleet --quick
-# always (on the tier-1 build, so --skip-sanitize keeps them; the last one
-# with --trace-out, and the script checks that the trace holds events), and
+# them: paper table1_linux_tuning (Table 1's per-option order),
+# ext_defense --quick, ext_workloads --quick and ext_fleet --quick always
+# (on the tier-1 build, so --skip-sanitize keeps them; the last one with
+# --trace-out, and the script checks that the trace holds events), and
 # with --perf
 # the full ext_perf and ext_fleet, whose full runs gate host throughput,
 # krps drift, peak RSS and fleet_bytes_per_conn against the committed
@@ -120,6 +121,9 @@ else
   (cd build-asan/bench && ./ext_defense --quick)
   (cd build-asan/bench && ./ext_fleet --quick)
 fi
+
+echo "== paper gate: Table 1's per-option order (rx_krps, serv_krps) =="
+(cd build/bench && ./paper table1_linux_tuning)
 
 echo "== defense gate: ext_defense --quick =="
 (cd build/bench && ./ext_defense --quick)

@@ -1,6 +1,8 @@
 // bench::Gates: the one way a bench declares a contract. Each gate prints a
 // GATE line, lands in the bench's JSON, and decides its exit code; a
 // committed baseline that cannot be read fails the gate that needs it.
+// The paper-figure engine (bench/sweep.hpp), driven by a runner that counts
+// its calls: the keys it writes, its memo, tracing and name selection.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,10 +11,13 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
+#include "sweep.hpp"
 
 namespace {
 
@@ -164,6 +169,144 @@ TEST(BenchGates, JsonCarriesEveryGateWithEscapedNames) {
       << text;
   EXPECT_DOUBLE_EQ(json_number(path, "before").value, 1.0);
   std::remove(path.c_str());
+}
+
+using neat::bench::Entry;
+using neat::bench::Figure;
+using neat::bench::kKrps;
+using neat::bench::kLatency;
+using neat::bench::Points;
+using neat::bench::Run;
+using Aggregate = neat::harness::ClientRig::Aggregate;
+
+/// Stands in for bench::run: counts calls, records each call's trace path,
+/// and returns krps = 10 x webs without simulating.
+struct CountingRunner {
+  int calls = 0;
+  std::vector<std::string> traces;
+
+  Points::Runner fn() {
+    return [this](const Run& r, const std::string& trace) {
+      ++calls;
+      traces.push_back(trace);
+      Aggregate a;
+      a.krps = 10.0 * r.webs;
+      return a;
+    };
+  }
+};
+
+Run webs(int n) {
+  Run r;
+  r.webs = n;
+  return r;
+}
+
+/// Runs the engine in the test temp directory, where it writes its JSON.
+class Sweep : public testing::Test {
+ protected:
+  void SetUp() override {
+    cwd_ = std::filesystem::current_path();
+    std::filesystem::current_path(testing::TempDir());
+  }
+  void TearDown() override { std::filesystem::current_path(cwd_); }
+
+  /// A figure name unique to this process (the temp dir may be shared).
+  static std::string unique(const std::string& name) {
+    return name + "_" + std::to_string(getpid());
+  }
+
+  int paper(const std::vector<Entry>& entries,
+            std::vector<std::string> args) {
+    args.insert(args.begin(), "paper");
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    return neat::bench::paper_main(static_cast<int>(argv.size()), argv.data(),
+                                   entries, points_);
+  }
+
+  /// The keys of BENCH_<name>.json in file order; removes the file.
+  static std::vector<std::string> keys_of(const std::string& name) {
+    const std::string path = "BENCH_" + name + ".json";
+    const std::string text = read_file(path);
+    std::remove(path.c_str());
+    std::vector<std::string> keys;
+    const std::regex key("\"([^\"]+)\": ");
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), key);
+         it != std::sregex_iterator(); ++it) {
+      keys.push_back((*it)[1]);
+    }
+    return keys;
+  }
+
+  CountingRunner runner_;
+  Points points_{runner_.fn()};
+
+ private:
+  std::filesystem::path cwd_;
+};
+
+TEST_F(Sweep, InfeasiblePointsWriteNoKeyAndKeysKeepDeclarationOrder) {
+  Figure f{unique("sweep_order"), "order"};
+  f.cols = {"webs", "A", "B"};
+  f.grid = {{{"1", "a_w1_", webs(1), kKrps},
+             {"1", "b_w1_", std::nullopt, kKrps}},
+            {{"2", "a_w2_", webs(2), kKrps},
+             {"2", "b_w2_", webs(3), kKrps | kLatency}}};
+  f.list = {{"c", "c_", webs(4), kLatency, {{"paper", 1.5}}}};
+  ASSERT_EQ(paper({neat::bench::sweep(f)}, {}), 0);
+  EXPECT_EQ(runner_.calls, 3 + 1);
+  const std::vector<std::string> latency = {
+      "krps",           "requests",       "error_conns",
+      "latency_mean_ms", "latency_p50_ms", "latency_p95_ms",
+      "latency_p99_ms", "latency_p999_ms"};
+  std::vector<std::string> want = {"a_w1_krps", "a_w2_krps", "b_w2_krps"};
+  for (const auto& k : latency) want.push_back("b_w2_" + k);
+  for (const auto& k : latency) want.push_back("c_" + k);
+  want.push_back("c_paper");
+  EXPECT_EQ(keys_of(f.name), want);
+}
+
+TEST_F(Sweep, TwoFiguresSharingARunSimulateItOnce) {
+  Figure a{unique("sweep_a"), "a"};
+  a.list = {{"x", "x_", webs(5)}};
+  Figure b{unique("sweep_b"), "b"};
+  b.list = {{"y", "y_", webs(6)}, {"x again", "x_", webs(5)}};
+  ASSERT_EQ(paper({neat::bench::sweep(a), neat::bench::sweep(b)}, {}), 0);
+  EXPECT_EQ(runner_.calls, 2);
+  EXPECT_DOUBLE_EQ(json_number("BENCH_" + b.name + ".json", "x_krps").value,
+                   50.0);
+  keys_of(a.name);
+  keys_of(b.name);
+}
+
+TEST_F(Sweep, ATracedPointFirstMemoisedUntracedStillGetsTraced) {
+  Figure f{unique("sweep_trace"), "trace"};
+  f.list = {{"sweep", "w7_", webs(7)},
+            {.label = "headline",
+             .key = "best_",
+             .run = webs(7),
+             .traced = true}};
+  const std::vector<Entry> entries = {neat::bench::sweep(f)};
+  ASSERT_EQ(paper(entries, {f.name, "--trace-out=t.json"}), 0);
+  EXPECT_EQ(runner_.traces, (std::vector<std::string>{"", "t.json"}));
+  // Traced once, the point is memoised like any other.
+  ASSERT_EQ(paper(entries, {f.name, "--trace-out", "t.json"}), 0);
+  EXPECT_EQ(runner_.calls, 2);
+  keys_of(f.name);
+}
+
+TEST_F(Sweep, UnknownFigureNameOrATraceOfManyFiguresExitsTwo) {
+  Figure f{unique("sweep_names"), "names"};
+  f.list = {{"x", "x_", webs(1)}};
+  const std::vector<Entry> entries = {neat::bench::sweep(f)};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(paper(entries, {f.name, "no_such_figure"}), 2);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("no_such_figure"), std::string::npos) << err;
+  EXPECT_NE(err.find(f.name), std::string::npos) << err;
+  EXPECT_EQ(paper({entries[0], entries[0]}, {"--trace-out=t.json"}), 2);
+  EXPECT_EQ(runner_.calls, 0);
 }
 
 }  // namespace
