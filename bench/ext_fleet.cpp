@@ -99,7 +99,7 @@ RunOut run_fleet(const Params& p, bool crash, const std::string& trace_out) {
   fc.replicas_per_backend = p.replicas_per_backend;
   fc.replicas_per_client = p.replicas_per_client;
   fleet::FleetCluster fleet(fc);
-  enable_trace(fleet.sim, trace_out);
+  if (!trace_out.empty()) fleet.enable_trace();
 
   std::vector<std::uint16_t> ports;
   for (int i = 0; i < p.ports; ++i) {

@@ -46,7 +46,8 @@ class Points {
 };
 
 /// Which of a run's values a point writes under its key prefix, in this
-/// order: `krps`, the add_latency() columns, `mbps`.
+/// order: `krps`, the add_latency() columns, `mbps`. The add_latency()
+/// columns begin with `krps`, so a point with both writes it once.
 enum Keys : unsigned { kKrps = 1, kLatency = 2, kMbps = 4 };
 
 struct Point {
@@ -86,8 +87,11 @@ inline int run_figure(const Figure& f, Points& points,
     const ClientRig::Aggregate r =
         points.get(*p.run, p.traced ? trace : std::string());
     results[p.key] = r;
-    if ((p.keys & kKrps) != 0) json.add(p.key + "krps", r.krps);
-    if ((p.keys & kLatency) != 0) add_latency(json, p.key, r);
+    if ((p.keys & kLatency) != 0) {
+      add_latency(json, p.key, r);
+    } else if ((p.keys & kKrps) != 0) {
+      json.add(p.key + "krps", r.krps);
+    }
     if ((p.keys & kMbps) != 0) json.add(p.key + "mbps", r.mbps);
     for (const auto& [name, v] : p.consts) json.add(p.key + name, v);
     return r;

@@ -135,10 +135,13 @@ echo "== fleet gate: ext_fleet --quick (crash isolation within 5%), traced =="
 rm -f build/bench/ext_fleet_trace.json
 (cd build/bench && ./ext_fleet --quick --trace-out=ext_fleet_trace.json)
 # Tracing is opt-in (off unless a consumer enables it): --trace-out must
-# switch it on, and the one export must hold every fleet host's events.
+# switch it on, and the one export must hold every fleet host's events,
+# including the membership the cluster built before tracing was enabled.
 grep -q '"traceEvents":\[{' build/bench/ext_fleet_trace.json &&
-  grep -q '"name":"handshake_done"' build/bench/ext_fleet_trace.json ||
-  { echo "ext_fleet --trace-out: trace missing, empty or without handshakes" >&2; exit 1; }
+  grep -q '"name":"handshake_done"' build/bench/ext_fleet_trace.json &&
+  grep -q '"name":"scale_up"' build/bench/ext_fleet_trace.json &&
+  grep -q '"name":"backend_add"' build/bench/ext_fleet_trace.json ||
+  { echo "ext_fleet --trace-out: trace missing, empty, or without handshakes or the initial membership" >&2; exit 1; }
 
 if [[ "$RUN_PERF" == 1 ]]; then
   echo "== perf gates: full ext_perf vs committed BENCH_ext_perf.json =="

@@ -277,16 +277,11 @@ void LinuxHost::handle_frame_in_softirq(SoftirqProcess& ctx,
 struct LinuxSockets::LinuxSocket final
     : public std::enable_shared_from_this<LinuxSockets::LinuxSocket>,
       private net::TcpSocket::Owner {
-  // The bell's handler may capture a bare `this`: a ring's delivery holds
-  // this socket (its owner) for the handler's duration.
   LinuxSocket(sim::Process& app, LinuxHost& host, net::TcpSocketPtr t,
               socklib::Fd fd, bool notify_connect)
       : tcp(std::move(t)),
-        events(app, host.config().costs.epoll_wake,
-               [this] {
-                 if (events.run_pending()) events.deliver_close();
-               },
-               fd, notify_connect) {
+        wake_cost(host.config().costs.epoll_wake),
+        events(app, fd, notify_connect) {
     tcp->set_owner(this);
   }
 
@@ -309,14 +304,22 @@ struct LinuxSockets::LinuxSocket final
       case net::TcpEvent::kReadable: raise(ConnEvents::kReadable); return;
       case net::TcpEvent::kWritable: raise(ConnEvents::kWritable); return;
       case net::TcpEvent::kClosed:
-        events.raise_closed(socklib::to_close_reason(r), *this);
+        events.set_close_reason(socklib::to_close_reason(r));
+        raise(ConnEvents::kClosed);
         return;
     }
   }
 
-  void raise(std::uint8_t bits) { events.raise(bits, *this); }
+  // The bell's handler may capture a bare `this`: a ring's delivery holds
+  // this socket (its owner) for the handler's duration.
+  void raise(std::uint8_t bits) {
+    events.raise(bits, wake_cost, *this, [this] {
+      if (events.run_pending()) events.deliver_close();
+    });
+  }
 
   net::TcpSocketPtr tcp;
+  sim::Cycles wake_cost;
   socklib::ConnEvents events;
 };
 
@@ -338,9 +341,9 @@ socklib::Fd LinuxSockets::listen(std::uint16_t port, std::size_t backlog,
   net::TcpListener* l = host_.tcp().listen(port, backlog);
   if (l == nullptr) return socklib::kBadFd;
   const socklib::Fd fd = next_fd_++;
-  auto bell = std::make_shared<ipc::Doorbell>(
+  auto bell = std::make_shared<ipc::BoundDoorbell>(
       app_, host_.config().costs.epoll_wake, std::move(on_acceptable));
-  l->set_accept_ready([bell] { bell->ring(bell); });
+  l->set_accept_ready([bell] { bell->ring(); });
   listeners_.emplace(fd, ListenEntry{port, bell});
   return fd;
 }

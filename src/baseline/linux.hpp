@@ -235,7 +235,7 @@ class LinuxSockets final : public socklib::SocketApi {
   socklib::Fd next_fd_{3};
   struct ListenEntry {
     std::uint16_t port;
-    std::shared_ptr<ipc::Doorbell> bell;
+    std::shared_ptr<ipc::BoundDoorbell> bell;
   };
   std::unordered_map<socklib::Fd, ListenEntry> listeners_;
   std::unordered_map<socklib::Fd, std::shared_ptr<LinuxSocket>> conns_;

@@ -125,6 +125,13 @@ std::vector<std::vector<sim::HwThread*>> FleetCluster::spare_pins(
   return pins;
 }
 
+void FleetCluster::enable_trace() {
+  sim.tracer().set_enabled(true);
+  for (auto& b : backends_) b->host->trace_replicas();
+  tier_->trace_backends();
+  for (auto& c : clients_) c->host->trace_replicas();
+}
+
 void FleetCluster::start_health_probing(std::function<void(int id)> on_down) {
   tier_->start_probing([this, on_down = std::move(on_down)](int id) {
     tier_->remove_backend(id);

@@ -116,6 +116,11 @@ class FleetCluster {
     tier_->add_backend(backends_[i]->id);
   }
 
+  /// Switch the simulation's tracer on and record the membership the
+  /// constructor built before any caller could: every host's scale_up
+  /// events and the tier's backend_add events, in construction order.
+  void enable_trace();
+
   /// Start the tier's health prober; a detected-dead backend is pulled
   /// from the table (purging its flows) and then reported via `on_down`.
   void start_health_probing(std::function<void(int id)> on_down = {});

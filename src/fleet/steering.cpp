@@ -112,9 +112,21 @@ void SteeringTier::add_backend(int id) {
   table_.add_backend(id);
   probes_.emplace(id, ProbeState{});
   if (sim_.tracer().enabled()) {
-    sim_.tracer().emit(
-        {sim_.now(), 0, "fleet", "backend_add", 0, id,
-         "\"backends\":" + std::to_string(table_.backend_count())});
+    sim_.tracer().emit(backend_add_event(id, table_.backend_count()));
+  }
+}
+
+obs::TraceEvent SteeringTier::backend_add_event(int id,
+                                                std::size_t backends) const {
+  return {sim_.now(), 0, "fleet", "backend_add", 0, id,
+          "\"backends\":" + std::to_string(backends)};
+}
+
+void SteeringTier::trace_backends() {
+  if (!sim_.tracer().enabled()) return;
+  std::size_t n = 0;
+  for (const int id : table_.backends()) {
+    sim_.tracer().emit_setup(backend_add_event(id, ++n));
   }
 }
 

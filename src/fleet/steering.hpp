@@ -95,6 +95,10 @@ class SteeringTier {
 
   // --- steering table ------------------------------------------------------
   void add_backend(int id);
+  /// Emit the backend_add events of the current table, in id order, as
+  /// add_backend() does, as trace set-up: for a tracer enabled after the
+  /// tier was built.
+  void trace_backends();
   /// Pull `id` from the table AND purge its tracked flows (a crashed or
   /// draining host). Purged flows that are still live on the wire re-hash
   /// to a surviving backend, whose stack answers them with a RST.
@@ -132,6 +136,9 @@ class SteeringTier {
   [[nodiscard]] const SteeringConfig& config() const { return cfg_; }
 
  private:
+  [[nodiscard]] obs::TraceEvent backend_add_event(int id,
+                                                  std::size_t backends) const;
+
   struct Port {
     std::unique_ptr<nic::Nic> nic;
     bool is_backend{false};

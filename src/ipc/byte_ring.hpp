@@ -9,19 +9,23 @@
 // Logical capacity vs physical bytes (DESIGN.md §5m): capacity() is the
 // ring's contract — what writable(), full() and the TCP advertised window
 // see — but the ring pays only for what it holds. The bytes live in one
-// uninitialised buffer that starts at kInitialBytes and doubles up to the
-// capacity. Below the capacity the live bytes stay contiguous at
+// uninitialised buffer sized by the first write that needs it: the next
+// power of two at or above that write, at least kMinBytes, at most the
+// capacity. From there it doubles up to the capacity. Below the capacity
+// the live bytes stay contiguous at
 // [off_, off_ + size_), so every copy in or out is a single memcpy: when the
 // tail runs out but the consumed head has room, the live bytes are compacted
 // to offset 0, and when the ring drains the offset resets to 0 for free.
-// Request/response traffic therefore lives in the first 2 KiB of a 96 KiB
-// ring. Once the buffer reaches the capacity it is the fixed ring (physical
+// A ring that only ever carries 16-byte pings holds 64 bytes, and a
+// request/response stream a few KiB of a 96 KiB ring. Once the buffer
+// reaches the capacity it is the fixed ring (physical
 // head == logical head, copies wrap), because a ring held near full would
 // otherwise compact almost all of its bytes on every small write.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -32,8 +36,8 @@ namespace neat::ipc {
 
 class ByteRing {
  public:
-  /// Physical size of the first allocation (clamped to the capacity).
-  static constexpr std::size_t kInitialBytes = 2048;
+  /// Floor of the first allocation (itself clamped to the capacity).
+  static constexpr std::size_t kMinBytes = 64;
   /// Largest capacity: offsets, size and allocation are 32-bit fields, so a
   /// ring is 32 B (DESIGN.md §5m). Index sums are formed in std::size_t.
   static constexpr std::size_t kMaxCapacity = UINT32_MAX;
@@ -169,11 +173,12 @@ class ByteRing {
     return n;
   }
 
-  /// Below the capacity: make [off_, off_ + need) fit without wrapping. A
-  /// short tail compacts the live bytes to offset 0 when they fit the
-  /// allocation; otherwise the buffer doubles (capped at the capacity). On
-  /// reaching the capacity the live bytes move to the logical head, which
-  /// makes the buffer the fixed ring from then on.
+  /// Below the capacity: make [off_, off_ + need) fit without wrapping. An
+  /// empty ring allocates bit_ceil(max(need, kMinBytes)), capped at the
+  /// capacity. A short tail compacts the live bytes to offset 0 when they
+  /// fit the allocation; otherwise the buffer doubles (capped at the
+  /// capacity). On reaching the capacity the live bytes move to the
+  /// logical head, which makes the buffer the fixed ring from then on.
   void make_room(std::size_t need) {
     if (off_ + need <= alloc_) return;
     if (need <= alloc_) {
@@ -182,7 +187,9 @@ class ByteRing {
       return;
     }
     const std::size_t cap = capacity_;
-    std::size_t grown = alloc_ == 0 ? std::min(kInitialBytes, cap) : alloc_;
+    std::size_t grown =
+        alloc_ == 0 ? std::min(std::bit_ceil(std::max(need, kMinBytes)), cap)
+                    : alloc_;
     while (grown < need) grown = std::min(grown * 2, cap);
     auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(grown);
     const std::size_t at = grown == cap ? logical_head_ : 0;

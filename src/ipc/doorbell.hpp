@@ -7,7 +7,7 @@
 // rings are free no-ops, exactly like an MWAIT monitor armed on a write.
 #pragma once
 
-#include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 
@@ -15,70 +15,71 @@
 
 namespace neat::ipc {
 
+/// The doorbell itself is one flag. Whoever rings it supplies the consumer,
+/// the cost and the handler: a socket already holds all three (its replica,
+/// its host's costs, its own member function), so it does not store them a
+/// second time per doorbell (DESIGN.md §5n).
 class Doorbell {
  public:
-  /// Stored for the doorbell's lifetime, and a socket carries two
-  /// doorbells: a capture beyond one `this` or weak_ptr costs one heap
-  /// allocation at construction.
-  using Handler = sim::Callback<void()>;
-
-  /// `cost` is the consumer-side cycles to take the notification (queue
-  /// scan); `handler` then runs in the consumer's context and typically
-  /// drains the associated ring(s).
-  Doorbell(sim::Process& consumer, sim::Cycles cost, Handler handler)
-      : consumer_(&consumer), cost_(cost), handler_(std::move(handler)) {}
-
+  Doorbell() = default;
   Doorbell(const Doorbell&) = delete;
   Doorbell& operator=(const Doorbell&) = delete;
 
-  /// Ring on behalf of `owner`: the object this doorbell is a member of
-  /// (itself derived from enable_shared_from_this), or a shared_ptr to it
-  /// or to the doorbell itself when that is shared-owned. Coalesced while
-  /// a previous ring is pending: such a ring builds nothing. A posted ring
-  /// holds `owner` weakly, through a handle of its own type, and keeps it
+  /// Ring `consumer` on behalf of `owner`: the object this doorbell is a
+  /// member of, itself derived from enable_shared_from_this. After `cost`
+  /// consumer cycles (the queue scan), `handler` runs in the consumer's
+  /// context and typically drains the associated ring(s); it may capture a
+  /// bare owner `this`. Coalesced while a previous ring is pending: such a
+  /// ring builds nothing. A posted ring holds `owner` weakly and keeps it
   /// alive while the handler runs, so a ring still in flight when the
   /// owner dies is a no-op — the owner's own control block is the liveness
-  /// check, and the doorbell carries no flag of its own.
-  template <typename Owner>
-  void ring(const Owner& owner) {
+  /// check.
+  template <typename Owner, typename Handler>
+  void ring(sim::Process& consumer, sim::Cycles cost, const Owner& owner,
+            Handler&& handler) {
     if (pending_) return;
-    if (consumer_->crashed()) return;
+    if (consumer.crashed()) return;
     pending_ = true;
-    consumer_->post(cost_, [this, owner = weak_handle(owner)] {
+    consumer.post(cost, [this, owner = owner.weak_from_this(),
+                         handler = std::forward<Handler>(handler)]() mutable {
       const auto alive = owner.lock();
       if (!alive) return;  // the doorbell's owner was destroyed
       pending_ = false;
-      handler_();
+      handler();
     });
   }
 
-  /// Re-target after consumer restart; clears any lost pending state.
-  void rebind(sim::Process& consumer) {
-    consumer_ = &consumer;
-    pending_ = false;
-  }
-
-  /// Recovery hook: a pending ring queued to a process that crashed will
-  /// never fire; callers re-arm after restart.
+  /// Recovery and re-homing hook: a pending ring queued to a process that
+  /// crashed (or that the owner no longer rings) will never fire; callers
+  /// re-arm by ringing again.
   void reset() { pending_ = false; }
 
   [[nodiscard]] bool pending() const { return pending_; }
 
  private:
-  template <typename T>
-  static std::weak_ptr<T> weak_handle(const std::shared_ptr<T>& owner) {
-    return owner;
-  }
-  template <typename T>
-  static std::weak_ptr<const T> weak_handle(
-      const std::enable_shared_from_this<T>& owner) {
-    return owner.weak_from_this();
+  bool pending_{false};
+};
+
+/// A doorbell that keeps its consumer, cost and handler, for a shared-owned
+/// notification with no owner object around it: a listening socket's
+/// accept notification. ring() is a no-op once the bell is destroyed.
+class BoundDoorbell : public std::enable_shared_from_this<BoundDoorbell> {
+ public:
+  BoundDoorbell(sim::Process& consumer, sim::Cycles cost,
+                std::function<void()> handler)
+      : consumer_(&consumer), cost_(cost), handler_(std::move(handler)) {}
+
+  void ring() {
+    bell_.ring(*consumer_, cost_, *this, [this] { handler_(); });
   }
 
+  [[nodiscard]] bool pending() const { return bell_.pending(); }
+
+ private:
   sim::Process* consumer_;
   sim::Cycles cost_;
-  Handler handler_;
-  bool pending_{false};
+  std::function<void()> handler_;
+  Doorbell bell_;
 };
 
 }  // namespace neat::ipc

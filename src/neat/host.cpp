@@ -51,6 +51,18 @@ NeatHost::NeatHost(sim::Simulator& sim, sim::Machine& machine, nic::Nic& nic,
 
 NeatHost::~NeatHost() { gc_timer_.cancel(); }
 
+obs::TraceEvent NeatHost::scale_up_event(const StackReplica& rep) const {
+  return {sim_.now(), 0, "neat", "scale_up", 0, rep.id(),
+          "\"queue\":" + std::to_string(rep.queue())};
+}
+
+void NeatHost::trace_replicas() {
+  if (!sim_.tracer().enabled()) return;
+  for (const auto& rep : replicas_) {
+    sim_.tracer().emit_setup(scale_up_event(*rep));
+  }
+}
+
 StackReplica& NeatHost::add_replica(
     const std::vector<sim::HwThread*>& pins) {
   assert(!pins.empty());
@@ -86,10 +98,7 @@ StackReplica& NeatHost::add_replica(
                   [this, id] { checkpoint_tick(id); });
   }
   driver_->announce_endpoint(queue, &ref.rx_channel());
-  if (sim_.tracer().enabled()) {
-    sim_.tracer().emit({sim_.now(), 0, "neat", "scale_up", 0, id,
-                        "\"queue\":" + std::to_string(queue)});
-  }
+  if (sim_.tracer().enabled()) sim_.tracer().emit(scale_up_event(ref));
   update_steering();
   // Subsocket replication: every recorded listener appears on the new
   // replica too, so it immediately shares the accept load.

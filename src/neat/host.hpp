@@ -182,6 +182,10 @@ class NeatHost {
   /// colocated on the IP thread, where they idle unless exercised).
   StackReplica& add_replica(const std::vector<sim::HwThread*>& pins);
 
+  /// Emit the scale_up event of every current replica, as add_replica()
+  /// does, as trace set-up: for a tracer enabled after the host was built.
+  void trace_replicas();
+
   [[nodiscard]] std::size_t replica_count() const { return replicas_.size(); }
   [[nodiscard]] StackReplica& replica(std::size_t i) { return *replicas_[i]; }
 
@@ -312,6 +316,7 @@ class NeatHost {
   void retire_queue(int queue);
   void gc_tick();
   void checkpoint_tick(int replica_id);
+  [[nodiscard]] obs::TraceEvent scale_up_event(const StackReplica& rep) const;
 
   sim::Simulator& sim_;
   sim::Machine& machine_;

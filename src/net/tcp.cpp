@@ -235,18 +235,20 @@ auto TcpSocket::timer_job() {
   return job;
 }
 
-TcpSocket::TcpSocket(TcpStack& stack, FlowKey flow, const TcpConfig& cfg)
+TcpSocket::TcpSocket(TcpStack& stack, FlowKey flow)
     : stack_(stack),
       flow_(flow),
-      cfg_(cfg),
-      send_ring_(cfg.send_buf),
-      ssthresh_(cfg.recv_buf * 64),  // effectively "infinite" until first loss
-      rto_(cfg.rto_initial),
-      recv_ring_(cfg.recv_buf),
+      send_ring_(stack.config().send_buf),
+      recv_ring_(stack.config().recv_buf),
+      // Effectively "infinite" until the first loss.
+      ssthresh_(stack.config().recv_buf * 64),
+      rto_(stack.config().rto_initial),
       live_slot_(tcb_liveness().acquire()) {
-  cwnd_ = cfg_.initial_cwnd_segments * cfg_.mss;
+  cwnd_ = cfg().initial_cwnd_segments * cfg().mss;
   state_entered_ = stack_.env().now();
 }
+
+const TcpConfig& TcpSocket::cfg() const { return stack_.config(); }
 
 void TcpSocket::set_state(TcpState next) {
   if (next == state_) return;
@@ -317,7 +319,7 @@ void TcpSocket::drop_callback_owner() {
 std::size_t TcpSocket::send_space() const { return send_ring_.writable(); }
 
 std::size_t TcpSocket::effective_mss() const {
-  return std::min<std::size_t>(cfg_.mss, peer_mss_);
+  return std::min<std::size_t>(cfg().mss, peer_mss_);
 }
 
 std::uint16_t TcpSocket::advertised_window() const {
@@ -538,7 +540,7 @@ void TcpSocket::on_ack(const TcpHeader& h, std::uint32_t prev_wnd) {
         ++retransmit_count_;
         ++stack_.stats_.retransmits;
         stack_.count_retransmit();
-        rtt_sample_.reset();  // Karn
+        rtt_sent_at_ = kNoRttSample;  // Karn
         const std::size_t len = std::min<std::size_t>(
             effective_mss(), send_ring_.readable());
         if (len > 0) {
@@ -567,9 +569,9 @@ void TcpSocket::on_ack(const TcpHeader& h, std::uint32_t prev_wnd) {
   retries_ = 0;
   dupacks_ = 0;
 
-  if (rtt_sample_ && seq_ge(h.ack, rtt_sample_->first)) {
-    update_rtt(stack_.env().now() - rtt_sample_->second);
-    rtt_sample_.reset();
+  if (rtt_sent_at_ != kNoRttSample && seq_ge(h.ack, rtt_seq_)) {
+    update_rtt(stack_.env().now() - rtt_sent_at_);
+    rtt_sent_at_ = kNoRttSample;
   }
 
   if (in_recovery_) {
@@ -647,13 +649,15 @@ void TcpSocket::accept_data(const TcpHeader& h, const PacketPtr& payload) {
   } else {
     // Out of order: stash (bounded) and signal the hole with a dup ack.
     ++stack_.stats_.ooo_segments;
+    if (!ooo_) ooo_ = std::make_unique<OooQueue>();
+    auto& segs = ooo_->segs;
     auto it = std::lower_bound(
-        ooo_.begin(), ooo_.end(), seg_seq,
+        segs.begin(), segs.end(), seg_seq,
         [](const OooSeg& s, std::uint32_t q) { return s.seq < q; });
-    const bool have = it != ooo_.end() && it->seq == seg_seq;
-    if (ooo_bytes_ + len <= cfg_.recv_buf * 2 && !have) {
-      ooo_.insert(it, OooSeg{seg_seq, {data.begin(), data.end()}});
-      ooo_bytes_ += len;
+    const bool have = it != segs.end() && it->seq == seg_seq;
+    if (ooo_->bytes + len <= cfg().recv_buf * 2 && !have) {
+      segs.insert(it, OooSeg{seg_seq, {data.begin(), data.end()}});
+      ooo_->bytes += len;
     }
     send_ack_now();
   }
@@ -667,15 +671,16 @@ void TcpSocket::deliver_in_order() {
     ~Guard() { flag = false; }
   } guard{delivering_};
   bool progressed = true;
-  while (progressed && !ooo_.empty()) {
+  while (progressed && ooo_) {
     progressed = false;
-    for (auto it = ooo_.begin(); it != ooo_.end();) {
+    auto& segs = ooo_->segs;
+    for (auto it = segs.begin(); it != segs.end();) {
       const std::uint32_t seq = it->seq;
       auto& bytes = it->bytes;
       const auto len = static_cast<std::uint32_t>(bytes.size());
       if (seq_ge(rcv_nxt_, seq + len)) {
-        ooo_bytes_ -= bytes.size();
-        it = ooo_.erase(it);  // fully consumed already
+        ooo_->bytes -= bytes.size();
+        it = segs.erase(it);  // fully consumed already
         progressed = true;
         continue;
       }
@@ -686,8 +691,8 @@ void TcpSocket::deliver_in_order() {
         if (wrote == 0) return;  // receive buffer full; stall
         rcv_nxt_ += static_cast<std::uint32_t>(wrote);
         if (skip + wrote == bytes.size()) {
-          ooo_bytes_ -= bytes.size();
-          it = ooo_.erase(it);
+          ooo_->bytes -= bytes.size();
+          it = segs.erase(it);
         }
         progressed = true;
         notify_readable();
@@ -696,6 +701,7 @@ void TcpSocket::deliver_in_order() {
       ++it;
     }
   }
+  if (ooo_ && ooo_->segs.empty()) ooo_.reset();  // the hole is filled
 }
 
 void TcpSocket::try_output() {
@@ -720,11 +726,14 @@ void TcpSocket::try_output() {
       break;
     }
     const std::size_t usable = wnd - sent_unacked;
-    const std::size_t limit = cfg_.tso ? cfg_.tso_limit : effective_mss();
+    const std::size_t limit = cfg().tso ? cfg().tso_limit : effective_mss();
     const std::size_t len = std::min({avail, usable, limit});
     if (len == 0) break;
     emit_segment(snd_nxt_, len, false, false, true);
-    if (!rtt_sample_) rtt_sample_ = {snd_nxt_ + len, stack_.env().now()};
+    if (rtt_sent_at_ == kNoRttSample) {
+      rtt_seq_ = snd_nxt_ + static_cast<std::uint32_t>(len);
+      rtt_sent_at_ = stack_.env().now();
+    }
     snd_nxt_ += static_cast<std::uint32_t>(len);
   }
 
@@ -759,7 +768,7 @@ void TcpSocket::emit_segment(std::uint32_t seq, std::size_t len, bool fin,
   h.ack_flag = force_ack;
   h.ack = rcv_nxt_;
   h.window = advertised_window();
-  if (syn) h.mss_option = static_cast<std::uint16_t>(cfg_.mss);
+  if (syn) h.mss_option = static_cast<std::uint16_t>(cfg().mss);
   h.encode(*pkt, flow_.local_ip, flow_.remote_ip);
   pkt->tso = len > effective_mss();
   ++stack_.stats_.segments_out;
@@ -779,7 +788,7 @@ void TcpSocket::send_ack_now() {
 }
 
 void TcpSocket::schedule_ack(std::size_t new_bytes) {
-  if (cfg_.delayed_ack == 0) {
+  if (cfg().delayed_ack == 0) {
     send_ack_now();
     return;
   }
@@ -788,15 +797,15 @@ void TcpSocket::schedule_ack(std::size_t new_bytes) {
   // TSO/LRO super-segment must be acked at once or the sender's window
   // stalls against the delack timer). Any outgoing data segment (the
   // request/response case) piggybacks the ACK and cancels the timer.
-  delack_bytes_ += new_bytes;
+  delack_bytes_ += static_cast<std::uint32_t>(new_bytes);
   if (delack_bytes_ >=
-      static_cast<std::size_t>(cfg_.ack_every) * effective_mss()) {
+      static_cast<std::size_t>(cfg().ack_every) * effective_mss()) {
     send_ack_now();
     return;
   }
   if (ack_timer_.pending()) return;
   ack_timer_ = stack_.env().start_timer(
-      cfg_.delayed_ack, timer_job<&TcpSocket::send_ack_now>());
+      cfg().delayed_ack, timer_job<&TcpSocket::send_ack_now>());
 }
 
 void TcpSocket::arm_rto() {
@@ -830,20 +839,20 @@ void TcpSocket::rto_tick() {
 
 void TcpSocket::on_rto() {
   ++retries_;
-  rtt_sample_.reset();  // Karn: never time retransmitted data
+  rtt_sent_at_ = kNoRttSample;  // Karn: never time retransmitted data
 
   if (state_ == TcpState::kSynSent || state_ == TcpState::kSynRcvd) {
-    if (retries_ > cfg_.syn_retries) {
+    if (retries_ > cfg().syn_retries) {
       fail(TcpCloseReason::kTimeout);
       return;
     }
     emit_segment(iss_, 0, false, true, state_ == TcpState::kSynRcvd);
-    rto_ = std::min(rto_ * 2, cfg_.rto_max);
+    rto_ = std::min(rto_ * 2, cfg().rto_max);
     arm_rto();
     return;
   }
 
-  if (retries_ > cfg_.data_retries) {
+  if (retries_ > cfg().data_retries) {
     fail(TcpCloseReason::kTimeout);
     return;
   }
@@ -872,7 +881,7 @@ void TcpSocket::on_rto() {
     stack_.count_retransmit();
     emit_segment(fin_seq_, 0, true, false, true);
   }
-  rto_ = std::min(rto_ * 2, cfg_.rto_max);
+  rto_ = std::min(rto_ * 2, cfg().rto_max);
   arm_rto();
 }
 
@@ -887,7 +896,7 @@ void TcpSocket::update_rtt(sim::SimTime measured) {
     srtt_ = (7 * srtt_ + measured) / 8;
   }
   rto_ = std::clamp(srtt_ + std::max<sim::SimTime>(4 * rttvar_, sim::kMillisecond),
-                    cfg_.rto_min, cfg_.rto_max);
+                    cfg().rto_min, cfg().rto_max);
 }
 
 void TcpSocket::enter_time_wait() {
@@ -897,11 +906,10 @@ void TcpSocket::enter_time_wait() {
   // buffer memory here would pin gigabytes under connection churn.
   send_ring_.release();
   if (recv_ring_.empty()) recv_ring_.release();
-  ooo_.clear();
-  ooo_bytes_ = 0;
+  ooo_.reset();
   time_wait_timer_.cancel();
   time_wait_timer_ = stack_.env().start_timer(
-      cfg_.time_wait, timer_job<&TcpSocket::time_wait_expired>());
+      cfg().time_wait, timer_job<&TcpSocket::time_wait_expired>());
 }
 
 void TcpSocket::enter_closed(TcpCloseReason reason) {
@@ -919,8 +927,7 @@ void TcpSocket::enter_closed(TcpCloseReason reason) {
   stack_.socket_closed(*this);
   send_ring_.release();
   recv_ring_.release();
-  ooo_.clear();
-  ooo_bytes_ = 0;
+  ooo_.reset();
 }
 
 void TcpSocket::fail(TcpCloseReason reason) {
@@ -1024,7 +1031,7 @@ TcpSocketPtr TcpStack::connect(SockAddr remote, std::uint16_t local_port) {
   if (local_port == 0) return nullptr;
   FlowKey key{local_ip_, local_port, remote.ip, remote.port};
   if (conns_.contains(key)) return nullptr;
-  auto sock = std::make_shared<TcpSocket>(*this, key, cfg_);
+  auto sock = std::make_shared<TcpSocket>(*this, key);
   insert_conn(key, sock);
   sock->start_active_open();
   return sock;
@@ -1065,7 +1072,7 @@ void TcpStack::rx(Ipv4Addr src, Ipv4Addr dst, PacketPtr pkt) {
         return;
       }
       if (l.accept_q_.size() + pending_handshakes_ < l.backlog_) {
-        auto sock = std::make_shared<TcpSocket>(*this, key, cfg_);
+        auto sock = std::make_shared<TcpSocket>(*this, key);
         insert_conn(key, sock);
         ++pending_handshakes_;
         sock->start_passive_open(*h);
@@ -1167,7 +1174,7 @@ bool TcpStack::try_cookie_accept(const TcpHeader& h, const FlowKey& key,
     ++stats_.syn_cookies_rejected;
     return false;
   }
-  auto sock = std::make_shared<TcpSocket>(*this, key, cfg_);
+  auto sock = std::make_shared<TcpSocket>(*this, key);
   insert_conn(key, sock);
   sock->iss_ = cookie;
   sock->snd_una_ = cookie + 1;
@@ -1317,7 +1324,7 @@ TcpConnSnapshot TcpStack::capture(const TcpSocket& sock) {
 
 TcpSocketPtr TcpStack::rebuild(const TcpConnSnapshot& s,
                                std::uint32_t resume_at) {
-  auto sock = std::make_shared<TcpSocket>(*this, s.flow, cfg_);
+  auto sock = std::make_shared<TcpSocket>(*this, s.flow);
   sock->state_ = TcpState::kEstablished;
   sock->state_entered_ = env_.now();
   sock->iss_ = s.iss;
@@ -1365,7 +1372,11 @@ TcpCheckpoint TcpStack::extract_for_migration() {
   // table under the loop.
   for (const auto& sock : established()) {
     TcpConnSnapshot s = capture(*sock);
-    for (const auto& seg : sock->ooo_) s.ooo.push_back({seg.seq, seg.bytes});
+    if (sock->ooo_) {
+      for (const auto& seg : sock->ooo_->segs) {
+        s.ooo.push_back({seg.seq, seg.bytes});
+      }
+    }
     s.fin_seen = sock->fin_seen_;
     s.fin_rcv_seq = sock->fin_rcv_seq_;
     // A connection the app never accepted lives in the listener queue; it
@@ -1385,8 +1396,7 @@ TcpCheckpoint TcpStack::extract_for_migration() {
     // receive side so an app read racing the re-home cannot consume bytes
     // the checkpoint already carries (they would be delivered twice).
     sock->recv_ring_.clear();
-    sock->ooo_.clear();
-    sock->ooo_bytes_ = 0;
+    sock->ooo_.reset();
     silence(*sock);
     erase_conn(sock->flow_);
   }
@@ -1403,9 +1413,12 @@ std::vector<TcpSocketPtr> TcpStack::adopt(const TcpCheckpoint& cp) {
     // so output resumes from snd_nxt. Congestion state restarts from the
     // initial window — a deliberate slow-start restart after the move.
     TcpSocketPtr sock = rebuild(s, s.snd_nxt);
-    for (const auto& seg : s.ooo) {
-      sock->ooo_.push_back({seg.seq, seg.bytes});
-      sock->ooo_bytes_ += seg.bytes.size();
+    if (!s.ooo.empty()) {
+      sock->ooo_ = std::make_unique<TcpSocket::OooQueue>();
+      for (const auto& seg : s.ooo) {
+        sock->ooo_->segs.push_back({seg.seq, seg.bytes});
+        sock->ooo_->bytes += seg.bytes.size();
+      }
     }
     sock->fin_seen_ = s.fin_seen;
     sock->fin_rcv_seq_ = s.fin_rcv_seq;

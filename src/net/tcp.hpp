@@ -183,7 +183,7 @@ class TcpEnv {
 // Sockets
 // --------------------------------------------------------------------------
 
-enum class TcpState {
+enum class TcpState : std::uint8_t {
   kClosed,
   kListen,
   kSynSent,
@@ -248,7 +248,8 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
     sim::Callback<void(TcpCloseReason)> on_closed;
   };
 
-  TcpSocket(TcpStack& stack, FlowKey flow, const TcpConfig& cfg);
+  /// Takes its configuration from `stack`.
+  TcpSocket(TcpStack& stack, FlowKey flow);
   ~TcpSocket();
 
   TcpSocket(const TcpSocket&) = delete;
@@ -345,78 +346,91 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   [[nodiscard]] std::uint16_t advertised_window() const;
   [[nodiscard]] std::size_t effective_mss() const;
 
-  TcpStack& stack_;
-  FlowKey flow_;
-  const TcpConfig& cfg_;
-  TcpState state_{TcpState::kClosed};
-  sim::SimTime state_entered_{0};
-  Owner* owner_{nullptr};
+  [[nodiscard]] const TcpConfig& cfg() const;
 
-  // Send side. send_ring_ holds [snd_una_, snd_una_ + size) of the stream.
+  // Fields are grouped by size, not by role, so the TCB has no padding
+  // holes: every connection end holds one (DESIGN.md §5n).
+  TcpStack& stack_;
+  Owner* owner_{nullptr};
+  FlowKey flow_;
+  TcpState state_{TcpState::kClosed};
+  // Wakeup coalescing: notification bits deferred during an rx_batch.
+  static constexpr std::uint8_t kNotifyReadable = 1;
+  static constexpr std::uint8_t kNotifyWritable = 2;
+  std::uint8_t pending_notify_{0};
+  std::uint8_t wants_{0};            // event_bit()s the owner takes
+  bool owner_is_callbacks_{false};   // owner_ is set_callbacks()'s adapter
+  std::uint32_t delack_bytes_{0};  // data bytes received since last ACK sent
+  sim::SimTime state_entered_{0};
+
+  // Send side: send_ring_ holds [snd_una_, snd_una_ + size) of the stream.
+  // Receive side: recv_ring_ holds what the app has not read yet.
   ipc::ByteRing send_ring_;
+  ipc::ByteRing recv_ring_;
+
+  // Sequence state.
   std::uint32_t iss_{0};
   std::uint32_t snd_una_{0};
   std::uint32_t snd_nxt_{0};
   std::uint32_t snd_wnd_{0};
-  bool fin_queued_{false};
-  bool fin_sent_{false};
   std::uint32_t fin_seq_{0};
+  std::uint32_t recover_{0};      // NewReno recovery point
+  std::uint32_t irs_{0};
+  std::uint32_t rcv_nxt_{0};
+  std::uint32_t fin_rcv_seq_{0};
+  /// RTT sample in progress (RFC 6298, Karn): the sequence number whose
+  /// ACK ends it and when it started; rtt_sent_at_ == kNoRttSample when
+  /// none is being timed.
+  std::uint32_t rtt_seq_{0};
 
   // Congestion control (Reno), in bytes.
   std::size_t cwnd_{0};
   std::size_t ssthresh_{};
-  int dupacks_{0};
-  std::uint32_t recover_{0};  // NewReno recovery point
-  bool in_recovery_{false};
 
   // RTT estimation (RFC 6298).
+  static constexpr sim::SimTime kNoRttSample = ~sim::SimTime{0};
   sim::SimTime srtt_{0};
   sim::SimTime rttvar_{0};
   sim::SimTime rto_;
-  std::optional<std::pair<std::uint32_t, sim::SimTime>> rtt_sample_;
+  sim::SimTime rtt_sent_at_{kNoRttSample};
 
-  // Receive side.
-  ipc::ByteRing recv_ring_;
-  std::uint32_t irs_{0};
-  std::uint32_t rcv_nxt_{0};
-  bool fin_received_{false};
-  bool fin_seen_{false};  // peer's FIN observed but maybe not yet in order
-  std::uint32_t fin_rcv_seq_{0};
   /// Out-of-order segments, sorted by raw sequence number (the same order
   /// the std::map this replaces iterated in). Reordering windows hold a
   /// handful of segments, so a sorted vector beats a node-based map: no
-  /// per-segment node allocation and linear scans stay in cache.
+  /// per-segment node allocation and linear scans stay in cache. Out of
+  /// line: only a connection that has seen a hole pays for it.
   struct OooSeg {
     std::uint32_t seq;
     std::vector<std::uint8_t> bytes;
   };
-  std::vector<OooSeg> ooo_;
-  std::size_t ooo_bytes_{0};
-  bool delivering_{false};  // reentrancy guard for deliver_in_order()
+  struct OooQueue {
+    std::vector<OooSeg> segs;
+    std::size_t bytes{0};
+  };
+  std::unique_ptr<OooQueue> ooo_;  // null while there is no hole
 
   // Timers. The RTO is lazily re-armed: every ACK just moves
   // rto_deadline_ forward; the scheduled event re-checks the deadline when
   // it fires and sleeps the remainder, so the common path (ACK per
   // round-trip) is two stores instead of a cancel + reschedule.
   sim::EventHandle rto_timer_;
-  sim::SimTime rto_deadline_{0};  // 0 = disarmed
-  sim::SimTime rto_fire_at_{0};   // when the pending event fires
   sim::EventHandle ack_timer_;
   sim::EventHandle time_wait_timer_;
+  sim::SimTime rto_deadline_{0};  // 0 = disarmed
+  sim::SimTime rto_fire_at_{0};   // when the pending event fires
+
+  std::uint32_t retransmit_count_{0};
+  int dupacks_{0};
   int retries_{0};
   /// This TCB's entry in the liveness table its timer jobs check (tcp.cpp).
   std::uint32_t live_slot_;
-  std::size_t delack_bytes_{0};  // data bytes received since last ACK sent
-  std::uint64_t retransmit_count_{0};
   std::uint16_t peer_mss_{536};
-  bool app_released_{false};
-
-  // Wakeup coalescing: notification bits deferred during an rx_batch.
-  static constexpr std::uint8_t kNotifyReadable = 1;
-  static constexpr std::uint8_t kNotifyWritable = 2;
-  std::uint8_t pending_notify_{0};
-  std::uint8_t wants_{0};              // event_bit()s the owner takes
-  bool owner_is_callbacks_{false};     // owner_ is set_callbacks()'s adapter
+  bool fin_queued_{false};
+  bool fin_sent_{false};
+  bool in_recovery_{false};
+  bool fin_received_{false};
+  bool fin_seen_{false};    // peer's FIN observed but maybe not yet in order
+  bool delivering_{false};  // reentrancy guard for deliver_in_order()
 };
 
 using TcpSocketPtr = std::shared_ptr<TcpSocket>;

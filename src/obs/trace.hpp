@@ -5,7 +5,8 @@
 // served, crash, detection, restart, scale-up/down. The ring keeps the
 // *newest* events when it overflows — the interesting part of a long run is
 // almost always its tail (the fault you injected last, the connections that
-// never recovered).
+// never recovered). Set-up events (emit_setup: the topology a run starts
+// from) sit outside the ring, so the tail is still read against them.
 //
 // Tracing is opt-in: a tracer records nothing until a consumer (a bench's
 // --trace-out, a test that reads events) calls set_enabled(true) before the
@@ -53,6 +54,15 @@ class FlowTracer {
   void set_enabled(bool v) { enabled_ = v; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
+  /// Record a set-up fact the rest of the trace is read against (the
+  /// membership a cluster started with). Kept outside the ring: the
+  /// overwrite of the oldest events never drops it.
+  void emit_setup(TraceEvent ev) {
+    if (!enabled_) return;
+    ++emitted_;
+    setup_.push_back(std::move(ev));
+  }
+
   void emit(TraceEvent ev) {
     if (!enabled_) return;
     ++emitted_;
@@ -65,17 +75,21 @@ class FlowTracer {
     head_ = (head_ + 1) % capacity_;
   }
 
-  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] std::size_t size() const {
+    return setup_.size() + ring_.size();
+  }
+  /// Of the ring; set-up events come on top.
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Total events ever emitted (>= size() once the ring wraps).
   [[nodiscard]] std::uint64_t emitted() const { return emitted_; }
 
-  /// Events in emission order (oldest-first). Duration events ("X") are
-  /// stamped with their *start* time but emitted at completion, so
-  /// timestamps here are not necessarily sorted — the JSON export sorts.
+  /// The set-up events, then the ring's in emission order (oldest-first).
+  /// Duration events ("X") are stamped with their *start* time but emitted
+  /// at completion, so timestamps here are not necessarily sorted — the
+  /// JSON export sorts.
   [[nodiscard]] std::vector<TraceEvent> events() const {
-    std::vector<TraceEvent> out;
-    out.reserve(ring_.size());
+    std::vector<TraceEvent> out(setup_);
+    out.reserve(size());
     for (std::size_t i = 0; i < ring_.size(); ++i) {
       out.push_back(ring_[(head_ + i) % ring_.size()]);
     }
@@ -83,6 +97,7 @@ class FlowTracer {
   }
 
   void clear() {
+    setup_.clear();
     ring_.clear();
     head_ = 0;
     emitted_ = 0;
@@ -127,6 +142,7 @@ class FlowTracer {
 
  private:
   std::size_t capacity_;
+  std::vector<TraceEvent> setup_;
   std::vector<TraceEvent> ring_;
   std::size_t head_{0};
   bool enabled_{false};

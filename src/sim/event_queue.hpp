@@ -43,6 +43,17 @@ namespace detail {
 /// queue itself is destroyed (the queue clears all closures on destruction,
 /// so no user object is pinned past the simulation).
 struct EventSlots {
+  /// Holders: the queue, plus every EventHandle naming a slot here. The
+  /// last holder to let go deletes the table. A plain count, like the rest
+  /// of the simulator single-threaded: taking a handle is one increment,
+  /// not a locked read-modify-write.
+  static void retain(EventSlots* slots) {
+    if (slots != nullptr) ++slots->refs;
+  }
+  static void release(EventSlots* slots) {
+    if (slots != nullptr && --slots->refs == 0) delete slots;
+  }
+
   struct Slot {
     SmallFn fn;
     std::uint64_t seq{0};  // seq of the heap entry that owns the slot
@@ -82,17 +93,32 @@ struct EventSlots {
   std::vector<std::uint32_t> free;
   std::size_t live{0};           // armed slots: pending events
   std::size_t cancelled_far{0};  // stale (cancelled) entries in the far heap
+  std::size_t refs{1};           // the queue's own reference
 };
 
 }  // namespace detail
 
-/// Handle to a scheduled event: the key of its heap entry, which names its
-/// slot and its seq. Allows O(1) cancellation; the cancelled entry stays in
-/// its heap and is skipped when it reaches the head of the queue or when
-/// the far heap is compacted.
+/// Handle to a scheduled event: the slot table plus the key of its heap
+/// entry, which names its slot and its seq — 16 B (a TCB holds three).
+/// Allows O(1) cancellation; the cancelled entry stays in its heap and is
+/// skipped when it reaches the head of the queue or when the far heap is
+/// compacted. A handle keeps the slot table (not the queue) alive, so
+/// cancel() and pending() stay safe after the queue is destroyed.
 class EventHandle {
  public:
   EventHandle() = default;
+  EventHandle(const EventHandle& other)
+      : slots_(other.slots_), key_(other.key_) {
+    detail::EventSlots::retain(slots_);
+  }
+  EventHandle(EventHandle&& other) noexcept
+      : slots_(std::exchange(other.slots_, nullptr)), key_(other.key_) {}
+  EventHandle& operator=(EventHandle other) noexcept {
+    std::swap(slots_, other.slots_);
+    std::swap(key_, other.key_);
+    return *this;
+  }
+  ~EventHandle() { detail::EventSlots::release(slots_); }
 
   /// Cancel the event if it has not fired yet. Idempotent. Releases the
   /// closure (and anything it captured) and the slot immediately.
@@ -118,17 +144,18 @@ class EventHandle {
 
  private:
   friend class EventQueue;
-  EventHandle(std::shared_ptr<detail::EventSlots> slots, std::uint64_t key)
-      : slots_(std::move(slots)), key_(key) {}
+  EventHandle(detail::EventSlots* slots, std::uint64_t key)
+      : slots_(slots), key_(key) {
+    detail::EventSlots::retain(slots_);
+  }
 
   [[nodiscard]] std::uint32_t slot() const {
     return static_cast<std::uint32_t>(
         key_ & ((1u << detail::EventSlots::kSlotBits) - 1));
   }
 
-  std::shared_ptr<detail::EventSlots> slots_;
-  /// seq << kSlotBits | slot, as in the heap entry: 24 bytes a handle (a
-  /// TCB holds three).
+  detail::EventSlots* slots_{nullptr};
+  /// seq << kSlotBits | slot, as in the heap entry.
   std::uint64_t key_{0};
 };
 
@@ -138,7 +165,7 @@ class EventQueue {
   static constexpr unsigned kSlotBits = detail::EventSlots::kSlotBits;
 
  public:
-  EventQueue() : slots_(std::make_shared<detail::EventSlots>()) {}
+  EventQueue() : slots_(new detail::EventSlots) {}
 
   ~EventQueue() {
     // Drop every outstanding closure now: callbacks may capture sockets or
@@ -151,6 +178,7 @@ class EventQueue {
       s.armed = false;
     }
     slots.live = 0;
+    detail::EventSlots::release(slots_);
   }
 
   EventQueue(const EventQueue&) = delete;
@@ -213,8 +241,8 @@ class EventQueue {
     return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Fire-and-forget variants: no handle, no cancellation, no shared_ptr
-  /// traffic. The fast path for every message delivery.
+  /// Fire-and-forget variants: no handle, no cancellation, no reference
+  /// count traffic. The fast path for every message delivery.
   template <typename F>
   void post_at(SimTime at, F&& fn) {
     push(at, std::forward<F>(fn));
@@ -465,7 +493,7 @@ class EventQueue {
     return e.key;
   }
 
-  std::shared_ptr<detail::EventSlots> slots_;
+  detail::EventSlots* slots_;  // owns one reference (see EventSlots::refs)
   std::vector<Entry> near_;
   std::vector<Entry> far_;
   SimTime now_{0};

@@ -16,8 +16,7 @@
 // SmallFnOf<Sig, N> generalizes the same storage scheme to any signature
 // and any inline budget N. A stored callback pays for its budget whether
 // it uses it or not, so long-lived callbacks (TcpSocket::Callbacks, an
-// app's socklib::ConnCallbacks table, the ipc::Doorbell handler) are
-// sim::Callback<Sig>, N = 16: one `this` or one weak_ptr, which is all any
+// app's socklib::ConnCallbacks table) are sim::Callback<Sig>, N = 16: one `this` or one weak_ptr, which is all any
 // of them captures, for 24 bytes per callback instead of 96. sim::SmallFn stays the void() alias every event slot and job holds;
 // schedule()/post()/submit() build the caller's callable straight into
 // one with emplace().
@@ -51,7 +50,7 @@ class SmallFnOf<R(Args...), N> {
   static_assert(N >= sizeof(void*), "the heap fallback stores a pointer");
   /// Storage alignment. A 16-B budget holds one `this` or one weak_ptr;
   /// aligning it for long double would pad every stored callback from 24
-  /// to 32 B, and with it every object that embeds one (ipc::Doorbell).
+  /// to 32 B, and with it every object that embeds one.
   static constexpr std::size_t kAlign =
       N <= 16 ? alignof(void*) : alignof(std::max_align_t);
 

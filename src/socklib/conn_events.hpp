@@ -42,30 +42,26 @@ class ConnEvents {
     kClosed = 1u << 3,
   };
 
-  /// `bell_cost` is the app-side cycles to take a notification; `on_bell`
-  /// runs in the app's context and calls run_pending(). It may capture a
-  /// bare owner `this` (see ipc::Doorbell::ring). `fd` is passed to every
+  /// `app` is the process the callbacks run in; `fd` is passed to every
   /// callback. With `notify_connect` false (accepted and adopted fds),
   /// on_connected never runs.
-  ConnEvents(sim::Process& app, sim::Cycles bell_cost,
-             ipc::Doorbell::Handler on_bell, Fd fd, bool notify_connect)
-      : bell_(app, bell_cost, std::move(on_bell)),
-        fd_(fd),
-        notify_connect_(notify_connect) {}
+  ConnEvents(sim::Process& app, Fd fd, bool notify_connect)
+      : app_(&app), fd_(fd), notify_connect_(notify_connect) {}
 
   /// Mark `bits` pending and ring the app on behalf of `owner`, the
   /// object these events are a member of (see ipc::Doorbell::ring).
-  template <typename Owner>
-  void raise(std::uint8_t bits, const Owner& owner) {
+  /// `bell_cost` is the app-side cycles to take the notification;
+  /// `on_bell` then runs in the app's context and calls run_pending(). It
+  /// may capture a bare owner `this`.
+  template <typename Owner, typename OnBell>
+  void raise(std::uint8_t bits, sim::Cycles bell_cost, const Owner& owner,
+             OnBell&& on_bell) {
     pending_ |= bits;
-    bell_.ring(owner);
+    bell_.ring(*app_, bell_cost, owner, std::forward<OnBell>(on_bell));
   }
 
-  template <typename Owner>
-  void raise_closed(CloseReason r, const Owner& owner) {
-    reason_ = r;
-    raise(kClosed, owner);
-  }
+  /// The close is raised like any bit; `r` is what on_closed reports.
+  void set_close_reason(CloseReason r) { reason_ = r; }
 
   /// Point at the application's callback table (nullptr stops all further
   /// calls; see ConnCallbacks for its lifetime). Raises nothing: what
@@ -99,11 +95,12 @@ class ConnEvents {
     if (cb_ != nullptr && cb_->*slot) (cb_->*slot)(fd_);
   }
 
-  ipc::Doorbell bell_;
+  sim::Process* app_;
   const ConnCallbacks* cb_{nullptr};
   Fd fd_;
   CloseReason reason_{CloseReason::kNormal};
   std::uint8_t pending_{0};
+  ipc::Doorbell bell_;
   bool closed_delivered_{false};
   bool notify_connect_;
 };

@@ -25,12 +25,7 @@ NeatSocket::NeatSocket(sim::Process& app, StackReplica& replica,
       tcp_(std::move(tcp)),
       tx_ring_(std::min<std::size_t>(
           32768, tcp_->send_space() > 0 ? tcp_->send_space() : 32768)),
-      // The handlers may capture a bare `this`: a ring's delivery holds
-      // this socket (its owner) for the handler's duration.
-      to_stack_(replica.tcp_process(), costs.doorbell_take,
-                [this] { pump(); }),
-      events_(app, costs.app_notify, [this] { dispatch(); }, fd,
-              notify_connect) {
+      events_(app, fd, notify_connect) {
   tcp_->set_owner(this);
 }
 
@@ -59,7 +54,7 @@ void NeatSocket::on_tcp_event(net::TcpEvent ev, net::TcpCloseReason reason) {
       return;
     }
     case net::TcpEvent::kClosed:
-      events_.raise_closed(to_close_reason(reason), *this);
+      raise_closed(to_close_reason(reason));
       return;
   }
 }
@@ -68,7 +63,7 @@ std::size_t NeatSocket::write(std::span<const std::uint8_t> data) {
   if (failed_ || close_requested_) return 0;
   const std::size_t n = tx_ring_.write(data);
   if (n < data.size()) want_write_ = true;
-  if (n > 0) to_stack_.ring(*this);
+  if (n > 0) ring_stack();
   return n;
 }
 
@@ -109,20 +104,20 @@ void NeatSocket::reattach(net::TcpSocketPtr tcp) {
   pump_scheduled_ = false;
   // Anything buffered pre-crash is readable again; resume sending too.
   if (tcp_->readable() > 0) raise(ConnEvents::kReadable);
-  to_stack_.ring(*this);
+  ring_stack();
 }
 
 void NeatSocket::rehome(StackReplica& replica, net::TcpSocketPtr tcp) {
   if (failed_ || events_.closed_delivered()) return;
   replica_ = &replica;
-  to_stack_.rebind(replica.tcp_process());
+  to_stack_.reset();  // a ring pending at the old replica may never run
   reattach(std::move(tcp));
 }
 
 void NeatSocket::fail() {
   if (failed_) return;
   failed_ = true;
-  events_.raise_closed(CloseReason::kStackFailure, *this);
+  raise_closed(CloseReason::kStackFailure);
 }
 
 void NeatSocket::migrated_away() {
@@ -130,7 +125,7 @@ void NeatSocket::migrated_away() {
   // Reuse the failure plumbing — it detaches the socket from further I/O —
   // but tell the app the truth: the connection lives on, on another host.
   failed_ = true;
-  events_.raise_closed(CloseReason::kMigratedAway, *this);
+  raise_closed(CloseReason::kMigratedAway);
 }
 
 void NeatSocket::pump() {

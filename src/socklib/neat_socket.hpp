@@ -81,16 +81,27 @@ class NeatSocket final : public std::enable_shared_from_this<NeatSocket>,
   void on_tcp_event(net::TcpEvent ev, net::TcpCloseReason reason) override;
   void pump();      // replica context
   void dispatch();  // app context
-  void raise(std::uint8_t bits) {  // any context
-    events_.raise(bits, *this);
+  // Any context. The doorbells' handlers may capture a bare `this`: a
+  // ring's delivery holds this socket (its owner) for the handler's
+  // duration.
+  void raise(std::uint8_t bits) {
+    events_.raise(bits, costs_.app_notify, *this, [this] { dispatch(); });
+  }
+  void raise_closed(CloseReason r) {
+    events_.set_close_reason(r);
+    raise(ConnEvents::kClosed);
+  }
+  void ring_stack() {
+    to_stack_.ring(replica_->tcp_process(), costs_.doorbell_take, *this,
+                   [this] { pump(); });
   }
 
   StackReplica* replica_;  // pointer: migration re-homes the socket
   const StackCosts& costs_;
   net::TcpSocketPtr tcp_;
   ipc::ByteRing tx_ring_;
-  ipc::Doorbell to_stack_;
   ConnEvents events_;  // → app
+  ipc::Doorbell to_stack_;
   bool pump_scheduled_{false};
   bool close_requested_{false};
   bool want_write_{false};

@@ -16,7 +16,7 @@ Fd SockLib::listen(std::uint16_t port, std::size_t backlog,
   const Fd fd = next_fd_++;
   ListenEntry entry;
   entry.port = port;
-  entry.accept_bell = std::make_shared<ipc::Doorbell>(
+  entry.accept_bell = std::make_shared<ipc::BoundDoorbell>(
       app_, host_.costs().app_notify, std::move(on_acceptable));
   auto bell = entry.accept_bell;
   listeners_.try_emplace(fd, std::move(entry));
@@ -31,7 +31,7 @@ Fd SockLib::listen(std::uint16_t port, std::size_t backlog,
     rec.port = port;
     rec.backlog = backlog;
     rec.wire = [bell](StackReplica&, net::TcpListener& l) {
-      l.set_accept_ready([bell] { bell->ring(bell); });
+      l.set_accept_ready([bell] { bell->ring(); });
     };
     for (auto* r : host->serving_replicas()) {
       StackReplica* rep = r;

@@ -68,7 +68,7 @@ class SockLib final : public SocketApi, public ReplicaFailureListener {
  private:
   struct ListenEntry {
     std::uint16_t port{0};
-    std::shared_ptr<ipc::Doorbell> accept_bell;
+    std::shared_ptr<ipc::BoundDoorbell> accept_bell;
     std::size_t rr_next{0};  // round-robin start over replicas
   };
 

@@ -3,44 +3,63 @@
 // doorbell; here it must not cost heap traffic either (DESIGN.md §5o).
 //
 // This binary replaces the global operator new to count every allocation
-// the process makes. The measured window opens once every connection is
+// the process makes, and the heap bytes (malloc_usable_size) of the blocks
+// still live. The measured window opens once every connection is
 // established and every buffer and table has reached its working size,
-// and the test checks that no connection was set up inside it.
+// and the test checks that no connection was set up inside it. The
+// per-connection heap test below holds what one NEaT connection pair
+// costs to the byte budget of DESIGN.md §5n.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <span>
 
 #include "harness/testbed.hpp"
+#include "neat/host.hpp"
+#include "socklib/socklib.hpp"
 
 namespace {
-std::uint64_t g_allocations = 0;  // the simulator is single-threaded
+// The simulator is single-threaded.
+std::uint64_t g_allocations = 0;
+std::int64_t g_live_bytes = 0;
+
+void* counted(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  ++g_allocations;
+  g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
+  return p;
+}
+void release(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
+  std::free(p);
+}
 }  // namespace
 
 // The default array and nothrow forms forward to these two. Out of line,
 // so that no caller sees which allocator pairs with which deallocator.
 [[gnu::noinline]] void* operator new(std::size_t n) {
-  ++g_allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
+  return counted(std::malloc(n == 0 ? 1 : n));
 }
 [[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t al) {
-  ++g_allocations;
   const auto a = static_cast<std::size_t>(al);
-  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
+  return counted(std::aligned_alloc(a, (n + a - 1) / a * a));
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { release(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  release(p);
 }
 [[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 [[gnu::noinline]] void operator delete(void* p, std::size_t,
                                        std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace neat::harness {
@@ -88,6 +107,135 @@ INSTANTIATE_TEST_SUITE_P(Compositions, KeepAliveAllocations, ::testing::Bool(),
                            return p.param ? "MultiComponent"
                                           : "SingleComponent";
                          });
+
+/// A scripted application process with its socket library.
+struct PairApp : sim::Process {
+  PairApp(sim::Simulator& sim, std::string name)
+      : sim::Process(sim, std::move(name)) {}
+  std::unique_ptr<socklib::SockLib> lib;
+};
+
+/// Two single-replica NEaT hosts: a server that echoes what it reads, and
+/// a client that opens connections and, with `rounds` > 0, sends a 16-B
+/// message and waits for its echo that many times.
+struct ConnectionPairs {
+  explicit ConnectionPairs(int rounds) : rounds(rounds) {
+    Testbed::Config cfg;
+    cfg.seed = 33;
+    tb = std::make_unique<Testbed>(cfg);
+    server = make_host(tb->server_machine, tb->server_nic);
+    client = make_host(tb->client_machine, tb->client_nic);
+    server_app = make_app(*server, tb->server_machine, "srv");
+    client_app = make_app(*client, tb->client_machine, "cli");
+    server->replica(0).ip_layer_ref().arp().insert(kClientIp,
+                                                   net::MacAddr::local(2));
+    client->replica(0).ip_layer_ref().arp().insert(kServerIp,
+                                                   net::MacAddr::local(1));
+
+    echo.on_readable = [this](socklib::Fd fd) {
+      std::uint8_t buf[64];
+      while (const std::size_t n = server_app->lib->recv(fd, buf)) {
+        server_app->lib->send(fd, std::span{buf, n});
+      }
+    };
+    pinger.on_connected = [this](socklib::Fd fd) { ping(fd); };
+    pinger.on_readable = [this](socklib::Fd fd) {
+      std::uint8_t buf[64];
+      while (client_app->lib->recv(fd, buf) > 0) {
+        ++echoes;
+        if (echoes % this->rounds != 0) ping(fd);
+      }
+    };
+    lfd = server_app->lib->listen(80, 64, [this] {
+      while (server_app->lib->accept(lfd, &echo) != socklib::kBadFd) {
+      }
+    });
+    tb->sim.run_for(10 * sim::kMillisecond);
+  }
+
+  ~ConnectionPairs() {
+    // The apps (and their libraries) unregister before the hosts die.
+    server_app.reset();
+    client_app.reset();
+  }
+
+  std::unique_ptr<NeatHost> make_host(sim::Machine& m, nic::Nic& nic) {
+    auto h = std::make_unique<NeatHost>(tb->sim, m, nic, NeatHost::Config{});
+    h->os_process().pin(m.thread(0));
+    h->syscall().pin(m.thread(1));
+    h->driver().pin(m.thread(2));
+    h->add_replica({&m.thread(3)});
+    return h;
+  }
+  std::unique_ptr<PairApp> make_app(NeatHost& host, sim::Machine& m,
+                                    const char* name) {
+    auto app = std::make_unique<PairApp>(tb->sim, name);
+    app->pin(m.thread(4));
+    app->lib = std::make_unique<socklib::SockLib>(*app, host);
+    return app;
+  }
+
+  void ping(socklib::Fd fd) {
+    if (rounds == 0) return;
+    const std::uint8_t msg[16] = {'p', 'i', 'n', 'g'};
+    client_app->lib->send(fd, msg);
+  }
+
+  /// Open one more pair and let it settle: established, its messages
+  /// exchanged, every delayed ACK sent.
+  void open_pair() {
+    ASSERT_NE(client_app->lib->connect(net::SockAddr{kServerIp, 80}, &pinger),
+              socklib::kBadFd);
+    tb->sim.run_for(200 * sim::kMillisecond);
+  }
+
+  /// Heap bytes one more pair adds: the smallest of `n` single-pair
+  /// increments, so a shared table that doubles inside one increment (the
+  /// demux tables, the event slots) is not billed to a connection.
+  std::int64_t bytes_per_pair(int n) {
+    for (int i = 0; i < 4; ++i) open_pair();  // tables past their first size
+    std::int64_t least = INT64_MAX;
+    for (int i = 0; i < n; ++i) {
+      const std::int64_t before = g_live_bytes;
+      open_pair();
+      least = std::min(least, g_live_bytes - before);
+    }
+    return least;
+  }
+
+  int rounds;
+  std::unique_ptr<Testbed> tb;
+  std::unique_ptr<NeatHost> server;
+  std::unique_ptr<NeatHost> client;
+  std::unique_ptr<PairApp> server_app;
+  std::unique_ptr<PairApp> client_app;
+  socklib::ConnCallbacks echo;
+  socklib::ConnCallbacks pinger;
+  socklib::Fd lfd{socklib::kBadFd};
+  std::uint64_t echoes{0};
+};
+
+// DESIGN.md §5n: an idle established connection end is its TCB (312 B,
+// one make_shared block) plus its NeatSocket (144 B, one make_shared
+// block), and no ring bytes. Both ends: under 1 KiB per pair.
+TEST(ConnectionHeapBytes, IdleEstablishedPairStaysWithinTheBudget) {
+  ConnectionPairs pairs(/*rounds=*/0);
+  const std::int64_t bytes = pairs.bytes_per_pair(8);
+  EXPECT_EQ(pairs.server->replica(0).tcp().connection_count(), 12u);
+  EXPECT_GT(bytes, 0);
+  EXPECT_LE(bytes, 1024) << bytes << " heap bytes per idle pair";
+}
+
+// Exchanging 16-B messages allocates the six rings a pair writes (each
+// end's socket tx ring, TCB send ring and TCB receive ring) at the ring
+// floor, 64 B each, not at a fixed 2 KiB first allocation.
+TEST(ConnectionHeapBytes, PairExchangingSixteenByteMessagesStaysWithinTheBudget) {
+  ConnectionPairs pairs(/*rounds=*/4);
+  const std::int64_t bytes = pairs.bytes_per_pair(8);
+  EXPECT_EQ(pairs.server->replica(0).tcp().connection_count(), 12u);
+  EXPECT_EQ(pairs.echoes, 12u * 4);
+  EXPECT_LE(bytes, 1536) << bytes << " heap bytes per messaging pair";
+}
 
 }  // namespace
 }  // namespace neat::harness

@@ -8,7 +8,9 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "fleet/app.hpp"
@@ -293,6 +295,33 @@ TEST(FleetCluster, EnabledTraceExportHoldsEveryBackendsHandshakes) {
       << "one trace event per handshake a backend hub counted";
   EXPECT_NE(rig.fleet.sim.tracer().chrome_json().find("\"handshake_done\""),
             std::string::npos);
+}
+
+TEST(FleetCluster, EnableTraceRecordsTheMembershipBuiltBeforeIt) {
+  // The constructor adds every replica and backend before a caller can
+  // reach the tracer; enable_trace() records that membership as set-up
+  // events, which a full trace ring does not overwrite.
+  FleetRig rig(small_cluster(2, 1, /*standbys=*/1));
+  rig.fleet.enable_trace();
+  EXPECT_TRUE(rig.fleet.sim.tracer().enabled());
+  rig.add_client(pinger_heavy(32));
+  rig.start_and_run(100 * sim::kMillisecond);
+
+  std::vector<std::pair<std::string, int>> membership;
+  for (const obs::TraceEvent& e : rig.fleet.sim.tracer().events()) {
+    const std::string_view name(e.name);
+    if (name == "scale_up" || name == "backend_add") {
+      membership.emplace_back(e.name, e.tid);
+    }
+  }
+  // Three backend hosts (one a standby) and one client host, two replicas
+  // each; the two active backends enter the table.
+  const std::vector<std::pair<std::string, int>> want = {
+      {"scale_up", 0},    {"scale_up", 1}, {"scale_up", 0},
+      {"scale_up", 1},    {"scale_up", 0}, {"scale_up", 1},
+      {"backend_add", 0}, {"backend_add", 1}, {"scale_up", 0},
+      {"scale_up", 1}};
+  EXPECT_EQ(membership, want);
 }
 
 // ---------------------------------------------------------------------------

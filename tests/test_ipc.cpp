@@ -172,16 +172,46 @@ TEST(ByteRing, AllocationStartsSmallAndGrowsWhileNonEmpty) {
   EXPECT_EQ(r.allocated(), 0u);
   const auto a = counting(1500);
   ASSERT_EQ(r.write(a), 1500u);
-  EXPECT_EQ(r.allocated(), ByteRing::kInitialBytes);
+  EXPECT_EQ(r.allocated(), 2048u);  // the power of two at or above 1500
   std::uint8_t head[500];
   ASSERT_EQ(r.read(head), 500u);
   // 1000 live + 2000 new > 2 KiB: doubles once, keeping the live bytes.
   const auto b = counting(2000, static_cast<std::uint8_t>(1500));
   ASSERT_EQ(r.write(b), 2000u);
-  EXPECT_EQ(r.allocated(), 2 * ByteRing::kInitialBytes);
+  EXPECT_EQ(r.allocated(), 4096u);
   std::vector<std::uint8_t> out(3000);
   ASSERT_EQ(r.read(out), 3000u);
   EXPECT_EQ(out, counting(3000, static_cast<std::uint8_t>(500)));
+}
+
+TEST(ByteRing, FirstWriteSizesTheAllocationThenItDoublesToTheFixedRing) {
+  ByteRing r(4096);
+  // A 16-byte first write allocates the floor, not a fixed initial size.
+  ASSERT_EQ(r.write(counting(16)), 16u);
+  EXPECT_EQ(r.allocated(), ByteRing::kMinBytes);
+  // Growth doubles from there: 16 live + 100 new needs 128.
+  ASSERT_EQ(r.write(counting(100, 16)), 100u);
+  EXPECT_EQ(r.allocated(), 128u);
+  // 116 live + 1900 new: doubles to 2048 in one step (no 256/512/1024).
+  ASSERT_EQ(r.write(counting(1900, 116)), 1900u);
+  EXPECT_EQ(r.allocated(), 2048u);
+  // Past 2048 the next doubling reaches the capacity: the fixed ring.
+  ASSERT_EQ(r.write(counting(1000, static_cast<std::uint8_t>(2016))), 1000u);
+  EXPECT_EQ(r.allocated(), 4096u);
+  std::vector<std::uint8_t> out(3016);
+  ASSERT_EQ(r.read(out), 3016u);
+  EXPECT_EQ(out, counting(3016));
+  // release() forgets the size: the next first write sizes it again, to
+  // the power of two at or above it (300 -> 512), clamped to the capacity.
+  r.release();
+  ASSERT_EQ(r.write(counting(300)), 300u);
+  EXPECT_EQ(r.allocated(), 512u);
+  ByteRing small(40);
+  ASSERT_EQ(small.write(counting(8)), 8u);
+  EXPECT_EQ(small.allocated(), 40u);  // the floor clamped to the capacity
+  ByteRing odd(3000);
+  ASSERT_EQ(odd.write(counting(2500)), 2500u);
+  EXPECT_EQ(odd.allocated(), 3000u);  // bit_ceil(2500) clamped
 }
 
 TEST(ByteRing, GrowthStopsAtCapacity) {
@@ -202,7 +232,7 @@ TEST(ByteRing, ShortTailCompactsIntoTheConsumedHead) {
   // 500 + 1000 fits the 2 KiB allocation, but not after offset 1500: the
   // live bytes move to offset 0 instead of the buffer growing.
   ASSERT_EQ(r.write(counting(1000, static_cast<std::uint8_t>(2000))), 1000u);
-  EXPECT_EQ(r.allocated(), ByteRing::kInitialBytes);
+  EXPECT_EQ(r.allocated(), 2048u);
   std::vector<std::uint8_t> out(1500);
   ASSERT_EQ(r.peek_at(0, out), 1500u);
   EXPECT_EQ(out, counting(1500, static_cast<std::uint8_t>(1500)));
@@ -227,7 +257,7 @@ TEST(ByteRing, SpansSplitAtTheLogicalWrapNotThePhysicalOne) {
   // [15000, 16384) and [0, 616); here they sit contiguously at offset 0.
   const auto in = counting(2000);
   ASSERT_EQ(r.write(in), 2000u);
-  EXPECT_EQ(r.allocated(), ByteRing::kInitialBytes);
+  EXPECT_EQ(r.allocated(), 2048u);
   const auto spans = r.readable_spans();
   ASSERT_EQ(spans[0].size(), 1384u);
   ASSERT_EQ(spans[1].size(), 616u);
@@ -365,7 +395,7 @@ void run_ring_model(sim::Rng& rng, std::size_t cap) {
 
     ASSERT_LE(ring.allocated(), cap);
     ASSERT_LE(ring.allocated(),
-              std::max(std::min(ByteRing::kInitialBytes, cap),
+              std::max(std::min(ByteRing::kMinBytes, cap),
                        2 * ring.high_water()));
   }
   EXPECT_EQ(ring.high_water(), model_high_water);
@@ -380,11 +410,10 @@ TEST_P(ByteRingModelProperty, MatchesDequeReferenceModel) {
   run_ring_model(rng, cap);
 }
 
-// Capacities above the initial allocation, so growth and compaction run.
+// Capacities of 1 to 17 KiB, so growth and compaction run.
 TEST_P(ByteRingModelProperty, MatchesDequeReferenceModelWhileGrowing) {
   sim::Rng rng(GetParam());
-  const std::size_t cap =
-      ByteRing::kInitialBytes / 2 + rng.below(8 * ByteRing::kInitialBytes);
+  const std::size_t cap = 1024 + rng.below(16 * 1024);
   run_ring_model(rng, cap);
 }
 
@@ -562,24 +591,25 @@ TEST_F(SimFixture, DoorbellCoalescesRings) {
   // The doorbell keeps no counters (a socket carries two): count handler
   // runs here.
   int handled = 0;
-  auto bell = std::make_shared<Doorbell>(proc, 50, [&] { ++handled; });
+  auto bell = std::make_shared<BoundDoorbell>(proc, 50, [&] { ++handled; });
   for (int rings = 0; rings < 3; ++rings) {
-    bell->ring(bell);
+    bell->ring();
     EXPECT_TRUE(bell->pending());
   }
   sim.run();
   EXPECT_EQ(handled, 1);  // three rings, one delivery
   EXPECT_FALSE(bell->pending());
   // After consumption, a new ring delivers again.
-  bell->ring(bell);
+  bell->ring();
   sim.run();
   EXPECT_EQ(handled, 2);
 }
 
 // Every connection end carries rings and doorbells (DESIGN.md §5m, §5n):
-// 32-bit ring state around one pointer, and no test-only counters.
+// 32-bit ring state around one pointer, and a doorbell that is one flag
+// (its ringer supplies the consumer, cost and handler).
 static_assert(sizeof(ByteRing) == 32);
-static_assert(sizeof(Doorbell) <= 56);
+static_assert(sizeof(Doorbell) == 1);
 
 TEST(ByteRing, CapacityBeyondThirtyTwoBitsIsRejectedInEveryBuild) {
   EXPECT_THROW(ByteRing(0), std::length_error);
@@ -592,9 +622,9 @@ TEST(ByteRing, CapacityBeyondThirtyTwoBitsIsRejectedInEveryBuild) {
 
 TEST_F(SimFixture, DoorbellToCrashedConsumerIsNoop) {
   int handled = 0;
-  auto bell = std::make_shared<Doorbell>(proc, 50, [&] { ++handled; });
+  auto bell = std::make_shared<BoundDoorbell>(proc, 50, [&] { ++handled; });
   proc.crash();
-  bell->ring(bell);
+  bell->ring();
   sim.run();
   EXPECT_EQ(handled, 0);
 }
@@ -602,8 +632,8 @@ TEST_F(SimFixture, DoorbellToCrashedConsumerIsNoop) {
 TEST_F(SimFixture, DestroyedDoorbellNeverFires) {
   int handled = 0;
   {
-    auto bell = std::make_shared<Doorbell>(proc, 50, [&] { ++handled; });
-    bell->ring(bell);
+    auto bell = std::make_shared<BoundDoorbell>(proc, 50, [&] { ++handled; });
+    bell->ring();
   }  // destroyed with the ring still in flight
   sim.run();
   EXPECT_EQ(handled, 0);

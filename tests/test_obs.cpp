@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "harness/testbed.hpp"
@@ -195,6 +196,25 @@ TEST(FlowTracer, RingOverflowKeepsNewestInOrder) {
       EXPECT_GE(evs[i].ts_ns, evs[i - 1].ts_ns);
     }
   }
+}
+
+TEST(FlowTracer, SetupEventsSurviveRingOverflow) {
+  FlowTracer t(4);
+  t.emit_setup({0, 0, "test", "before_enable", 0, 0, ""});  // off: dropped
+  t.set_enabled(true);
+  t.emit_setup({0, 0, "test", "setup", 0, 0, ""});
+  for (std::uint64_t i = 1; i <= 10; ++i) {
+    t.emit({i * 100, 0, "test", "ev", 0, static_cast<int>(i), ""});
+  }
+  EXPECT_EQ(t.size(), 5u);  // the set-up event on top of a full ring
+  EXPECT_EQ(t.emitted(), 11u);
+  const auto evs = t.events();
+  ASSERT_EQ(evs.size(), 5u);
+  EXPECT_EQ(std::string_view(evs[0].name), "setup");
+  EXPECT_EQ(evs[1].ts_ns, 700u);  // the ring still keeps the newest four
+  EXPECT_NE(t.chrome_json().find("\"setup\""), std::string::npos);
+  t.clear();
+  EXPECT_EQ(t.size(), 0u);
 }
 
 TEST(FlowTracer, DisabledTracerRecordsNothing) {

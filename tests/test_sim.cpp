@@ -68,6 +68,49 @@ TEST(EventQueue, CancelIsIdempotentAndSafeAfterFire) {
   EXPECT_FALSE(h.pending());
 }
 
+// A TCB holds three handles: the slot table and the heap key, no more.
+static_assert(sizeof(EventHandle) == 16);
+
+TEST(EventQueue, HandlesOutliveTheirQueue) {
+  // Handles to a pending event, a fired one, a cancelled one and copies of
+  // them all outlive the queue; cancel() and pending() stay safe (ASan, in
+  // scripts/check.sh, sees the slot table freed with the last handle).
+  auto token = std::make_shared<int>(1);
+  EventHandle pending;
+  EventHandle fired;
+  EventHandle cancelled;
+  EventHandle copy;
+  {
+    EventQueue q;
+    pending = q.schedule(100, [token] {});
+    fired = q.schedule(1, [] {});
+    cancelled = q.schedule(50, [] {});
+    cancelled.cancel();
+    q.run_until(10);
+    copy = pending;
+    EXPECT_TRUE(pending.pending());
+    EXPECT_TRUE(copy.pending());
+    EXPECT_FALSE(fired.pending());
+    EXPECT_FALSE(cancelled.pending());
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  // The queue dropped the pending closure (and what it captured) when it
+  // died; the handles report nothing pending and cancel as no-ops.
+  EXPECT_EQ(token.use_count(), 1);
+  for (EventHandle* h : {&pending, &fired, &cancelled, &copy}) {
+    EXPECT_FALSE(h->pending());
+    h->cancel();
+    h->cancel();
+    EXPECT_FALSE(h->pending());
+  }
+  // Moved-from and reassigned handles release their reference once.
+  EventHandle moved = std::move(copy);
+  EXPECT_FALSE(moved.pending());
+  moved = EventHandle{};
+  pending = fired;
+  EXPECT_FALSE(pending.pending());
+}
+
 TEST(EventQueue, EventsMayScheduleMoreEvents) {
   EventQueue q;
   int chain = 0;

@@ -415,21 +415,25 @@ TEST_F(SockLibFixture, CloseInsideCallbackIsNotUndone) {
   EXPECT_EQ(server_closed, 0);
 }
 
-/// An object that owns a doorbell, as NeatSocket does.
-struct BellOwner {
+/// An object that owns a doorbell, as NeatSocket does, and supplies the
+/// consumer, cost and handler when it rings.
+struct BellOwner : std::enable_shared_from_this<BellOwner> {
   BellOwner(sim::Process& consumer, int& handled)
-      : bell(consumer, 10, [&handled] { ++handled; }) {}
+      : consumer(consumer), handled(handled) {}
+  void ring() { bell.ring(consumer, 10, *this, [this] { ++handled; }); }
+  sim::Process& consumer;
+  int& handled;
   ipc::Doorbell bell;
 };
 
 TEST_F(SockLibFixture, DoorbellRungAfterOwnerDiedIsNoop) {
   int handled = 0;
   auto owner = std::make_shared<BellOwner>(*server_app, handled);
-  owner->bell.ring(owner);
+  owner->ring();
   run();
   EXPECT_EQ(handled, 1);  // control: a live owner's ring is delivered
 
-  owner->bell.ring(owner);
+  owner->ring();
   EXPECT_TRUE(owner->bell.pending());
   owner.reset();  // the owner (and its doorbell) die with the ring in flight
   run();
@@ -473,13 +477,14 @@ TEST_F(SockLibFixture, TableSwappedOrClearedInsideACallbackStopsTheRest) {
   // The delivery path of both socket libraries, driven directly: three
   // bits pending, and the first callback re-points the events at another
   // table. The rest of the bits run from the new table, none from the old.
-  struct EventsOwner {
+  struct EventsOwner : std::enable_shared_from_this<EventsOwner> {
     explicit EventsOwner(sim::Process& app)
-        : events(app, 10,
-                 [this] {
-                   if (events.run_pending()) events.deliver_close();
-                 },
-                 /*fd=*/7, /*notify_connect=*/true) {}
+        : events(app, /*fd=*/7, /*notify_connect=*/true) {}
+    void raise(std::uint8_t bits) {
+      events.raise(bits, 10, *this, [this] {
+        if (events.run_pending()) events.deliver_close();
+      });
+    }
     socklib::ConnEvents events;
   };
   auto owner = std::make_shared<EventsOwner>(*server_app);
@@ -501,10 +506,9 @@ TEST_F(SockLibFixture, TableSwappedOrClearedInsideACallbackStopsTheRest) {
   first.on_readable = record("first.readable");
   first.on_writable = record("first.writable");
   owner->events.set_callbacks(&first);
-  owner->events.raise(socklib::ConnEvents::kConnected |
-                          socklib::ConnEvents::kReadable |
-                          socklib::ConnEvents::kWritable,
-                      owner);
+  owner->raise(socklib::ConnEvents::kConnected |
+               socklib::ConnEvents::kReadable |
+               socklib::ConnEvents::kWritable);
   run();
   EXPECT_EQ(calls, (std::vector<std::string>{
                        "first.connected 7", "second.readable 7",
@@ -522,9 +526,10 @@ TEST_F(SockLibFixture, TableSwappedOrClearedInsideACallbackStopsTheRest) {
   clearing.on_writable = record("clearing.writable");
   clearing.on_closed = [&](Fd, CloseReason) { ++closes; };
   owner->events.set_callbacks(&clearing);
-  owner->events.raise(
-      socklib::ConnEvents::kReadable | socklib::ConnEvents::kWritable, owner);
-  owner->events.raise_closed(CloseReason::kReset, owner);
+  owner->raise(socklib::ConnEvents::kReadable |
+               socklib::ConnEvents::kWritable);
+  owner->events.set_close_reason(CloseReason::kReset);
+  owner->raise(socklib::ConnEvents::kClosed);
   run();
   EXPECT_EQ(calls, std::vector<std::string>{"clearing.readable 7"});
   EXPECT_EQ(closes, 0);
@@ -609,10 +614,11 @@ TEST_F(SockLibFixture, DrainingSocketDroppedInsideItsOwnTcpEventIsSafe) {
 }
 
 // Every connection end on a NEaT host carries one NeatSocket: DESIGN.md
-// §5n's byte budget puts it at 224 B. A new field, or padding from a
-// reordered or embedded member, is per-connection memory at fleet scale.
+// §5n's byte budget puts it at 176 B (its two doorbells are one flag each).
+// A new field, or padding from a reordered or embedded member, is
+// per-connection memory at fleet scale.
 TEST(NeatSocketFootprint, StaysWithinTheByteBudget) {
-  EXPECT_LE(sizeof(socklib::NeatSocket), 224u);
+  EXPECT_LE(sizeof(socklib::NeatSocket), 176u);
 }
 
 }  // namespace
